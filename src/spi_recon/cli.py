@@ -98,6 +98,9 @@ def _run(args) -> int:
         spio.write_measurements(meas, patterns.n, args.out)
     elif args.command == "reconstruct":
         solver = get_solver(args.solver)
+        stop = StopCriteria(residual_change_threshold=args.threshold,
+                            min_iterations=args.min_iter,
+                            max_iterations_factor=args.max_iter_factor)
         patterns = spio.read_patterns(args.patterns)
         meas, n = spio.read_measurements(args.measurements)
         if n != patterns.n:
@@ -105,9 +108,6 @@ def _run(args) -> int:
                 f"measurement bundle pixel count {n} != pattern pixel count {patterns.n}"
             )
         width, height = _infer_shape(patterns.n)
-        stop = StopCriteria(residual_change_threshold=args.threshold,
-                            min_iterations=args.min_iter,
-                            max_iterations_factor=args.max_iter_factor)
         report = solver(patterns, meas, width, height, stop=stop)
         spio.write_image(report.image, args.out)
         if args.trace:

@@ -11,6 +11,16 @@ All iterative solvers share one stopping protocol: stop when the change
 of the measurement residual norm ||b - Ax|| between consecutive
 iterations falls below a threshold (default 1e-2), with a minimum of 30
 iterations and a cap of 3x the pixel count.
+
+Products with the m x n pattern matrix A dominate every solve, so each
+loop carries Ax (and A times its search direction) forward instead of
+recomputing it.  Per iteration:
+
+- gd: 2 A + 1 A^T (A p for the step, exact A x after it, A^T for the gradient)
+- cgd: 1 A + 1 A^T (b - Ax is tracked by recurrence for the stop test)
+- poisson: 2 A + 1 A^T (each Armijo trial is O(m): Ax + step * Ap)
+- ap: m row updates plus 1 A for the residual, with no per-row allocation
+- cs-dct/cs-tv: 2 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner CG step
 """
 
 import time
@@ -32,7 +42,6 @@ from .transforms import LinearOperator, dct_operator, gradient_operator, soft_th
 
 __all__ = [
     "StopCriteria",
-    "SolverState",
     "LineSearchParams",
     "AlmParams",
     "SolverReport",
@@ -55,6 +64,7 @@ __all__ = [
 ]
 
 EPS_DIV = 1e-12  # sign-preserving clamp for a_i.x denominators
+MAX_SHRINKS = 200  # backtracking budget of the Armijo line search
 
 
 @dataclass
@@ -65,20 +75,27 @@ class StopCriteria:
     min_iterations: int = 30
     max_iterations_factor: float = 3.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.residual_change_threshold)
+                and self.residual_change_threshold >= 0):
+            raise InvalidArgumentError(
+                "residual_change_threshold must be finite and >= 0, "
+                f"got {self.residual_change_threshold}"
+            )
+        if self.min_iterations < 0:
+            raise InvalidArgumentError(
+                f"min_iterations must be >= 0, got {self.min_iterations}"
+            )
+        if not (np.isfinite(self.max_iterations_factor)
+                and self.max_iterations_factor >= 0):
+            raise InvalidArgumentError(
+                "max_iterations_factor must be finite and >= 0, "
+                f"got {self.max_iterations_factor}"
+            )
+
     def max_iterations(self, n: int) -> int:
         cap = int(round(self.max_iterations_factor * n))
         return max(self.min_iterations, cap, 1)
-
-
-@dataclass
-class SolverState:
-    """Loop state of the gradient-descent family (exposed for inspection)."""
-
-    x: np.ndarray
-    p: np.ndarray
-    step: float
-    r: np.ndarray
-    k: int
 
 
 @dataclass
@@ -248,34 +265,37 @@ def gd_solve(
     height: int,
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
-    """Steepest descent with the exact line-search step, x0 = 0."""
+    """Steepest descent with the exact line-search step, x0 = 0.
+
+    Per iteration 2 A + 1 A^T: A^T for the gradient, A p for the step,
+    and an exact A x after the step, which the next gradient reuses.
+    """
     _check_dims(patterns, meas)
     stop = stop or StopCriteria()
     t0 = time.perf_counter()
     A, b, n = patterns.rows, meas.values, patterns.n
-    state = SolverState(x=np.zeros(n), p=np.zeros(n), step=0.0, r=b.copy(), k=0)
+    x = np.zeros(n)
+    Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
     tracker = _StopTracker(stop, n)
     trace = []
-    terminated = "max_iterations"
+    k = 0
     while True:
-        state.k += 1
-        state.p = gd_gradient(patterns, state.x, meas)
-        state.r = b - A @ state.x
-        step = gd_optimal_step(patterns, state.p, state.r)
+        k += 1
+        p = 2.0 * (A.T @ (Ax - b))
+        r = b - Ax
+        step = gd_optimal_step(patterns, p, r)
         if step is not None:
-            state.step = step
-            state.x = state.x - step * state.p
-            state.r = b - A @ state.x
-        rnorm = float(np.linalg.norm(state.r))
+            x = x - step * p
+            Ax = A @ x
+            r = b - Ax
+        rnorm = float(np.linalg.norm(r))
         obj = rnorm**2
         if not np.isfinite(obj):
-            raise NumericalFailureError("objective diverged", iteration=state.k)
-        trace.append((state.k, rnorm, obj))
-        why = tracker.check(state.k, rnorm)
+            raise NumericalFailureError("objective diverged", iteration=k)
+        trace.append((k, rnorm, obj))
+        why = tracker.check(k, rnorm)
         if why:
-            terminated = why
-            break
-    return _finish(state.x, width, height, state.k, t0, trace, terminated)
+            return _finish(x, width, height, k, t0, trace, why)
 
 
 def cgd_solve(
@@ -288,11 +308,13 @@ def cgd_solve(
 ) -> SolverReport:
     """Conjugate gradient on the normal equations A^T A x = A^T b, x0 = 0.
 
-    The n x n system is never materialized; each step applies A then A^T.
-    First search direction is steepest descent.  Terminates early
-    ("exact") when the normal-equation residual drops below
-    max(1e-12, normal_residual_rtol * ||A^T b||), bypassing the minimum
-    iteration count.
+    The n x n system is never materialized; each step applies A then A^T
+    (1 A + 1 A^T per iteration, plus A^T b once).  The measurement
+    residual b - Ax, which only feeds the trace and the stop test, is
+    tracked as b - Ax -= alpha * Ap.  First search direction is steepest
+    descent.  Terminates early ("exact") when the normal-equation residual
+    drops below max(1e-12, normal_residual_rtol * ||A^T b||), bypassing
+    the minimum iteration count.
     """
     _check_dims(patterns, meas)
     stop = stop or StopCriteria()
@@ -303,13 +325,13 @@ def cgd_solve(
     exact_tol = max(1e-12, normal_residual_rtol * bp_norm)
 
     x = np.zeros(n)
+    res = b.copy()  # measurement residual b - Ax
     r = bp.copy()  # normal-equation residual b' - A'x
     rr = float(r @ r)
     p = r.copy()
     tracker = _StopTracker(stop, n)
     trace = []
     k = 0
-    terminated = "max_iterations"
     while True:
         if np.sqrt(rr) <= exact_tol:
             terminated = "exact"
@@ -324,23 +346,29 @@ def cgd_solve(
             )
         alpha = rr / denom
         x = x + alpha * p
+        res -= alpha * Ap
         r = r - alpha * q
         rr_new = float(r @ r)
         p = r + (rr_new / rr) * p
         rr = rr_new
-        rnorm = float(np.linalg.norm(b - A @ x))
+        rnorm = float(np.linalg.norm(res))
         trace.append((k, rnorm, rnorm**2))
-        why = tracker.check(k, rnorm)
-        if why:
-            terminated = why
+        terminated = tracker.check(k, rnorm)
+        if terminated:
             break
     if not trace:
-        rnorm = float(np.linalg.norm(b - A @ x))
+        rnorm = float(np.linalg.norm(res))
         trace = [(0, rnorm, rnorm**2)]
     return _finish(x, width, height, k, t0, trace, terminated)
 
 
 # ------------------------------------------------------ Poisson max. likelihood
+
+
+def _neg_log_likelihood(ax: np.ndarray, b: np.ndarray) -> float:
+    """sum(ax - b log ax) for ax > 0; b_i = 0 entries contribute only ax_i."""
+    log_terms = np.where(b > 0, b * np.log(ax), 0.0)
+    return float(np.sum(ax - log_terms))
 
 
 def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> float:
@@ -355,8 +383,7 @@ def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet)
     ax = patterns.rows @ x
     if np.any(ax <= 0):
         raise DomainError("a_i.x must be positive for the Poisson likelihood")
-    log_terms = np.where(b > 0, b * np.log(ax), 0.0)
-    return float(np.sum(ax - log_terms))
+    return _neg_log_likelihood(ax, b)
 
 
 def _clamp_signed(v: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
@@ -373,30 +400,35 @@ def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) 
     return A.T @ ratio
 
 
+def _armijo(trial: Callable[[float], float], f0: float, pp: float,
+            params: LineSearchParams, max_shrinks: int) -> float:
+    """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp."""
+    step = 1.0
+    for _ in range(max_shrinks + 1):
+        if trial(step) <= f0 - params.alpha * step * pp:
+            return step
+        step *= params.beta
+    raise LineSearchFailureError(
+        f"no acceptable step after {max_shrinks} shrinks: "
+        "non-descent direction or broken objective"
+    )
+
+
 def backtracking_search(
     objective: Callable[[np.ndarray], float],
     x: np.ndarray,
     p: np.ndarray,
     params: Optional[LineSearchParams] = None,
-    max_shrinks: int = 200,
+    max_shrinks: int = MAX_SHRINKS,
 ) -> float:
     """First step in {1, beta, beta^2, ...} passing the Armijo test.
 
     Accepts the first step with L(x + step*p) <= L(x) - alpha*step*p.p;
     p must be a descent direction (pass the negated gradient).
     """
-    params = params or LineSearchParams()
     f0 = objective(x)
-    pp = float(p @ p)
-    step = 1.0
-    for _ in range(max_shrinks + 1):
-        trial = objective(x + step * p)
-        if trial <= f0 - params.alpha * step * pp:
-            return step
-        step *= params.beta
-    raise LineSearchFailureError(
-        "no acceptable step after 200 shrinks: non-descent direction or broken objective"
-    )
+    return _armijo(lambda step: objective(x + step * p), f0, float(p @ p),
+                   params or LineSearchParams(), max_shrinks)
 
 
 def poisson_solve(
@@ -412,6 +444,12 @@ def poisson_solve(
     Negative measurements (possible after Gaussian noise) are clamped to
     0 and counted in the report; x0 is a small positive constant so the
     likelihood's Ax > 0 domain constraint holds at the start.
+
+    Per iteration 2 A + 1 A^T, plus A x0 once: A^T for the gradient, A p
+    for the search direction p, and an exact A x after the step, which
+    serves the next gradient, the residual and the objective.  Each
+    Armijo trial evaluates the likelihood at Ax + step * Ap in O(m);
+    a trial with any a_i.x <= 0 is rejected.
     """
     _check_dims(patterns, meas)
     stop = stop or StopCriteria()
@@ -421,40 +459,48 @@ def poisson_solve(
 
     clamped = int(np.count_nonzero(meas.values < 0))
     b = np.maximum(meas.values, 0.0)
-    meas_pos = MeasurementSet(values=b, noise_sigma=meas.noise_sigma,
-                              noise_seed=meas.noise_seed)
 
-    def guarded_objective(v):
-        ax = A @ v
-        if np.any(ax <= 0):
-            return np.inf
-        log_terms = np.where(b > 0, b * np.log(ax), 0.0)
-        return float(np.sum(ax - log_terms))
+    def objective(ax):
+        return np.inf if np.any(ax <= 0) else _neg_log_likelihood(ax, b)
 
     x = np.full(n, 1e-6)
+    Ax = A @ x
+    obj = objective(Ax)
     tracker = _StopTracker(stop, n)
     trace = []
     k = 0
-    terminated = "max_iterations"
     while True:
         k += 1
-        grad = poisson_gradient(patterns, x, meas_pos)
-        direction = -grad
-        step = backtracking_search(guarded_objective, x, direction, ls)
+        direction = -(A.T @ ((Ax - b) / _clamp_signed(Ax)))
+        Ap = A @ direction
+        step = _armijo(lambda t: objective(Ax + t * Ap), obj,
+                       float(direction @ direction), ls, MAX_SHRINKS)
         x = x + step * direction
-        rnorm = float(np.linalg.norm(b - A @ x))
-        obj = guarded_objective(x)
+        Ax = A @ x
+        rnorm = float(np.linalg.norm(b - Ax))
+        obj = objective(Ax)
         if not np.isfinite(rnorm):
             raise NumericalFailureError("residual diverged", iteration=k)
         trace.append((k, rnorm, obj))
         why = tracker.check(k, rnorm)
         if why:
-            terminated = why
-            break
-    return _finish(x, width, height, k, t0, trace, terminated, warnings=clamped)
+            return _finish(x, width, height, k, t0, trace, why, warnings=clamped)
 
 
 # -------------------------------------------------------- alternating projection
+
+
+def _ap_correct(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
+                buf: np.ndarray) -> None:
+    """ap_update's correction for a row with max(a)^2 = amax2 > 0, applied to
+    x in place; buf is a work array of x's size."""
+    ax = float(a @ x)
+    denom = ax if abs(ax) >= EPS_DIV else (EPS_DIV if ax >= 0 else -EPS_DIV)
+    np.multiply(a, a, out=buf)
+    buf *= x
+    buf /= amax2
+    buf *= (ax - b_i) / denom
+    x -= buf
 
 
 def ap_update(a: np.ndarray, b_i: float, x: np.ndarray) -> np.ndarray:
@@ -466,12 +512,10 @@ def ap_update(a: np.ndarray, b_i: float, x: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     amax = float(a.max(initial=0.0))
-    if amax <= 0.0:
-        return x.copy()
-    ax = float(a @ x)
-    denom = ax if abs(ax) >= EPS_DIV else (EPS_DIV if ax >= 0 else -EPS_DIV)
-    factor = (ax - b_i) / denom
-    return x - (a * a * x) / amax**2 * factor
+    x = np.array(x, dtype=np.float64)
+    if amax > 0.0:
+        _ap_correct(a, b_i, amax**2, x, np.empty_like(x))
+    return x
 
 
 def ap_solve(
@@ -481,30 +525,37 @@ def ap_solve(
     height: int,
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
-    """Sweeps every measurement in ascending order, once per outer iteration."""
+    """Sweeps every measurement in ascending order, once per outer iteration.
+
+    Each row applies ap_update's correction in place, with every row's
+    max(a)^2 computed once, so a sweep allocates nothing per row.  Per
+    iteration m row dot products plus 1 A for the residual.
+    """
     _check_dims(patterns, meas)
     stop = stop or StopCriteria()
     t0 = time.perf_counter()
     A, b, n = patterns.rows, meas.values, patterns.n
     zero_rows = int(np.count_nonzero(patterns.intensities == 0))
+    amax = A.max(axis=1, initial=0.0)
+    rows = [(a, float(b_i), float(am) ** 2)
+            for a, b_i, am in zip(A, b, amax) if am > 0.0]
     x = np.full(n, 1e-6)
+    buf = np.empty(n)
     tracker = _StopTracker(stop, n)
     trace = []
     k = 0
-    terminated = "max_iterations"
     while True:
         k += 1
-        for i in range(patterns.m):
-            x = ap_update(A[i], b[i], x)
+        for a, b_i, amax2 in rows:
+            _ap_correct(a, b_i, amax2, x, buf)
         rnorm = float(np.linalg.norm(b - A @ x))
         if not np.isfinite(rnorm):
             raise NumericalFailureError("residual diverged", iteration=k)
         trace.append((k, rnorm, rnorm**2))
         why = tracker.check(k, rnorm)
         if why:
-            terminated = why
-            break
-    return _finish(x, width, height, k, t0, trace, terminated, warnings=zero_rows * k)
+            return _finish(x, width, height, k, t0, trace, why,
+                           warnings=zero_rows * k)
 
 
 # --------------------------------------------------------- augmented Lagrangian

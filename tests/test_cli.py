@@ -99,6 +99,30 @@ def test_reconstruct_flags_forward_to_stop_criteria(tmp_path):
     assert direct.read_bytes() == recon.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--min-iter", "-5", "min_iterations"),
+    ("--threshold", "-1e-3", "residual_change_threshold"),
+    ("--threshold", "nan", "residual_change_threshold"),
+    ("--max-iter-factor", "-2", "max_iterations_factor"),
+])
+def test_reconstruct_rejects_bad_stop_criteria(tmp_path, capsys, flag, value, field):
+    pat = tmp_path / "pat.spib"
+    scene = tmp_path / "scene.pgm"
+    meas = tmp_path / "meas.spib"
+    recon = tmp_path / "recon.pgm"
+    write_image(builtin_scene("bars", 4, 4), scene)
+    main(["gen-patterns", "--m", "16", "--width", "4", "--height", "4",
+          "--out", str(pat)])
+    main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+          "--out", str(meas)])
+    capsys.readouterr()
+    assert main(["reconstruct", "--solver", "gd", "--patterns", str(pat),
+                 "--measurements", str(meas), "--out", str(recon),
+                 f"{flag}={value}"]) == 1
+    assert field in capsys.readouterr().err
+    assert not recon.exists()
+
+
 def test_metrics_identical_files(tmp_path, capsys):
     scene = tmp_path / "scene.pgm"
     write_image(builtin_scene("disk", 8, 8), scene)

@@ -4,6 +4,7 @@ import pytest
 from spi_recon.errors import (
     DomainError,
     InvalidArgumentError,
+    LineSearchFailureError,
     SingularSystemError,
     UnknownSolverError,
 )
@@ -383,6 +384,23 @@ def test_backtracking_step_in_unit_interval():
         assert 0.0 < step <= 1.0
 
 
+def test_backtracking_failure_reports_its_shrink_budget():
+    calls = []
+
+    def objective(v):
+        calls.append(v)
+        return float(v @ v)
+
+    # an ascent direction: no step passes the Armijo test
+    with pytest.raises(LineSearchFailureError, match="after 3 shrinks"):
+        backtracking_search(objective, np.ones(2), np.ones(2), max_shrinks=3)
+    assert len(calls) == 1 + 4  # L(x), then steps 1, beta, beta^2, beta^3
+    calls.clear()
+    with pytest.raises(LineSearchFailureError, match="after 200 shrinks"):
+        backtracking_search(lambda v: objective(v) * np.nan, np.ones(2), -np.ones(2))
+    assert len(calls) == 1 + 201
+
+
 def test_line_search_params_ranges():
     with pytest.raises(InvalidArgumentError):
         LineSearchParams(alpha=0.5)
@@ -593,3 +611,108 @@ def test_reports_are_deterministic():
         r2 = solve(ps, meas, 4, 4)
         assert np.array_equal(r1.image.data, r2.image.data), name
         assert [(k, r, o) for k, r, o in r1.trace] == r2.trace, name
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"residual_change_threshold": -1e-3},
+    {"residual_change_threshold": float("nan")},
+    {"residual_change_threshold": float("inf")},
+    {"min_iterations": -5},
+    {"max_iterations_factor": -1.0},
+    {"max_iterations_factor": float("nan")},
+])
+def test_stop_criteria_rejects_bad_values(kwargs):
+    with pytest.raises(InvalidArgumentError, match=next(iter(kwargs))):
+        StopCriteria(**kwargs)
+
+
+def test_stop_criteria_accepts_zero_budget_fields():
+    stop = StopCriteria(residual_change_threshold=0.0, min_iterations=0,
+                        max_iterations_factor=0.0)
+    assert stop.max_iterations(9) == 1
+
+
+# ------------------------------------------------------------ product counts
+
+
+class _Products:
+    def __init__(self, m):
+        self.m = m
+        self.A = 0  # A v: the result has one entry per pattern
+        self.AT = 0  # A^T r or r^T A: one entry per pixel
+
+
+class CountingMatrix(np.ndarray):
+    """Pattern matrix that counts the products with A and A^T it takes part in.
+
+    A product counts when the 2-D matrix, or a transposed view of it, is an
+    operand of @.  Row dot products a_i . x have only 1-D operands and do
+    not count.  Every result is a plain ndarray.
+    """
+
+    products = None
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(v):
+            return v.view(np.ndarray) if isinstance(v, CountingMatrix) else v
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(v) for v in kwargs["out"])
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if ufunc is np.matmul and any(
+                isinstance(v, CountingMatrix) and v.ndim == 2 for v in inputs):
+            if result.shape == (self.products.m,):
+                self.products.A += 1
+            else:
+                self.products.AT += 1
+        return result
+
+
+def _count_products(patterns: PatternSet) -> _Products:
+    """Swap patterns.rows for a counting view; returns the live counters.
+    Needs m != n, since the result's length tells A from A^T."""
+    rows = patterns.rows.view(CountingMatrix)
+    rows.products = _Products(patterns.m)
+    patterns.rows = rows
+    return rows.products
+
+
+# solver: (A at set-up, A^T at set-up, A per iteration, A^T per iteration)
+PRODUCTS = {
+    "gd": (0, 0, 2, 1),
+    "cgd": (0, 1, 1, 1),
+    "poisson": (1, 0, 2, 1),
+    "ap": (0, 0, 1, 0),
+}
+
+
+def test_counting_matrix_sees_both_directions():
+    ps = generate_patterns(24, 4, 4, seed=41)
+    products = _count_products(ps)
+    gd_gradient(ps, np.ones(16), MeasurementSet(values=np.ones(24)))
+    assert (products.A, products.AT) == (1, 1)
+    ap_update(ps.rows[0], 1.0, np.ones(16))  # one row: a 1-D dot product
+    assert (products.A, products.AT) == (1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_products_per_iteration_are_pinned(name):
+    """Hardware-independent perf gate: the A and A^T products each solver
+    makes, once at set-up and per iteration, under a fixed budget."""
+    setup_a, setup_at, per_a, per_at = PRODUCTS[name]
+    meas = synthesize(generate_patterns(24, 4, 4, seed=41),
+                      builtin_scene("blocks", 4, 4))
+    for k in (3, 7):
+        budget = StopCriteria(residual_change_threshold=0.0, min_iterations=k,
+                              max_iterations_factor=0.0)
+        plain = get_solver(name)(generate_patterns(24, 4, 4, seed=41), meas, 4, 4,
+                                 stop=budget)
+        ps = generate_patterns(24, 4, 4, seed=41)
+        products = _count_products(ps)
+        rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
+        assert rep.iterations == k
+        assert np.array_equal(rep.image.data, plain.image.data)
+        assert (products.A, products.AT) == (setup_a + k * per_a, setup_at + k * per_at)
