@@ -1,7 +1,7 @@
 """Benchmark sweeps: sampling ratio x image size x noise level x repeats.
 
-Every cell is seeded by a stable hash of the base seed and the cell
-coordinates, so serial and parallel runs (and reruns) produce identical
+Cells run one after another in grid order, each seeded by a stable hash
+of the base seed and the cell coordinates, so reruns produce identical
 results apart from wall time.  Pattern and noise seeds deliberately
 exclude the solver name and the noise level: all solvers see the same
 data in a cell, and raising the noise level only scales the same noise
@@ -10,14 +10,14 @@ draw, keeping noise-level comparisons paired.
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import (DomainError, FormatError, InvalidArgumentError, NumericalFailureError,
+                     SingularSystemError, UnknownSolverError)
 from .io import read_image
 from .metrics import normalized_rmse
 from .model import NoiseModel, add_noise, generate_patterns, synthesize
@@ -84,14 +84,6 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest, "little") & (2**63 - 1)
 
 
-def _load_scene(ref: str, width: int, height: int):
-    """Builtin scenes render at the cell size; PGM files keep their own size."""
-    if ref.endswith(".pgm"):
-        img = read_image(ref)
-        return img, img.width, img.height
-    return builtin_scene(ref, width, height), width, height
-
-
 def run_cell(
     scene: str,
     solver: str,
@@ -107,9 +99,23 @@ def run_cell(
     """Synthesize, reconstruct and score one benchmark cell.
 
     Only the reconstruction is timed, not pattern generation or
-    measurement synthesis.
+    measurement synthesis.  A scene file that cannot be read, or a solve
+    that raises one of the library's errors, gives a "failed:" row; any
+    other exception propagates.
     """
-    truth, width, height = _load_scene(scene, width, height)
+    def failed(exc, seed):
+        reason = str(exc).replace("\n", " ")
+        return SweepRow(scene, solver, ratio, f"{width}x{height}", noise_level, repeat,
+                        None, 0, 0.0, seed, f"failed:{reason}")
+
+    if scene.endswith(".pgm"):  # a PGM keeps its own size
+        try:
+            truth = read_image(scene)
+        except (OSError, FormatError) as exc:
+            return failed(exc, 0)  # seed 0: no patterns exist for this cell
+    else:
+        truth = builtin_scene(scene, width, height)
+    width, height = truth.width, truth.height
     n = width * height
     m = int(round(ratio * n))
     size = f"{width}x{height}"
@@ -131,29 +137,20 @@ def run_cell(
         rmse = normalized_rmse(truth, report.image)
         return SweepRow(scene, solver, ratio, size, noise_level, repeat,
                         rmse, report.iterations, elapsed, pattern_seed, "ok")
-    except Exception as exc:  # failed cells are recorded, never fatal
-        reason = str(exc).replace("\n", " ")
-        return SweepRow(scene, solver, ratio, size, noise_level, repeat,
-                        None, 0, 0.0, pattern_seed, f"failed:{reason}")
+    except (DomainError, FormatError, InvalidArgumentError, NumericalFailureError,
+            SingularSystemError, UnknownSolverError) as exc:
+        return failed(exc, pattern_seed)  # failed cells are recorded, never fatal
 
 
-def run_sweep(
-    spec: SweepSpec, jobs: int = 1, stop: Optional[StopCriteria] = None
-) -> list:
-    """All cells x repeats; rows come back in deterministic grid order."""
-    cells = list(product(spec.scenes, spec.solvers, spec.sampling_ratios,
-                         spec.image_sizes, spec.noise_levels, range(spec.repeats)))
-
-    def work(cell):
-        scene, solver, ratio, (w, h), level, rep = cell
-        return run_cell(scene, solver, ratio, w, h, level, rep,
-                        base_seed=spec.base_seed, stop=stop,
-                        distribution=spec.distribution)
-
-    if jobs <= 1:
-        return [work(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, cells))
+def run_sweep(spec: SweepSpec, stop: Optional[StopCriteria] = None) -> list:
+    """All cells x repeats, run one after another in grid order."""
+    return [
+        run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
+                 stop=stop, distribution=spec.distribution)
+        for scene, solver, ratio, (w, h), level, rep in product(
+            spec.scenes, spec.solvers, spec.sampling_ratios, spec.image_sizes,
+            spec.noise_levels, range(spec.repeats))
+    ]
 
 
 def summarize(rows) -> list:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime/numerical failure.
 
 import argparse
 import csv
-import os
 import sys
 
 from . import bench
@@ -67,7 +66,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--config", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--desk", action="store_true")
-    b.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     m = sub.add_parser("metrics", help="print normalized RMSE of two PGMs")
     m.add_argument("--truth", required=True)
@@ -121,7 +119,7 @@ def _run(args) -> int:
             spec = bench.parse_sweep_config(f.read())
         if args.desk:
             spec = bench.desk_preset(spec)
-        rows = bench.run_sweep(spec, jobs=args.jobs)
+        rows = bench.run_sweep(spec)
         spio.write_results_csv(rows, args.out)
     elif args.command == "metrics":
         truth = spio.read_image(args.truth)

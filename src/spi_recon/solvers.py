@@ -133,6 +133,8 @@ class SolverReport:
     """Reconstruction plus per-iteration trace.
 
     trace entries are (iteration, residual_norm, objective_value).
+    linesearch_trials (poisson) and inner_cg_steps (cs-dct/cs-tv) count
+    Armijo objective trials and inner-CG steps over the whole solve.
     """
 
     image: Image
@@ -141,6 +143,8 @@ class SolverReport:
     trace: list
     terminated_by: str  # residual_change | max_iterations | exact
     warning_count: int = 0
+    linesearch_trials: int = 0
+    inner_cg_steps: int = 0
 
 
 class _StopTracker:
@@ -164,7 +168,8 @@ class _StopTracker:
         return None
 
 
-def _finish(x, width, height, k, t0, trace, terminated_by, warnings=0) -> SolverReport:
+def _finish(x, width, height, k, t0, trace, terminated_by, warnings=0,
+            **counts) -> SolverReport:
     return SolverReport(
         image=devectorize(x, width, height),
         iterations=k,
@@ -172,6 +177,7 @@ def _finish(x, width, height, k, t0, trace, terminated_by, warnings=0) -> Solver
         trace=trace,
         terminated_by=terminated_by,
         warning_count=warnings,
+        **counts,
     )
 
 
@@ -401,12 +407,13 @@ def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) 
 
 
 def _armijo(trial: Callable[[float], float], f0: float, pp: float,
-            params: LineSearchParams, max_shrinks: int) -> float:
-    """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp."""
+            params: LineSearchParams, max_shrinks: int) -> tuple[float, int]:
+    """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp,
+    and the number of trials it took."""
     step = 1.0
-    for _ in range(max_shrinks + 1):
+    for trials in range(1, max_shrinks + 2):
         if trial(step) <= f0 - params.alpha * step * pp:
-            return step
+            return step, trials
         step *= params.beta
     raise LineSearchFailureError(
         f"no acceptable step after {max_shrinks} shrinks: "
@@ -427,8 +434,9 @@ def backtracking_search(
     p must be a descent direction (pass the negated gradient).
     """
     f0 = objective(x)
-    return _armijo(lambda step: objective(x + step * p), f0, float(p @ p),
-                   params or LineSearchParams(), max_shrinks)
+    step, _ = _armijo(lambda step: objective(x + step * p), f0, float(p @ p),
+                      params or LineSearchParams(), max_shrinks)
+    return step
 
 
 def poisson_solve(
@@ -468,13 +476,14 @@ def poisson_solve(
     obj = objective(Ax)
     tracker = _StopTracker(stop, n)
     trace = []
-    k = 0
+    k = trials = 0
     while True:
         k += 1
         direction = -(A.T @ ((Ax - b) / _clamp_signed(Ax)))
         Ap = A @ direction
-        step = _armijo(lambda t: objective(Ax + t * Ap), obj,
-                       float(direction @ direction), ls, MAX_SHRINKS)
+        step, tried = _armijo(lambda t: objective(Ax + t * Ap), obj,
+                              float(direction @ direction), ls, MAX_SHRINKS)
+        trials += tried
         x = x + step * direction
         Ax = A @ x
         rnorm = float(np.linalg.norm(b - Ax))
@@ -484,7 +493,8 @@ def poisson_solve(
         trace.append((k, rnorm, obj))
         why = tracker.check(k, rnorm)
         if why:
-            return _finish(x, width, height, k, t0, trace, why, warnings=clamped)
+            return _finish(x, width, height, k, t0, trace, why, warnings=clamped,
+                           linesearch_trials=trials)
 
 
 # -------------------------------------------------------- alternating projection
@@ -562,28 +572,32 @@ def ap_solve(
 
 
 def _inner_cg(matvec, rhs, x0, rtol=1e-8, maxit=500):
-    """Plain CG for the SPD inner system of the x-update."""
+    """Plain CG for the SPD inner system of the x-update.
+
+    Returns (x, converged, steps); each step is one matvec after the
+    initial residual's.
+    """
     x = x0.copy()
     r = rhs - matvec(x)
     rr = float(r @ r)
     target = (rtol * float(np.linalg.norm(rhs))) ** 2
     if rr <= max(target, 1e-300):
-        return x, True
+        return x, True, 0
     p = r.copy()
-    for _ in range(maxit):
+    for steps in range(1, maxit + 1):
         q = matvec(p)
         denom = float(p @ q)
         if denom <= 1e-300:
-            return x, False
+            return x, False, steps
         alpha = rr / denom
         x += alpha * p
         r -= alpha * q
         rr_new = float(r @ r)
         if rr_new <= max(target, 1e-300):
-            return x, True
+            return x, True, steps
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x, False
+    return x, False, maxit
 
 
 def alm_solve(
@@ -618,7 +632,7 @@ def alm_solve(
 
     tracker = _StopTracker(stop, n)
     trace = []
-    k = 0
+    k = cg_steps = 0
     terminated = "max_iterations"
     while True:
         k += 1
@@ -629,7 +643,8 @@ def alm_solve(
         def matvec(v, _mu1=mu1, _mu2=mu2):
             return _mu1 * prior.apply_transpose(prior.apply(v)) + _mu2 * (A.T @ (A @ v))
 
-        x, ok = _inner_cg(matvec, rhs, x)
+        x, ok, steps = _inner_cg(matvec, rhs, x)
+        cg_steps += steps
         if not ok:
             raise NumericalFailureError(
                 "inner CG did not converge within 500 iterations", iteration=k
@@ -650,7 +665,7 @@ def alm_solve(
         if why:
             terminated = why
             break
-    return _finish(x, width, height, k, t0, trace, terminated)
+    return _finish(x, width, height, k, t0, trace, terminated, inner_cg_steps=cg_steps)
 
 
 # ---------------------------------------------------------------------- registry

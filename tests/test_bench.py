@@ -1,6 +1,10 @@
+import threading
+from itertools import product
+
 import numpy as np
 import pytest
 
+from spi_recon import bench, cli
 from spi_recon.bench import (
     SweepSpec,
     desk_preset,
@@ -11,6 +15,7 @@ from spi_recon.bench import (
     summarize,
 )
 from spi_recon.errors import InvalidArgumentError
+from spi_recon.io import read_results_csv
 
 
 def small_spec(**overrides):
@@ -68,14 +73,45 @@ def test_run_sweep_row_count():
     assert [r.repeat for r in rows] == [0, 1, 2]
 
 
-def test_run_sweep_parallel_matches_serial():
-    spec = small_spec(solvers=["dgi", "cgd"], repeats=2)
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=4)
-    for a, b in zip(serial, parallel):
-        assert (a.scene, a.solver, a.ratio, a.repeat, a.rmse, a.iterations,
-                a.seed, a.status) == (b.scene, b.solver, b.ratio, b.repeat,
-                                      b.rmse, b.iterations, b.seed, b.status)
+def test_benchmark_runs_cells_on_the_calling_thread_in_grid_order(tmp_path, monkeypatch):
+    calls = []
+    original = bench.run_cell
+
+    def recording_run_cell(scene, solver, ratio, width, height, level, repeat, **kw):
+        calls.append((threading.get_ident(), solver, ratio, repeat))
+        return original(scene, solver, ratio, width, height, level, repeat, **kw)
+
+    monkeypatch.setattr(bench, "run_cell", recording_run_cell)
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "results.csv"
+    cfg.write_text("scenes = blocks\nsolvers = dgi, cgd\nsampling_ratios = 0.5, 1.0\n"
+                   "image_sizes = 8x8\nnoise_levels = 0\nrepeats = 2\n")
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    grid = list(product(["dgi", "cgd"], [0.5, 1.0], range(2)))
+    assert [c[1:] for c in calls] == grid
+    assert {c[0] for c in calls} == {threading.get_ident()}
+    rows = read_results_csv(out)
+    assert [(r["solver"], float(r["ratio"]), int(r["repeat"])) for r in rows] == grid
+
+
+def test_run_cell_programming_errors_propagate(monkeypatch):
+    def broken_solver(*args, **kwargs):
+        raise TypeError("a bug, not a failed cell")
+
+    monkeypatch.setattr(bench, "get_solver", lambda name: broken_solver)
+    with pytest.raises(TypeError, match="a bug"):
+        run_cell("blocks", "cgd", 0.5, 8, 8, 0.0, 0)
+
+
+def test_unreadable_pgm_scene_gives_failed_rows(tmp_path):
+    corrupt = tmp_path / "corrupt.pgm"
+    corrupt.write_bytes(b"P5\n8 8\n255\n" + bytes(10))  # payload truncated
+    scenes = [str(tmp_path / "missing.pgm"), str(corrupt), "blocks"]
+    rows = run_sweep(small_spec(scenes=scenes, solvers=["dgi", "cgd"], repeats=1))
+    assert [r.scene for r in rows] == [s for s in scenes for _ in range(2)]
+    for r in rows[:4]:
+        assert r.status.startswith("failed:") and r.rmse is None
+    assert [r.status for r in rows[4:]] == ["ok", "ok"]
 
 
 def test_summarize_has_mean_and_std():

@@ -156,11 +156,20 @@ def test_benchmark_subcommand(tmp_path):
         "scenes = blocks\nsolvers = dgi, cgd\nsampling_ratios = 0.5, 1.0\n"
         "image_sizes = 8x8\nnoise_levels = 0\nrepeats = 2\nbase_seed = 123\n"
     )
-    assert main(["benchmark", "--config", str(cfg), "--out", str(out),
-                 "--jobs", "2"]) == 0
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_results_csv(out)
     assert len(rows) == 2 * 2 * 2
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("scenes = blocks\nsolvers = dgi\nimage_sizes = 8x8\n")
+    out = tmp_path / "results.csv"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out),
+                 "--jobs", "2"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_desk_preset_determinism(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spi_recon import solvers
 from spi_recon.errors import (
     DomainError,
     InvalidArgumentError,
@@ -716,3 +717,43 @@ def test_products_per_iteration_are_pinned(name):
         assert rep.iterations == k
         assert np.array_equal(rep.image.data, plain.image.data)
         assert (products.A, products.AT) == (setup_a + k * per_a, setup_at + k * per_at)
+
+
+def test_report_counts_linesearch_trials_and_inner_cg_steps(monkeypatch):
+    """SolverReport's counters equal counts taken by wrapping the Armijo
+    trial callable and the inner-CG matvec, and counting leaves every
+    iterate unchanged."""
+    ps = generate_patterns(24, 4, 4, seed=41)
+    meas = synthesize(ps, builtin_scene("blocks", 4, 4))
+    budget = StopCriteria(residual_change_threshold=0.0, min_iterations=7,
+                          max_iterations_factor=0.0)
+    names = sorted(PRODUCTS) + ["cs-dct", "cs-tv"]
+    plain = {name: get_solver(name)(ps, meas, 4, 4, stop=budget) for name in names}
+
+    seen = {}
+    armijo, inner_cg = solvers._armijo, solvers._inner_cg
+
+    def counting_armijo(trial, *args):
+        def counted(step):
+            seen["trials"] += 1
+            return trial(step)
+        return armijo(counted, *args)
+
+    def counting_inner_cg(matvec, *args):
+        def counted(v):
+            seen["matvecs"] += 1
+            return matvec(v)
+        seen["cg_calls"] += 1
+        return inner_cg(counted, *args)
+
+    monkeypatch.setattr(solvers, "_armijo", counting_armijo)
+    monkeypatch.setattr(solvers, "_inner_cg", counting_inner_cg)
+    for name in names:
+        seen.update(trials=0, matvecs=0, cg_calls=0)
+        rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
+        assert np.array_equal(rep.image.data, plain[name].image.data), name
+        assert rep.linesearch_trials == plain[name].linesearch_trials == seen["trials"]
+        assert rep.inner_cg_steps == plain[name].inner_cg_steps == (
+            seen["matvecs"] - seen["cg_calls"])
+    assert plain["poisson"].linesearch_trials >= plain["poisson"].iterations == 7
+    assert plain["cs-dct"].inner_cg_steps > 0 and plain["cs-tv"].inner_cg_steps > 0
