@@ -16,8 +16,6 @@ from .metrics import normalized_rmse
 from .scenes import builtin_scene
 from .solvers import (
     StopCriteria,
-    LineSearchParams,
-    AlmParams,
     SolverReport,
     pinv_solve,
     corr_reconstruct,

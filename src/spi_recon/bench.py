@@ -10,7 +10,7 @@ draw, keeping noise-level comparisons paired.
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
 
@@ -56,8 +56,10 @@ class SweepSpec:
             raise InvalidArgumentError("spec needs at least one scene and one solver")
         if self.repeats < 1:
             raise InvalidArgumentError("repeats must be >= 1")
-        if any(r <= 0 for r in self.sampling_ratios):
-            raise InvalidArgumentError("sampling ratios must be positive")
+        if not all(np.isfinite(r) and r > 0 for r in self.sampling_ratios):
+            raise InvalidArgumentError("sampling ratios must be finite and positive")
+        if not all(np.isfinite(v) and v >= 0 for v in self.noise_levels):
+            raise InvalidArgumentError("noise levels must be finite and >= 0")
         if any(w < 2 or h < 2 for w, h in self.image_sizes):
             raise InvalidArgumentError("image sizes must be at least 2x2")
 
@@ -117,6 +119,7 @@ def run_cell(
         truth = builtin_scene(scene, width, height)
     width, height = truth.width, truth.height
     n = width * height
+    noise = NoiseModel(level=noise_level, pixel_count=n)
     m = int(round(ratio * n))
     size = f"{width}x{height}"
     pattern_seed = stable_seed(base_seed, "patterns", scene, ratio, size, repeat)
@@ -126,9 +129,8 @@ def run_cell(
 
     patterns = generate_patterns(m, width, height, distribution, seed=pattern_seed)
     meas = synthesize(patterns, truth)
-    if noise_level > 0:
-        meas = add_noise(meas, NoiseModel(level=noise_level, pixel_count=n),
-                         seed=noise_seed)
+    if noise.sigma > 0:
+        meas = add_noise(meas, noise, seed=noise_seed)
     try:
         fn = get_solver(solver)
         t0 = time.perf_counter()
@@ -175,16 +177,29 @@ def summarize(rows) -> list:
     return out
 
 
-def _parse_sizes(text):
-    sizes = []
-    for part in text.split(","):
-        part = part.strip()
-        if "x" in part:
-            w, h = part.split("x", 1)
-            sizes.append((int(w), int(h)))
-        else:
-            sizes.append((int(part), int(part)))
-    return sizes
+def _parse_size(text):
+    w, x, h = text.partition("x")
+    return int(w), int(h if x else w)
+
+
+def _names(text):
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _each(convert):
+    return lambda text: [convert(s) for s in text.split(",")]
+
+
+_CONFIG_KEYS = {
+    "scenes": _names,
+    "solvers": _names,
+    "sampling_ratios": _each(float),
+    "image_sizes": _each(_parse_size),
+    "noise_levels": _each(float),
+    "repeats": int,
+    "base_seed": int,
+    "distribution": str,
+}
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
@@ -202,24 +217,12 @@ def parse_sweep_config(text: str) -> SweepSpec:
         if "=" not in line:
             raise InvalidArgumentError(f"config line {lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "scenes":
-            kwargs["scenes"] = [s.strip() for s in value.split(",") if s.strip()]
-        elif key == "solvers":
-            kwargs["solvers"] = [s.strip() for s in value.split(",") if s.strip()]
-        elif key == "sampling_ratios":
-            kwargs["sampling_ratios"] = [float(s) for s in value.split(",")]
-        elif key == "image_sizes":
-            kwargs["image_sizes"] = _parse_sizes(value)
-        elif key == "noise_levels":
-            kwargs["noise_levels"] = [float(s) for s in value.split(",")]
-        elif key == "repeats":
-            kwargs["repeats"] = int(value)
-        elif key == "base_seed":
-            kwargs["base_seed"] = int(value)
-        elif key == "distribution":
-            kwargs["distribution"] = value
-        else:
+        if key not in _CONFIG_KEYS:
             raise InvalidArgumentError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"config line {lineno}: bad {key} value: {exc}") from None
     if "scenes" not in kwargs or "solvers" not in kwargs:
         raise InvalidArgumentError("config must set scenes and solvers")
     return SweepSpec(**kwargs)
@@ -227,9 +230,4 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
 def desk_preset(spec: SweepSpec) -> SweepSpec:
     """CI-budget variant: 32x32 only, 5 repeats; everything else unchanged."""
-    return SweepSpec(
-        scenes=spec.scenes, solvers=spec.solvers,
-        sampling_ratios=spec.sampling_ratios, image_sizes=[(32, 32)],
-        noise_levels=spec.noise_levels, repeats=5,
-        base_seed=spec.base_seed, distribution=spec.distribution,
-    )
+    return replace(spec, image_sizes=[(32, 32)], repeats=5)

@@ -89,9 +89,9 @@ def _run(args) -> int:
     elif args.command == "simulate":
         patterns = spio.read_patterns(args.patterns)
         scene = spio.read_image(args.scene)
+        noise = NoiseModel(level=args.noise_level, pixel_count=patterns.n)
         meas = synthesize(patterns, scene)
-        if args.noise_level > 0:
-            noise = NoiseModel(level=args.noise_level, pixel_count=patterns.n)
+        if noise.sigma > 0:
             meas = add_noise(meas, noise, seed=args.seed)
         spio.write_measurements(meas, patterns.n, args.out)
     elif args.command == "reconstruct":

@@ -132,8 +132,8 @@ class NoiseModel:
     sigma: float = field(init=False)
 
     def __post_init__(self):
-        if self.level < 0:
-            raise InvalidArgumentError("noise level must be >= 0")
+        if not (np.isfinite(self.level) and self.level >= 0):
+            raise InvalidArgumentError(f"noise level must be finite and >= 0, got {self.level}")
         if self.pixel_count < 1:
             raise InvalidArgumentError("pixel_count must be >= 1")
         self.sigma = self.level * self.pixel_count

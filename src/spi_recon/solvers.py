@@ -7,10 +7,14 @@ likelihood with backtracking line search (poisson), per-measurement
 alternating projection (ap), and augmented-Lagrangian l1 minimization
 with a DCT or gradient prior (cs-dct/cs-tv).
 
-All iterative solvers share one stopping protocol: stop when the change
-of the measurement residual norm ||b - Ax|| between consecutive
-iterations falls below a threshold (default 1e-2), with a minimum of 30
-iterations and a cap of 3x the pixel count.
+Every solver has one call shape, solver(patterns, meas, width, height,
+stop=None); the direct solvers (pinv, corr, dgi) accept and ignore stop.
+All iterative solvers share one stopping protocol, held in one place,
+_Run: stop when the change of the measurement residual norm ||b - Ax||
+between consecutive iterations falls below a threshold (default 1e-2),
+with a minimum of 30 iterations and a cap of 3x the pixel count.  _Run
+also owns the dimension check, the timing, the trace, the finiteness
+check and the report.
 
 Products with the m x n pattern matrix A dominate every solve, so each
 loop carries Ax (and A times its search direction) forward instead of
@@ -42,8 +46,6 @@ from .transforms import LinearOperator, dct_operator, gradient_operator, soft_th
 
 __all__ = [
     "StopCriteria",
-    "LineSearchParams",
-    "AlmParams",
     "SolverReport",
     "pinv_solve",
     "corr_reconstruct",
@@ -65,6 +67,10 @@ __all__ = [
 
 EPS_DIV = 1e-12  # sign-preserving clamp for a_i.x denominators
 MAX_SHRINKS = 200  # backtracking budget of the Armijo line search
+ARMIJO_ALPHA = 0.1  # sufficient-decrease fraction of the Armijo test
+ARMIJO_BETA = 0.5  # step shrink factor of the backtracking search
+ALM_RHO = 1.05  # geometric growth of the ALM penalty weight, which starts at 1
+ALM_MU_MAX = 1e6  # cap of the ALM penalty weight
 
 
 @dataclass
@@ -99,36 +105,6 @@ class StopCriteria:
 
 
 @dataclass
-class LineSearchParams:
-    """Backtracking (Armijo) parameters; ranges follow the standard recipe."""
-
-    alpha: float = 0.1
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if not 0.01 <= self.alpha <= 0.3:
-            raise InvalidArgumentError("alpha must lie in [0.01, 0.3]")
-        if not 0.1 <= self.beta <= 0.8:
-            raise InvalidArgumentError("beta must lie in [0.1, 0.8]")
-
-
-@dataclass
-class AlmParams:
-    """Penalty/multiplier schedule for the augmented-Lagrangian solver."""
-
-    mu1_init: float = 1.0
-    mu2_init: float = 1.0
-    rho: float = 1.05
-    mu_max: float = 1e6
-
-    def __post_init__(self):
-        if self.mu1_init <= 0 or self.mu2_init <= 0:
-            raise InvalidArgumentError("penalty weights must be positive")
-        if self.rho <= 1:
-            raise InvalidArgumentError("rho must exceed 1")
-
-
-@dataclass
 class SolverReport:
     """Reconstruction plus per-iteration trace.
 
@@ -147,44 +123,51 @@ class SolverReport:
     inner_cg_steps: int = 0
 
 
-class _StopTracker:
-    """Applies the residual-change / min / max iteration protocol."""
+class _Run:
+    """One solve's stop protocol: checks that measurements and patterns
+    agree, times the solve, records the trace and decides when to stop."""
 
-    def __init__(self, stop: StopCriteria, n: int):
-        self.stop = stop
-        self.max_iter = stop.max_iterations(n)
-        self.prev = None
+    def __init__(self, patterns: PatternSet, meas: MeasurementSet,
+                 stop: Optional[StopCriteria] = None):
+        if meas.m != patterns.m:
+            raise InvalidArgumentError(
+                f"measurement count {meas.m} != pattern count {patterns.m}"
+            )
+        self.stop = stop or StopCriteria()
+        self.max_iter = self.stop.max_iterations(patterns.n)
+        self.t0 = time.perf_counter()
+        self.k = 0
+        self.trace = []
+        self.terminated_by = None
 
-    def check(self, k: int, rnorm: float) -> Optional[str]:
-        prev, self.prev = self.prev, rnorm
-        if (
-            prev is not None
-            and k >= self.stop.min_iterations
-            and abs(rnorm - prev) < self.stop.residual_change_threshold
-        ):
-            return "residual_change"
-        if k >= self.max_iter:
-            return "max_iterations"
-        return None
+    def record(self, rnorm: float, obj: float) -> bool:
+        """Logs iteration k; True once the residual-change / min / max rule
+        says stop."""
+        self.k += 1
+        if not (np.isfinite(rnorm) and np.isfinite(obj)):
+            raise NumericalFailureError("residual diverged", iteration=self.k)
+        change = abs(rnorm - self.trace[-1][1]) if self.trace else np.inf
+        self.trace.append((self.k, rnorm, obj))
+        if self.k >= self.stop.min_iterations and change < self.stop.residual_change_threshold:
+            self.terminated_by = "residual_change"
+        elif self.k >= self.max_iter:
+            self.terminated_by = "max_iterations"
+        return self.terminated_by is not None
 
-
-def _finish(x, width, height, k, t0, trace, terminated_by, warnings=0,
-            **counts) -> SolverReport:
-    return SolverReport(
-        image=devectorize(x, width, height),
-        iterations=k,
-        wall_time=time.perf_counter() - t0,
-        trace=trace,
-        terminated_by=terminated_by,
-        warning_count=warnings,
-        **counts,
-    )
-
-
-def _check_dims(patterns: PatternSet, meas: MeasurementSet):
-    if meas.m != patterns.m:
-        raise InvalidArgumentError(
-            f"measurement count {meas.m} != pattern count {patterns.m}"
+    def report(self, x, width, height, rnorm=None, warnings=0, **counts) -> SolverReport:
+        """A given rnorm marks an exact solve; with no iteration recorded,
+        its trace is the single entry (0, rnorm, rnorm^2)."""
+        if rnorm is not None:
+            self.terminated_by = "exact"
+            self.trace = self.trace or [(0, rnorm, rnorm**2)]
+        return SolverReport(
+            image=devectorize(x, width, height),
+            iterations=self.k,
+            wall_time=time.perf_counter() - self.t0,
+            trace=self.trace,
+            terminated_by=self.terminated_by,
+            warning_count=warnings,
+            **counts,
         )
 
 
@@ -192,11 +175,11 @@ def _check_dims(patterns: PatternSet, meas: MeasurementSet):
 
 
 def pinv_solve(
-    patterns: PatternSet, meas: MeasurementSet, width: int, height: int
+    patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
+    stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Dense least squares x = (A^T A)^{-1} A^T b; requires m >= n full rank."""
-    _check_dims(patterns, meas)
-    t0 = time.perf_counter()
+    run = _Run(patterns, meas, stop)
     A, b = patterns.rows, meas.values
     if patterns.m < patterns.n:
         raise SingularSystemError(
@@ -208,36 +191,32 @@ def pinv_solve(
         raise SingularSystemError(
             f"A^T A condition estimate {cond_normal:.2e} exceeds 1e12"
         )
-    rnorm = float(np.linalg.norm(b - A @ x))
-    trace = [(0, rnorm, rnorm**2)]
-    return _finish(x, width, height, 0, t0, trace, "exact")
+    return run.report(x, width, height, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
 def corr_reconstruct(
-    patterns: PatternSet, meas: MeasurementSet, width: int, height: int
+    patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
+    stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Conventional correlation: x = {b_i a_i} - {b_i}{a_i}."""
-    _check_dims(patterns, meas)
-    t0 = time.perf_counter()
+    run = _Run(patterns, meas, stop)
     A, b = patterns.rows, meas.values
     x = (b @ A) / patterns.m - b.mean() * A.mean(axis=0)
-    rnorm = float(np.linalg.norm(b - A @ x))
-    return _finish(x, width, height, 0, t0, [(0, rnorm, rnorm**2)], "exact")
+    return run.report(x, width, height, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
 def dgi_reconstruct(
-    patterns: PatternSet, meas: MeasurementSet, width: int, height: int
+    patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
+    stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Differential correlation: x = {b_i a_i} - ({b_i}/{s_i}) {s_i a_i}."""
-    _check_dims(patterns, meas)
-    t0 = time.perf_counter()
+    run = _Run(patterns, meas, stop)
     A, b, s = patterns.rows, meas.values, patterns.intensities
     s_mean = s.mean()
     if s_mean == 0:
         raise InvalidArgumentError("all patterns are zero: mean intensity is 0")
     x = (b @ A) / patterns.m - (b.mean() / s_mean) * ((s @ A) / patterns.m)
-    rnorm = float(np.linalg.norm(b - A @ x))
-    return _finish(x, width, height, 0, t0, [(0, rnorm, rnorm**2)], "exact")
+    return run.report(x, width, height, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
 # ------------------------------------------------------------- gradient descent
@@ -276,17 +255,11 @@ def gd_solve(
     Per iteration 2 A + 1 A^T: A^T for the gradient, A p for the step,
     and an exact A x after the step, which the next gradient reuses.
     """
-    _check_dims(patterns, meas)
-    stop = stop or StopCriteria()
-    t0 = time.perf_counter()
-    A, b, n = patterns.rows, meas.values, patterns.n
-    x = np.zeros(n)
+    run = _Run(patterns, meas, stop)
+    A, b = patterns.rows, meas.values
+    x = np.zeros(patterns.n)
     Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
-    tracker = _StopTracker(stop, n)
-    trace = []
-    k = 0
     while True:
-        k += 1
         p = 2.0 * (A.T @ (Ax - b))
         r = b - Ax
         step = gd_optimal_step(patterns, p, r)
@@ -295,13 +268,8 @@ def gd_solve(
             Ax = A @ x
             r = b - Ax
         rnorm = float(np.linalg.norm(r))
-        obj = rnorm**2
-        if not np.isfinite(obj):
-            raise NumericalFailureError("objective diverged", iteration=k)
-        trace.append((k, rnorm, obj))
-        why = tracker.check(k, rnorm)
-        if why:
-            return _finish(x, width, height, k, t0, trace, why)
+        if run.record(rnorm, rnorm**2):
+            return run.report(x, width, height)
 
 
 def cgd_solve(
@@ -322,33 +290,26 @@ def cgd_solve(
     drops below max(1e-12, normal_residual_rtol * ||A^T b||), bypassing
     the minimum iteration count.
     """
-    _check_dims(patterns, meas)
-    stop = stop or StopCriteria()
-    t0 = time.perf_counter()
-    A, b, n = patterns.rows, meas.values, patterns.n
+    run = _Run(patterns, meas, stop)
+    A, b = patterns.rows, meas.values
     bp = A.T @ b
     bp_norm = float(np.linalg.norm(bp))
     exact_tol = max(1e-12, normal_residual_rtol * bp_norm)
 
-    x = np.zeros(n)
+    x = np.zeros(patterns.n)
     res = b.copy()  # measurement residual b - Ax
     r = bp.copy()  # normal-equation residual b' - A'x
     rr = float(r @ r)
     p = r.copy()
-    tracker = _StopTracker(stop, n)
-    trace = []
-    k = 0
     while True:
         if np.sqrt(rr) <= exact_tol:
-            terminated = "exact"
-            break
-        k += 1
+            return run.report(x, width, height, rnorm=float(np.linalg.norm(res)))
         Ap = A @ p
         q = A.T @ Ap
         denom = float(p @ q)
         if denom <= 1e-300:
             raise NumericalFailureError(
-                "p^T A'p is numerically zero: semidefinite system", iteration=k
+                "p^T A'p is numerically zero: semidefinite system", iteration=run.k + 1
             )
         alpha = rr / denom
         x = x + alpha * p
@@ -358,14 +319,8 @@ def cgd_solve(
         p = r + (rr_new / rr) * p
         rr = rr_new
         rnorm = float(np.linalg.norm(res))
-        trace.append((k, rnorm, rnorm**2))
-        terminated = tracker.check(k, rnorm)
-        if terminated:
-            break
-    if not trace:
-        rnorm = float(np.linalg.norm(res))
-        trace = [(0, rnorm, rnorm**2)]
-    return _finish(x, width, height, k, t0, trace, terminated)
+        if run.record(rnorm, rnorm**2):
+            return run.report(x, width, height)
 
 
 # ------------------------------------------------------ Poisson max. likelihood
@@ -407,14 +362,14 @@ def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) 
 
 
 def _armijo(trial: Callable[[float], float], f0: float, pp: float,
-            params: LineSearchParams, max_shrinks: int) -> tuple[float, int]:
+            max_shrinks: int = MAX_SHRINKS) -> tuple[float, int]:
     """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp,
     and the number of trials it took."""
     step = 1.0
     for trials in range(1, max_shrinks + 2):
-        if trial(step) <= f0 - params.alpha * step * pp:
+        if trial(step) <= f0 - ARMIJO_ALPHA * step * pp:
             return step, trials
-        step *= params.beta
+        step *= ARMIJO_BETA
     raise LineSearchFailureError(
         f"no acceptable step after {max_shrinks} shrinks: "
         "non-descent direction or broken objective"
@@ -425,7 +380,6 @@ def backtracking_search(
     objective: Callable[[np.ndarray], float],
     x: np.ndarray,
     p: np.ndarray,
-    params: Optional[LineSearchParams] = None,
     max_shrinks: int = MAX_SHRINKS,
 ) -> float:
     """First step in {1, beta, beta^2, ...} passing the Armijo test.
@@ -434,9 +388,7 @@ def backtracking_search(
     p must be a descent direction (pass the negated gradient).
     """
     f0 = objective(x)
-    step, _ = _armijo(lambda step: objective(x + step * p), f0, float(p @ p),
-                      params or LineSearchParams(), max_shrinks)
-    return step
+    return _armijo(lambda step: objective(x + step * p), f0, float(p @ p), max_shrinks)[0]
 
 
 def poisson_solve(
@@ -445,7 +397,6 @@ def poisson_solve(
     width: int,
     height: int,
     stop: Optional[StopCriteria] = None,
-    ls: Optional[LineSearchParams] = None,
 ) -> SolverReport:
     """Poisson maximum-likelihood descent with backtracking step size.
 
@@ -459,11 +410,8 @@ def poisson_solve(
     Armijo trial evaluates the likelihood at Ax + step * Ap in O(m);
     a trial with any a_i.x <= 0 is rejected.
     """
-    _check_dims(patterns, meas)
-    stop = stop or StopCriteria()
-    ls = ls or LineSearchParams()
-    t0 = time.perf_counter()
-    A, n = patterns.rows, patterns.n
+    run = _Run(patterns, meas, stop)
+    A = patterns.rows
 
     clamped = int(np.count_nonzero(meas.values < 0))
     b = np.maximum(meas.values, 0.0)
@@ -471,30 +419,23 @@ def poisson_solve(
     def objective(ax):
         return np.inf if np.any(ax <= 0) else _neg_log_likelihood(ax, b)
 
-    x = np.full(n, 1e-6)
+    x = np.full(patterns.n, 1e-6)
     Ax = A @ x
     obj = objective(Ax)
-    tracker = _StopTracker(stop, n)
-    trace = []
-    k = trials = 0
+    trials = 0
     while True:
-        k += 1
         direction = -(A.T @ ((Ax - b) / _clamp_signed(Ax)))
         Ap = A @ direction
         step, tried = _armijo(lambda t: objective(Ax + t * Ap), obj,
-                              float(direction @ direction), ls, MAX_SHRINKS)
+                              float(direction @ direction))
         trials += tried
         x = x + step * direction
         Ax = A @ x
         rnorm = float(np.linalg.norm(b - Ax))
         obj = objective(Ax)
-        if not np.isfinite(rnorm):
-            raise NumericalFailureError("residual diverged", iteration=k)
-        trace.append((k, rnorm, obj))
-        why = tracker.check(k, rnorm)
-        if why:
-            return _finish(x, width, height, k, t0, trace, why, warnings=clamped,
-                           linesearch_trials=trials)
+        if run.record(rnorm, obj):
+            return run.report(x, width, height, warnings=clamped,
+                              linesearch_trials=trials)
 
 
 # -------------------------------------------------------- alternating projection
@@ -541,9 +482,7 @@ def ap_solve(
     max(a)^2 computed once, so a sweep allocates nothing per row.  Per
     iteration m row dot products plus 1 A for the residual.
     """
-    _check_dims(patterns, meas)
-    stop = stop or StopCriteria()
-    t0 = time.perf_counter()
+    run = _Run(patterns, meas, stop)
     A, b, n = patterns.rows, meas.values, patterns.n
     zero_rows = int(np.count_nonzero(patterns.intensities == 0))
     amax = A.max(axis=1, initial=0.0)
@@ -551,21 +490,12 @@ def ap_solve(
             for a, b_i, am in zip(A, b, amax) if am > 0.0]
     x = np.full(n, 1e-6)
     buf = np.empty(n)
-    tracker = _StopTracker(stop, n)
-    trace = []
-    k = 0
     while True:
-        k += 1
         for a, b_i, amax2 in rows:
             _ap_correct(a, b_i, amax2, x, buf)
         rnorm = float(np.linalg.norm(b - A @ x))
-        if not np.isfinite(rnorm):
-            raise NumericalFailureError("residual diverged", iteration=k)
-        trace.append((k, rnorm, rnorm**2))
-        why = tracker.check(k, rnorm)
-        if why:
-            return _finish(x, width, height, k, t0, trace, why,
-                           warnings=zero_rows * k)
+        if run.record(rnorm, rnorm**2):
+            return run.report(x, width, height, warnings=zero_rows * run.k)
 
 
 # --------------------------------------------------------- augmented Lagrangian
@@ -606,66 +536,47 @@ def alm_solve(
     prior: LinearOperator,
     width: int,
     height: int,
-    params: Optional[AlmParams] = None,
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """l1-minimization of the prior coefficients subject to Px = c, Ax = b.
 
     Alternates: soft-threshold update of c, an inner-CG solve of the SPD
-    system (mu1 P^T P + mu2 A^T A) x = mu1 P^T(c - y1/mu1)
-    + mu2 A^T(b - y2/mu2), multiplier ascent for y1/y2, then geometric
-    growth of mu1/mu2 capped at mu_max.  Use the DCT prior for sparse
-    representation, the gradient prior for total variation.
+    system (mu P^T P + mu A^T A) x = mu P^T(c - y1/mu) + mu A^T(b - y2/mu),
+    multiplier ascent for y1/y2, then growth of the penalty weight mu
+    (from 1, by ALM_RHO, capped at ALM_MU_MAX).  Use the DCT prior for
+    sparse representation, the gradient prior for total variation.
     """
-    _check_dims(patterns, meas)
+    run = _Run(patterns, meas, stop)
     if prior.in_dim != patterns.n:
         raise InvalidArgumentError("prior operator dimension != pixel count")
-    params = params or AlmParams()
-    stop = stop or StopCriteria()
-    t0 = time.perf_counter()
-    A, b, n = patterns.rows, meas.values, patterns.n
+    A, b = patterns.rows, meas.values
 
-    x = np.zeros(n)
+    x = np.zeros(patterns.n)
     y1 = np.zeros(prior.out_dim)
     y2 = np.zeros(patterns.m)
-    mu1, mu2 = params.mu1_init, params.mu2_init
-
-    tracker = _StopTracker(stop, n)
-    trace = []
-    k = cg_steps = 0
-    terminated = "max_iterations"
+    mu = 1.0
+    cg_steps = 0
     while True:
-        k += 1
         Px = prior.apply(x)
-        c = soft_threshold(Px + y1 / mu1, 1.0 / mu1)
-        rhs = mu1 * prior.apply_transpose(c - y1 / mu1) + mu2 * (A.T @ (b - y2 / mu2))
+        c = soft_threshold(Px + y1 / mu, 1.0 / mu)
+        rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
 
-        def matvec(v, _mu1=mu1, _mu2=mu2):
-            return _mu1 * prior.apply_transpose(prior.apply(v)) + _mu2 * (A.T @ (A @ v))
+        def matvec(v, mu=mu):
+            return mu * prior.apply_transpose(prior.apply(v)) + mu * (A.T @ (A @ v))
 
         x, ok, steps = _inner_cg(matvec, rhs, x)
         cg_steps += steps
         if not ok:
             raise NumericalFailureError(
-                "inner CG did not converge within 500 iterations", iteration=k
+                "inner CG did not converge within 500 iterations", iteration=run.k + 1
             )
         Px = prior.apply(x)
         Ax = A @ x
-        y1 = y1 + mu1 * (Px - c)
-        y2 = y2 + mu2 * (Ax - b)
-        mu1 = min(params.rho * mu1, params.mu_max)
-        mu2 = min(params.rho * mu2, params.mu_max)
-
-        rnorm = float(np.linalg.norm(Ax - b))
-        obj = float(np.abs(Px).sum())
-        if not np.isfinite(rnorm):
-            raise NumericalFailureError("residual diverged", iteration=k)
-        trace.append((k, rnorm, obj))
-        why = tracker.check(k, rnorm)
-        if why:
-            terminated = why
-            break
-    return _finish(x, width, height, k, t0, trace, terminated, inner_cg_steps=cg_steps)
+        y1 = y1 + mu * (Px - c)
+        y2 = y2 + mu * (Ax - b)
+        mu = min(ALM_RHO * mu, ALM_MU_MAX)
+        if run.record(float(np.linalg.norm(Ax - b)), float(np.abs(Px).sum())):
+            return run.report(x, width, height, inner_cg_steps=cg_steps)
 
 
 # ---------------------------------------------------------------------- registry
@@ -676,45 +587,30 @@ def _cs_dct(patterns, meas, width, height, stop=None):
 
 
 def _cs_tv(patterns, meas, width, height, stop=None):
-    return alm_solve(
-        patterns, meas, gradient_operator(width, height), width, height, stop=stop
-    )
+    return alm_solve(patterns, meas, gradient_operator(width, height), width, height, stop=stop)
 
 
-def _pinv(patterns, meas, width, height, stop=None):
-    return pinv_solve(patterns, meas, width, height)
-
-
-def _corr(patterns, meas, width, height, stop=None):
-    return corr_reconstruct(patterns, meas, width, height)
-
-
-def _dgi(patterns, meas, width, height, stop=None):
-    return dgi_reconstruct(patterns, meas, width, height)
-
-
-_REGISTRY = [
-    ("pinv", _pinv),
-    ("corr", _corr),
-    ("dgi", _dgi),
-    ("gd", gd_solve),
-    ("cgd", cgd_solve),
-    ("poisson", poisson_solve),
-    ("ap", ap_solve),
-    ("cs-dct", _cs_dct),
-    ("cs-tv", _cs_tv),
-]
+_REGISTRY = {
+    "pinv": pinv_solve,
+    "corr": corr_reconstruct,
+    "dgi": dgi_reconstruct,
+    "gd": gd_solve,
+    "cgd": cgd_solve,
+    "poisson": poisson_solve,
+    "ap": ap_solve,
+    "cs-dct": _cs_dct,
+    "cs-tv": _cs_tv,
+}
 
 
 def solver_registry():
     """Stable (name, solver) pairs; every solver has the same call shape:
     solver(patterns, meas, width, height, stop=None) -> SolverReport."""
-    return list(_REGISTRY)
+    return list(_REGISTRY.items())
 
 
 def get_solver(name: str):
-    for key, fn in _REGISTRY:
-        if key == name:
-            return fn
-    valid = ", ".join(key for key, _ in _REGISTRY)
-    raise UnknownSolverError(f"unknown solver {name!r}; valid names: {valid}")
+    if name not in _REGISTRY:
+        valid = ", ".join(_REGISTRY)
+        raise UnknownSolverError(f"unknown solver {name!r}; valid names: {valid}")
+    return _REGISTRY[name]

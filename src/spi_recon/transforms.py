@@ -13,7 +13,6 @@ __all__ = [
     "dct_operator",
     "gradient_operator",
     "soft_threshold",
-    "dense_matrix",
 ]
 
 
@@ -96,14 +95,3 @@ def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
         raise InvalidArgumentError("threshold must be >= 0")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def dense_matrix(op: LinearOperator) -> np.ndarray:
-    """Materialize the operator column by column (test/oracle use only)."""
-    cols = []
-    e = np.zeros(op.in_dim)
-    for j in range(op.in_dim):
-        e[j] = 1.0
-        cols.append(op.apply(e).copy())
-        e[j] = 0.0
-    return np.stack(cols, axis=1)

@@ -1,0 +1,79 @@
+"""Pins the public surface: adding or removing a public name is a visible diff."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import spi_recon
+from spi_recon import solvers, transforms
+
+MODULES = ["bench", "cli", "io", "metrics", "model", "scenes", "solvers", "transforms"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"spi_recon.{name}")
+    assert module.__all__, name
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"spi_recon.{name}: {missing}"
+
+
+def test_every_package_import_resolves():
+    tree = ast.parse(Path(spi_recon.__file__).read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "get_solver" in imported and "SweepSpec" in imported
+    assert [n for n in imported if not hasattr(spi_recon, n)] == []
+
+
+def test_solvers_public_names():
+    assert solvers.__all__ == [
+        "StopCriteria",
+        "SolverReport",
+        "pinv_solve",
+        "corr_reconstruct",
+        "dgi_reconstruct",
+        "gd_gradient",
+        "gd_optimal_step",
+        "gd_solve",
+        "cgd_solve",
+        "poisson_objective",
+        "poisson_gradient",
+        "backtracking_search",
+        "poisson_solve",
+        "ap_update",
+        "ap_solve",
+        "alm_solve",
+        "solver_registry",
+        "get_solver",
+    ]
+
+
+def test_transforms_public_names():
+    assert transforms.__all__ == [
+        "LinearOperator",
+        "dct_operator",
+        "gradient_operator",
+        "soft_threshold",
+    ]
+
+
+# names the per-layer tracer in perfbench/layertrace.py swaps out on spi_recon.solvers
+TRACED_SOLVER_NAMES = [
+    "get_solver",
+    "gd_gradient",
+    "gd_optimal_step",
+    "poisson_gradient",
+    "backtracking_search",
+    "ap_update",
+    "soft_threshold",
+    "dct_operator",
+    "gradient_operator",
+]
+
+
+@pytest.mark.parametrize("name", TRACED_SOLVER_NAMES)
+def test_traced_names_exist_on_solvers(name):
+    assert callable(getattr(solvers, name))

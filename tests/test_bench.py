@@ -168,6 +168,38 @@ def test_parse_sweep_config_rejects_unknown_key():
         parse_sweep_config("scenes=blocks\nsolvers=dgi\nbogus=1\n")
 
 
+@pytest.mark.parametrize("line", [
+    "repeats = abc",
+    "base_seed = 1.5",
+    "image_sizes = 32x",
+    "image_sizes = x32",
+    "sampling_ratios = 0.2,x",
+    "sampling_ratios = nan",
+    "sampling_ratios = inf",
+    "noise_levels = -1",
+    "noise_levels = nan",
+    "noise_levels = 0, inf",
+])
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"scenes = blocks\nsolvers = dgi\nimage_sizes = 8x8\n{line}\n")
+    out = tmp_path / "results.csv"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_config_value_names_its_line():
+    with pytest.raises(InvalidArgumentError, match="config line 3: bad repeats value"):
+        parse_sweep_config("scenes = blocks\nsolvers = dgi\nrepeats = abc\n")
+
+
+def test_run_cell_rejects_bad_noise_level():
+    for level in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="noise level"):
+            run_cell("blocks", "dgi", 1.0, 8, 8, level, 0)
+
+
 def test_parse_sweep_config_requires_scenes_and_solvers():
     with pytest.raises(InvalidArgumentError):
         parse_sweep_config("solvers=dgi\n")
@@ -177,7 +209,7 @@ def test_desk_preset_overrides():
     spec = desk_preset(small_spec(repeats=20, image_sizes=[(64, 64)]))
     assert spec.image_sizes == [(32, 32)]
     assert spec.repeats == 5
-    assert spec.base_seed == 77
+    assert spec == small_spec(repeats=5, image_sizes=[(32, 32)])
 
 
 def test_ratio_trend_smoke():

@@ -46,6 +46,31 @@ def test_simulate_matches_library(tmp_path):
     assert meas.noise_sigma == direct.noise_sigma
 
 
+@pytest.mark.parametrize("level", ["-1", "nan", "inf"])
+def test_simulate_rejects_bad_noise_level(tmp_path, capsys, level):
+    pat, scene, out = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--noise-level", level, "--out", str(out)]) == 1
+    assert "noise level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_noise_level_zero_writes_clean_bundle(tmp_path):
+    pat, scene = tmp_path / "pat.spib", tmp_path / "scene.pgm"
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    outs = [tmp_path / "default.spib", tmp_path / "zero.spib"]
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--out", str(outs[0])]) == 0
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--noise-level", "0", "--seed", "9", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    meas, _ = read_measurements(outs[1])
+    assert np.array_equal(meas.values, synthesize(read_patterns(pat), read_image(scene)).values)
+
+
 def test_reconstruct_end_to_end(tmp_path, capsys):
     pat = tmp_path / "pat.spib"
     scene = tmp_path / "scene.pgm"

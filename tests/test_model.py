@@ -123,6 +123,12 @@ def test_noise_model_sigma():
     assert nm.sigma == pytest.approx(12.288, abs=0)
 
 
+@pytest.mark.parametrize("level", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_noise_model_rejects_bad_level(level):
+    with pytest.raises(InvalidArgumentError, match="noise level"):
+        NoiseModel(level=level, pixel_count=16)
+
+
 def test_add_noise_sigma_zero_identity():
     meas = MeasurementSet(values=np.array([1.0, 2.0, 3.0]))
     out = add_noise(meas, NoiseModel(level=0.0, pixel_count=100), seed=5)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spi_recon.errors import (
     DomainError,
     InvalidArgumentError,
     LineSearchFailureError,
+    NumericalFailureError,
     SingularSystemError,
     UnknownSolverError,
 )
@@ -20,8 +23,6 @@ from spi_recon.model import (
 from spi_recon.metrics import normalized_rmse
 from spi_recon.scenes import builtin_scene
 from spi_recon.solvers import (
-    AlmParams,
-    LineSearchParams,
     StopCriteria,
     alm_solve,
     ap_solve,
@@ -366,7 +367,6 @@ def test_backtracking_hand_instance():
         lambda v: float(v[0] ** 2),
         np.array([1.0]),
         np.array([-2.0]),
-        LineSearchParams(alpha=0.1, beta=0.5),
     )
     assert step == 0.5
 
@@ -400,13 +400,6 @@ def test_backtracking_failure_reports_its_shrink_budget():
     with pytest.raises(LineSearchFailureError, match="after 200 shrinks"):
         backtracking_search(lambda v: objective(v) * np.nan, np.ones(2), -np.ones(2))
     assert len(calls) == 1 + 201
-
-
-def test_line_search_params_ranges():
-    with pytest.raises(InvalidArgumentError):
-        LineSearchParams(alpha=0.5)
-    with pytest.raises(InvalidArgumentError):
-        LineSearchParams(beta=0.95)
 
 
 def test_poisson_solve_identity_system():
@@ -552,13 +545,6 @@ def test_alm_residual_trend():
     assert rep.trace[-1][1] < rep.trace[0][1]
 
 
-def test_alm_params_validation():
-    with pytest.raises(InvalidArgumentError):
-        AlmParams(rho=0.9)
-    with pytest.raises(InvalidArgumentError):
-        AlmParams(mu1_init=0.0)
-
-
 # -------------------------------------------------------------------- registry
 
 
@@ -566,6 +552,16 @@ def test_registry_names_stable():
     names = [name for name, _ in solver_registry()]
     assert names == ["pinv", "corr", "dgi", "gd", "cgd", "poisson", "ap",
                      "cs-dct", "cs-tv"]
+
+
+def test_registry_is_a_dict_of_plain_functions():
+    assert isinstance(solvers._REGISTRY, dict)
+    assert list(solvers._REGISTRY.items()) == solver_registry()
+    for name, fn in solver_registry():
+        assert inspect.isfunction(fn), name
+        assert get_solver(name) is fn
+        params = list(inspect.signature(fn).parameters)
+        assert params[:5] == ["patterns", "meas", "width", "height", "stop"], name
 
 
 def test_registry_lookup():
@@ -591,14 +587,68 @@ def test_registry_cs_tv_uses_gradient_prior():
 # ---------------------------------------------------------- shared protocol
 
 
+DIRECT = ("pinv", "corr", "dgi")
+
+
 def test_stop_criteria_bounds_honored():
     ps = generate_patterns(36, 3, 3, seed=38)
     meas = MeasurementSet(values=np.random.default_rng(39).random(36))
-    for solve in (gd_solve, cgd_solve, poisson_solve, ap_solve):
-        rep = solve(ps, meas, 3, 3)
+    iterative = [name for name, _ in solver_registry() if name not in DIRECT]
+    assert iterative == ["gd", "cgd", "poisson", "ap", "cs-dct", "cs-tv"]
+    for name in iterative:
+        rep = get_solver(name)(ps, meas, 3, 3)
         if rep.terminated_by != "exact":
-            assert rep.iterations >= StopCriteria().min_iterations
-        assert rep.iterations <= StopCriteria().max_iterations(9)
+            assert rep.iterations >= StopCriteria().min_iterations, name
+        assert rep.iterations <= StopCriteria().max_iterations(9), name
+
+
+@pytest.mark.parametrize("solve", [pinv_solve, corr_reconstruct, dgi_reconstruct])
+def test_direct_solvers_accept_and_ignore_stop(solve):
+    ps = well_conditioned_square(9, seed=42)
+    meas = MeasurementSet(values=np.random.default_rng(43).random(9))
+    plain = solve(ps, meas, 3, 3)
+    rep = solve(ps, meas, 3, 3, stop=NO_STOP)
+    assert np.array_equal(rep.image.data, plain.image.data)
+    assert rep.trace == plain.trace
+
+
+@pytest.mark.parametrize("name", DIRECT)
+def test_direct_solvers_report_one_exact_trace_entry(name):
+    ps = well_conditioned_square(9, seed=44)
+    meas = MeasurementSet(values=np.random.default_rng(45).random(9))
+    rep = get_solver(name)(ps, meas, 3, 3)
+    r = float(np.linalg.norm(meas.values - ps.rows @ rep.image.data))
+    assert rep.iterations == 0 and rep.terminated_by == "exact"
+    assert len(rep.trace) == 1
+    k, rnorm, obj = rep.trace[0]
+    assert k == 0 and rnorm == pytest.approx(r, rel=1e-9, abs=1e-12) and obj == rnorm**2
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_run_record_rejects_non_finite_values(bad):
+    ps = generate_patterns(4, 2, 2, seed=46)
+    run = solvers._Run(ps, MeasurementSet(values=np.ones(4)), NO_STOP)
+    assert not run.record(2.0, 4.0)
+    assert not run.record(1.0, 1.0)
+    with pytest.raises(NumericalFailureError, match="residual diverged") as info:
+        run.record(*bad)
+    assert info.value.iteration == 3
+
+
+def test_run_stop_rule():
+    ps = generate_patterns(4, 2, 2, seed=47)
+    meas = MeasurementSet(values=np.ones(4))
+    run = solvers._Run(ps, meas, StopCriteria(residual_change_threshold=0.5,
+                                              min_iterations=3))
+    # a change below the threshold stops only once min_iterations is reached
+    assert [run.record(r, r * r) for r in (3.0, 2.9, 2.8)] == [False, False, True]
+    assert run.terminated_by == "residual_change"
+    run = solvers._Run(ps, meas, StopCriteria(residual_change_threshold=0.5))
+    assert run.max_iter == 30  # the 30-iteration minimum exceeds 3n = 12
+    stopped = [run.record(float(k), 0.0) for k in range(1, 31)]
+    assert stopped == [False] * 29 + [True] and run.terminated_by == "max_iterations"
+    with pytest.raises(InvalidArgumentError, match="measurement count 3 != pattern count 4"):
+        solvers._Run(ps, MeasurementSet(values=np.ones(3)))
 
 
 def test_reports_are_deterministic():

@@ -3,11 +3,22 @@ import pytest
 
 from spi_recon.errors import InvalidArgumentError
 from spi_recon.transforms import (
+    LinearOperator,
     dct_operator,
-    dense_matrix,
     gradient_operator,
     soft_threshold,
 )
+
+
+def dense_matrix(op: LinearOperator) -> np.ndarray:
+    """Materialize the operator column by column."""
+    cols = []
+    e = np.zeros(op.in_dim)
+    for j in range(op.in_dim):
+        e[j] = 1.0
+        cols.append(op.apply(e).copy())
+        e[j] = 0.0
+    return np.stack(cols, axis=1)
 
 
 def reference_dct_matrix(width, height):
