@@ -28,6 +28,6 @@ from .solvers import (
     solver_registry,
     get_solver,
 )
-from .bench import SweepSpec, run_cell, run_sweep, summarize
+from .bench import SweepSpec, run_cell, run_sweep
 
 __version__ = "0.1.0"

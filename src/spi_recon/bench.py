@@ -30,7 +30,6 @@ __all__ = [
     "stable_seed",
     "run_cell",
     "run_sweep",
-    "summarize",
     "parse_sweep_config",
     "desk_preset",
 ]
@@ -153,28 +152,6 @@ def run_sweep(spec: SweepSpec, stop: Optional[StopCriteria] = None) -> list:
             spec.scenes, spec.solvers, spec.sampling_ratios, spec.image_sizes,
             spec.noise_levels, range(spec.repeats))
     ]
-
-
-def summarize(rows) -> list:
-    """Mean/std aggregation over repeats per (scene, solver, ratio, size, noise)."""
-    groups = {}
-    for r in rows:
-        groups.setdefault((r.scene, r.solver, r.ratio, r.size, r.noise_level), []).append(r)
-    out = []
-    for key in sorted(groups, key=str):
-        rs = groups[key]
-        ok = [r for r in rs if r.status == "ok"]
-        rmses = np.array([r.rmse for r in ok]) if ok else np.array([])
-        out.append({
-            "scene": key[0], "solver": key[1], "ratio": key[2],
-            "size": key[3], "noise_level": key[4],
-            "repeats": len(rs), "failed": len(rs) - len(ok),
-            "rmse_mean": float(rmses.mean()) if ok else float("nan"),
-            "rmse_std": float(rmses.std()) if ok else float("nan"),
-            "iterations_mean": float(np.mean([r.iterations for r in ok])) if ok else float("nan"),
-            "wall_time_mean_s": float(np.mean([r.wall_time_s for r in ok])) if ok else float("nan"),
-        })
-    return out
 
 
 def _parse_size(text):

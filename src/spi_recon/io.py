@@ -4,9 +4,17 @@ Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
 (1 = patterns, 2 = measurements), u32 m, u32 n, u64 seed, then for
 measurement bundles one f64 sigma, followed by the float64 payload
 (m*n values row-major for patterns, m values for measurements).
+
+A bundle path must be a regular file.  The reader parses the fixed
+header, checks the payload length it declares against the file size
+before allocating anything, and then reads the payload straight into
+the array it returns, so reading holds one copy of the payload; the
+writer writes the array's own buffer, with no intermediate bytes copy.
 """
 
 import csv
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +40,7 @@ __all__ = [
 MAGIC = b"SPIBNDL1"
 _KIND_CODE = {"patterns": 1, "measurements": 2}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
+_FIXED = struct.calcsize("<BIIQ")  # kind, m, n, seed
 
 
 # ------------------------------------------------------------------------ PGM
@@ -152,38 +161,47 @@ def write_bundle(header: BundleHeader, payload: np.ndarray, path) -> None:
                             header.seed & 0xFFFFFFFFFFFFFFFF))
         if header.kind == "measurements":
             f.write(struct.pack("<d", header.sigma))
-        f.write(payload.tobytes())
+        f.write(memoryview(payload).cast("B"))
 
 
 def read_bundle(path):
     """Returns (BundleHeader, payload ndarray); bit-exact inverse of write."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != MAGIC:
-        raise FormatError(f"bad magic {data[:8]!r}", offset=0)
-    fixed = struct.calcsize("<BIIQ")
-    if len(data) < 8 + fixed:
-        raise FormatError("truncated header", offset=len(data))
-    code, m, n, seed = struct.unpack_from("<BIIQ", data, 8)
-    if code not in _KIND_NAME:
-        raise FormatError(f"unknown kind byte {code}", offset=8)
-    offset = 8 + fixed
-    sigma = 0.0
-    if _KIND_NAME[code] == "measurements":
-        if len(data) < offset + 8:
-            raise FormatError("truncated header (sigma)", offset=len(data))
-        (sigma,) = struct.unpack_from("<d", data, offset)
-        offset += 8
-    header = BundleHeader(kind=_KIND_NAME[code], m=m, n=n, seed=seed, sigma=sigma)
-    expected = header.payload_count * 8
-    actual = len(data) - offset
-    if actual != expected:
-        raise FormatError(
-            f"payload length mismatch: expected {expected} bytes, got {actual}",
-            offset=offset,
-        )
-    payload = np.frombuffer(data, dtype="<f8", count=header.payload_count,
-                            offset=offset).copy()
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError("not a regular file", offset=0)
+        magic = f.read(8)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        fixed = f.read(_FIXED)
+        offset = 8 + len(fixed)
+        if len(fixed) < _FIXED:
+            raise FormatError("truncated header", offset=offset)
+        code, m, n, seed = struct.unpack("<BIIQ", fixed)
+        if code not in _KIND_NAME:
+            raise FormatError(f"unknown kind byte {code}", offset=8)
+        sigma = 0.0
+        if _KIND_NAME[code] == "measurements":
+            raw = f.read(8)
+            offset += len(raw)
+            if len(raw) < 8:
+                raise FormatError("truncated header (sigma)", offset=offset)
+            (sigma,) = struct.unpack("<d", raw)
+        header = BundleHeader(kind=_KIND_NAME[code], m=m, n=n, seed=seed, sigma=sigma)
+        expected = header.payload_count * 8
+        actual = st.st_size - offset
+        if actual != expected:
+            raise FormatError(
+                f"payload length mismatch: expected {expected} bytes, got {actual}",
+                offset=offset,
+            )
+        payload = np.empty(header.payload_count, dtype="<f8")
+        got = f.readinto(memoryview(payload).cast("B"))
+        if got != expected:  # the file shrank after fstat
+            raise FormatError(
+                f"truncated payload: expected {expected} bytes, got {got}",
+                offset=offset + got,
+            )
     return header, payload
 
 

@@ -69,6 +69,10 @@ class PatternSet:
     """Modulation matrix A: m patterns of n pixels each, entries >= 0.
 
     ``intensities[i]`` caches the total light of pattern i (row sum).
+    Validation is two reductions over ``rows`` with no m x n temporary:
+    a non-empty matrix is accepted iff ``rows.min() >= 0`` (false for
+    NaN and -inf; -0.0 passes) and ``rows.max()`` is finite (false for
+    +inf).  A matrix with no entries is accepted as it is.
     """
 
     m: int
@@ -82,7 +86,7 @@ class PatternSet:
         self.intensities = _readonly(np.asarray(self.intensities).ravel())
         if self.intensities.size != self.m:
             raise InvalidArgumentError("intensities length must equal m")
-        if not np.all(np.isfinite(self.rows)) or np.any(self.rows < 0):
+        if self.rows.size and not (self.rows.min() >= 0 and np.isfinite(self.rows.max())):
             raise InvalidArgumentError("pattern entries must be finite and >= 0")
 
     @classmethod

@@ -156,8 +156,11 @@ class _Run:
 
     def report(self, x, width, height, rnorm=None, warnings=0, **counts) -> SolverReport:
         """A given rnorm marks an exact solve; with no iteration recorded,
-        its trace is the single entry (0, rnorm, rnorm^2)."""
+        its trace is the single entry (0, rnorm, rnorm^2).  A non-finite
+        rnorm is an overflow, never an exact solve."""
         if rnorm is not None:
+            if not np.isfinite(rnorm):
+                raise NumericalFailureError("residual diverged", iteration=self.k)
             self.terminated_by = "exact"
             self.trace = self.trace or [(0, rnorm, rnorm**2)]
         return SolverReport(
@@ -294,6 +297,8 @@ def cgd_solve(
     A, b = patterns.rows, meas.values
     bp = A.T @ b
     bp_norm = float(np.linalg.norm(bp))
+    if not np.isfinite(bp_norm):  # an infinite exact_tol would pass before any step
+        raise NumericalFailureError("norm of A^T b overflowed", iteration=0)
     exact_tol = max(1e-12, normal_residual_rtol * bp_norm)
 
     x = np.zeros(patterns.n)

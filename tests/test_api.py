@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spi_recon
-from spi_recon import solvers, transforms
+from spi_recon import bench, solvers, transforms
 
 MODULES = ["bench", "cli", "io", "metrics", "model", "scenes", "solvers", "transforms"]
 
@@ -49,6 +49,19 @@ def test_solvers_public_names():
         "solver_registry",
         "get_solver",
     ]
+
+
+def test_bench_public_names():
+    assert bench.__all__ == [
+        "SweepSpec",
+        "SweepRow",
+        "stable_seed",
+        "run_cell",
+        "run_sweep",
+        "parse_sweep_config",
+        "desk_preset",
+    ]
+    assert not hasattr(spi_recon, "summarize")
 
 
 def test_transforms_public_names():

@@ -12,7 +12,6 @@ from spi_recon.bench import (
     run_cell,
     run_sweep,
     stable_seed,
-    summarize,
 )
 from spi_recon.errors import InvalidArgumentError
 from spi_recon.io import read_results_csv
@@ -112,15 +111,6 @@ def test_unreadable_pgm_scene_gives_failed_rows(tmp_path):
     for r in rows[:4]:
         assert r.status.startswith("failed:") and r.rmse is None
     assert [r.status for r in rows[4:]] == ["ok", "ok"]
-
-
-def test_summarize_has_mean_and_std():
-    rows = run_sweep(small_spec())
-    summary = summarize(rows)
-    assert len(summary) == 1
-    cell = summary[0]
-    assert cell["repeats"] == 3 and cell["failed"] == 0
-    assert np.isfinite(cell["rmse_mean"]) and np.isfinite(cell["rmse_std"])
 
 
 def test_noise_seed_shared_across_levels():

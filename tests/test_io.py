@@ -1,9 +1,14 @@
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spi_recon.bench import SweepRow
 from spi_recon.errors import FormatError, InvalidArgumentError
 from spi_recon.io import (
+    MAGIC,
     BundleHeader,
     read_bundle,
     read_image,
@@ -16,7 +21,7 @@ from spi_recon.io import (
     write_patterns,
     write_results_csv,
 )
-from spi_recon.model import Image, MeasurementSet, generate_patterns
+from spi_recon.model import Image, MeasurementSet, PatternSet, generate_patterns
 
 
 def random_image(seed=0, w=7, h=5):
@@ -115,6 +120,88 @@ def test_bundle_payload_length_check():
     with pytest.raises(InvalidArgumentError):
         write_bundle(BundleHeader(kind="patterns", m=2, n=3, seed=0),
                      np.zeros(5), "/dev/null")
+
+
+# fixed header length of each bundle kind: magic, kind/m/n/seed, then sigma
+HEADER_BYTES = {"patterns": 25, "measurements": 33}
+
+
+def bundle_bytes(kind, tmp_path):
+    path = tmp_path / f"{kind}.spib"
+    if kind == "patterns":
+        write_patterns(generate_patterns(3, 2, 2, seed=5), path)
+    else:
+        write_measurements(MeasurementSet(values=[1.5, -0.25, 3.0], noise_sigma=0.5,
+                                          noise_seed=7), 4, path)
+    return path.read_bytes()
+
+
+def offset_after_cut(kind, length):
+    """Where a bundle of `length` bytes is reported bad: a file shorter than
+    the magic fails at 0, one cut inside the header at its end, and one
+    with a wrong payload length at the end of the header."""
+    if length < len(MAGIC):
+        return 0
+    return min(length, HEADER_BYTES[kind])
+
+
+@pytest.mark.parametrize("kind", ["patterns", "measurements"])
+def test_bundle_cut_or_extended_anywhere_is_a_format_error(kind, tmp_path):
+    data = bundle_bytes(kind, tmp_path)
+    header = HEADER_BYTES[kind]
+    payload = len(data) - header
+    lengths = [*range(header), header, header + payload // 2, len(data) - 1]
+    variants = [data[:n] for n in lengths] + [data + b"\0"]
+    path = tmp_path / "bad.spib"
+    for bad in variants:
+        path.write_bytes(bad)
+        with pytest.raises(FormatError) as info:
+            read_bundle(path)
+        assert info.value.offset == offset_after_cut(kind, len(bad)), len(bad)
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while fn runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bundle_declaring_a_huge_payload_allocates_nothing(tmp_path):
+    path = tmp_path / "huge.spib"
+    path.write_bytes(MAGIC + struct.pack("<BIIQ", 1, 2**32 - 1, 2**32 - 1, 0) + bytes(64))
+
+    def read():
+        with pytest.raises(FormatError, match="payload length mismatch") as info:
+            read_bundle(path)
+        assert info.value.offset == 25
+
+    assert traced_peak(read) < 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bundle_path_must_be_a_regular_file(tmp_path):
+    path = tmp_path / "pipe.spib"
+    os.mkfifo(path)
+    # holding a write end open lets the reader's open() return at once
+    fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        with pytest.raises(FormatError, match="not a regular file"):
+            read_bundle(path)
+    finally:
+        os.close(fd)
+
+
+def test_pattern_io_and_validation_hold_one_copy_of_the_payload(tmp_path):
+    ps = generate_patterns(256, 64, 64)
+    payload = ps.rows.nbytes  # 8 MiB
+    path = tmp_path / "pat.spib"
+    assert traced_peak(lambda: write_patterns(ps, path)) < 0.1 * payload
+    assert traced_peak(lambda: read_patterns(path)) <= 1.1 * payload
+    assert traced_peak(lambda: PatternSet.from_matrix(ps.rows)) < 0.05 * payload
 
 
 def rows3():

@@ -55,6 +55,20 @@ def test_patterns_reject_negative_entries():
         PatternSet.from_matrix(np.array([[1.0, -0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_patterns_reject_non_finite_or_negative_entries(bad):
+    rows = np.ones((3, 4))
+    rows[2, 1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite and >= 0"):
+        PatternSet.from_matrix(rows)
+
+
+def test_patterns_accept_negative_zero_and_no_rows():
+    assert PatternSet.from_matrix(np.array([[-0.0, 1.0]])).m == 1
+    empty = PatternSet.from_matrix(np.empty((0, 4)))
+    assert (empty.m, empty.n) == (0, 4)
+
+
 def test_vectorize_row_major():
     img = Image.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.array_equal(vectorize(img), [1, 2, 3, 4])

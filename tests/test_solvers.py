@@ -624,6 +624,16 @@ def test_direct_solvers_report_one_exact_trace_entry(name):
     assert k == 0 and rnorm == pytest.approx(r, rel=1e-9, abs=1e-12) and obj == rnorm**2
 
 
+@pytest.mark.parametrize("name", DIRECT + ("cgd",))
+def test_overflowed_residual_is_not_an_exact_solve(name):
+    # finite readings whose norms overflow: ||b - Ax|| and ||A^T b|| are inf
+    ps = generate_patterns(32, 4, 4, seed=0)
+    meas = MeasurementSet(values=np.full(32, 1e160))
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailureError) as info:
+        get_solver(name)(ps, meas, 4, 4)
+    assert info.value.iteration == 0
+
+
 @pytest.mark.parametrize("bad", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
 def test_run_record_rejects_non_finite_values(bad):
     ps = generate_patterns(4, 2, 2, seed=46)
