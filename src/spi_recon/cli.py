@@ -11,6 +11,7 @@ import sys
 from . import bench
 from . import io as spio
 from .errors import (
+    DomainError,
     FormatError,
     InvalidArgumentError,
     NumericalFailureError,
@@ -140,8 +141,12 @@ def main(argv=None) -> int:
         stage = getattr(exc, "args", [""])[0]
         print(f"usage error: {stage}", file=sys.stderr)
         return 1
-    except (FormatError, SingularSystemError, NumericalFailureError, OSError) as exc:
+    except (DomainError, FormatError, SingularSystemError, NumericalFailureError,
+            OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+_BINARY_BLOCK = 1 << 15  # entries per int64 draw of a binary pattern block
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -143,7 +146,9 @@ class NoiseModel:
         self.sigma = self.level * self.pixel_count
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int) -> "np.random.Generator":
+    # a string annotation: numpy.random is imported on the first draw,
+    # not when this module loads
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -165,7 +170,13 @@ def generate_patterns(
     if distribution == "uniform01":
         rows = rng.random((m, n))
     elif distribution == "binary":
-        rows = rng.integers(0, 2, size=(m, n)).astype(np.float64)
+        # int64 draws of whole row blocks with an even entry count, cast into
+        # one float64 array: the stream equals a single (m, n) draw, and the
+        # peak is A plus one block
+        rows = np.empty((m, n))
+        k = 2 * max(1, _BINARY_BLOCK // (2 * n))
+        for i in range(0, m, k):
+            rows[i:i + k] = rng.integers(0, 2, size=rows[i:i + k].shape)
     else:
         raise InvalidArgumentError(f"unknown distribution {distribution!r}")
     return PatternSet(m=m, n=n, rows=rows, intensities=rows.sum(axis=1), seed=seed)

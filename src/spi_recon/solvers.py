@@ -225,10 +225,15 @@ def dgi_reconstruct(
 # ------------------------------------------------------------- gradient descent
 
 
+def _gd_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2 A^T (Ax - b) from a given Ax: the arithmetic of gd_gradient and gd_solve."""
+    return 2.0 * (A.T @ (Ax - b))
+
+
 def gd_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np.ndarray:
     """Gradient of ||Ax - b||^2: p = 2 A^T (Ax - b)."""
     A = patterns.rows
-    return 2.0 * (A.T @ (A @ x - meas.values))
+    return _gd_grad(A, A @ x, meas.values)
 
 
 def gd_optimal_step(
@@ -263,7 +268,7 @@ def gd_solve(
     x = np.zeros(patterns.n)
     Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
     while True:
-        p = 2.0 * (A.T @ (Ax - b))
+        p = _gd_grad(A, Ax, b)
         r = b - Ax
         step = gd_optimal_step(patterns, p, r)
         if step is not None:
@@ -358,12 +363,16 @@ def _clamp_signed(v: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
     return sign * np.maximum(np.abs(v), eps)
 
 
+def _poisson_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^T ((Ax - b) / Ax) from a given Ax, with the denominator clamped away
+    from 0: the arithmetic of poisson_gradient and poisson_solve."""
+    return A.T @ ((Ax - b) / _clamp_signed(Ax))
+
+
 def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np.ndarray:
     """Gradient of the negative log-likelihood: A^T ((Ax - b) / Ax)."""
-    A, b = patterns.rows, meas.values
-    ax = A @ x
-    ratio = (ax - b) / _clamp_signed(ax)
-    return A.T @ ratio
+    A = patterns.rows
+    return _poisson_grad(A, A @ x, meas.values)
 
 
 def _armijo(trial: Callable[[float], float], f0: float, pp: float,
@@ -429,7 +438,7 @@ def poisson_solve(
     obj = objective(Ax)
     trials = 0
     while True:
-        direction = -(A.T @ ((Ax - b) / _clamp_signed(Ax)))
+        direction = -_poisson_grad(A, Ax, b)
         Ap = A @ direction
         step, tried = _armijo(lambda t: objective(Ax + t * Ap), obj,
                               float(direction @ direction))

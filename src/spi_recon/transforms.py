@@ -1,10 +1,16 @@
-"""Sparsifying operators: orthonormal 2D DCT, discrete gradient, soft threshold."""
+"""Sparsifying operators: orthonormal 2D DCT, discrete gradient, soft threshold.
+
+The DCT is scipy's (``scipy.fft.dctn``/``idctn``, type II, orthonormal).
+It is the library's only use of scipy, so ``dct_operator`` imports
+``scipy.fft`` when it is first called: importing ``spi_recon`` loads
+numpy's core and nothing of scipy, and only the cs-dct solver pays for
+scipy's import, once per process.
+"""
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidArgumentError
 
@@ -27,7 +33,6 @@ class LinearOperator:
     apply_transpose: Callable[[np.ndarray], np.ndarray]
     in_dim: int
     out_dim: int
-    kind: str = "explicit"
 
 
 def dct_operator(width: int, height: int) -> LinearOperator:
@@ -35,6 +40,8 @@ def dct_operator(width: int, height: int) -> LinearOperator:
 
     apply_transpose is the exact inverse (the basis is orthonormal).
     """
+    import scipy.fft
+
     if width < 1 or height < 1:
         raise InvalidArgumentError("dct dimensions must be positive")
     n = width * height
@@ -47,7 +54,7 @@ def dct_operator(width: int, height: int) -> LinearOperator:
         coef = np.asarray(v, dtype=np.float64).reshape(height, width)
         return scipy.fft.idctn(coef, type=2, norm="ortho").ravel()
 
-    return LinearOperator(apply=fwd, apply_transpose=inv, in_dim=n, out_dim=n, kind="dct")
+    return LinearOperator(apply=fwd, apply_transpose=inv, in_dim=n, out_dim=n)
 
 
 def gradient_operator(width: int, height: int) -> LinearOperator:
@@ -81,9 +88,7 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
         out[1:, :] += dv[:-1, :]
         return out.ravel()
 
-    return LinearOperator(
-        apply=fwd, apply_transpose=adj, in_dim=n, out_dim=2 * n, kind="gradient"
-    )
+    return LinearOperator(apply=fwd, apply_transpose=adj, in_dim=n, out_dim=2 * n)
 
 
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Pins the public surface: adding or removing a public name is a visible diff."""
 
 import ast
+import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +75,46 @@ def test_transforms_public_names():
         "gradient_operator",
         "soft_threshold",
     ]
+
+
+def test_linear_operator_fields():
+    assert [f.name for f in dataclasses.fields(transforms.LinearOperator)] == [
+        "apply", "apply_transpose", "in_dim", "out_dim"]
+
+
+IMPORT_HYGIENE = """
+import sys
+from pathlib import Path
+
+import spi_recon, spi_recon.cli
+heavy = [name for name in ("scipy", "numpy.random") if name in sys.modules]
+assert not heavy, f"importing spi_recon loads {heavy}"
+
+from spi_recon import cli, io, scenes
+tmp = Path(sys.argv[1])
+io.write_image(scenes.builtin_scene("blocks", 4, 4), tmp / "scene.pgm")
+for argv in (["gen-patterns", "--m", "24", "--width", "4", "--height", "4",
+              "--out", str(tmp / "pat.spib")],
+             ["simulate", "--patterns", str(tmp / "pat.spib"), "--scene",
+              str(tmp / "scene.pgm"), "--out", str(tmp / "meas.spib")],
+             ["reconstruct", "--solver", "dgi", "--patterns", str(tmp / "pat.spib"),
+              "--measurements", str(tmp / "meas.spib"), "--out", str(tmp / "dgi.pgm")]):
+    assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a dgi reconstruct loads scipy"
+
+spi_recon.dct_operator(4, 4)
+assert "scipy.fft" in sys.modules
+"""
+
+
+def test_scipy_and_numpy_random_load_only_when_used(tmp_path):
+    """Importing the library loads neither scipy nor numpy.random; a dgi
+    reconstruct still loads no scipy, and the DCT operator loads scipy.fft."""
+    src = Path(spi_recon.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 # names the per-layer tracer in perfbench/layertrace.py swaps out on spi_recon.solvers

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from spi_recon import cli
 from spi_recon.cli import main
+from spi_recon.errors import DomainError
 from spi_recon.io import (
     read_image,
     read_measurements,
@@ -172,6 +174,23 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     code = main(["metrics", "--truth", str(tmp_path / "none.pgm"),
                  "--estimate", str(tmp_path / "none.pgm")])
     assert code == 2
+
+
+@pytest.mark.parametrize("exc, message", [
+    (DomainError("a_i.x must be positive"), "a_i.x must be positive"),
+    (MemoryError("Unable to allocate 10.0 GiB"), "Unable to allocate 10.0 GiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_domain_and_memory_errors_are_runtime_errors(tmp_path, capsys, monkeypatch,
+                                                      exc, message):
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_patterns", refuse)
+    code = main(["gen-patterns", "--m", "4", "--width", "2", "--height", "2",
+                 "--out", str(tmp_path / "pat.spib")])
+    assert code == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
 
 
 def test_benchmark_subcommand(tmp_path):

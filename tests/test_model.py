@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,30 @@ def test_generate_patterns_uniform_mean():
 def test_generate_patterns_binary_values():
     ps = generate_patterns(50, 3, 3, "binary", seed=1)
     assert set(np.unique(ps.rows)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("m, n", [(64, 4096), (7, 9), (5, 3), (33, 25), (1, 1),
+                                  (101, 333), (70001, 1)])
+def test_binary_patterns_equal_one_whole_draw(m, n):
+    """Row-block draws reproduce a single (m, n) int64 draw bit for bit,
+    odd m*n and a tail block included."""
+    for seed in (0, 1, 123):
+        whole = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=(m, n))
+        ps = generate_patterns(m, n, 1, "binary", seed=seed)
+        assert np.array_equal(ps.rows, whole.astype(np.float64)), (m, n, seed)
+        assert np.array_equal(ps.intensities, whole.astype(np.float64).sum(axis=1))
+
+
+def test_binary_patterns_hold_one_copy_of_the_payload():
+    payload = 256 * 64 * 64 * 8  # 8 MiB of float64
+    generate_patterns(2, 2, 2, "binary")  # numpy.random's own first-use allocations
+    tracemalloc.start()
+    try:
+        generate_patterns(256, 64, 64, "binary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload
 
 
 def test_intensities_are_row_sums():

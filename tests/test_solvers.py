@@ -817,3 +817,31 @@ def test_report_counts_linesearch_trials_and_inner_cg_steps(monkeypatch):
             seen["matvecs"] - seen["cg_calls"])
     assert plain["poisson"].linesearch_trials >= plain["poisson"].iterations == 7
     assert plain["cs-dct"].inner_cg_steps > 0 and plain["cs-tv"].inner_cg_steps > 0
+
+
+@pytest.mark.parametrize("name, helper, public", [
+    ("gd", "_gd_grad", gd_gradient),
+    ("poisson", "_poisson_grad", poisson_gradient),
+])
+def test_solvers_run_the_gradient_arithmetic_criterion_6_checks(monkeypatch, name,
+                                                                helper, public):
+    """gd_solve and poisson_solve take their gradient from the private helper
+    behind gd_gradient and poisson_gradient, which criterion 6 checks against
+    finite differences: one call per iteration, iterates unchanged."""
+    ps = generate_patterns(24, 4, 4, seed=41)
+    meas = synthesize(ps, builtin_scene("blocks", 4, 4))
+    budget = StopCriteria(residual_change_threshold=0.0, min_iterations=7,
+                          max_iterations_factor=0.0)
+    plain = get_solver(name)(ps, meas, 4, 4, stop=budget)
+    grad, calls = getattr(solvers, helper), []
+
+    def counted(A, Ax, b):
+        calls.append(1)
+        return grad(A, Ax, b)
+
+    monkeypatch.setattr(solvers, helper, counted)
+    rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
+    assert np.array_equal(rep.image.data, plain.image.data)
+    assert len(calls) == rep.iterations == 7
+    public(ps, np.full(16, 0.5), meas)
+    assert len(calls) == 8
