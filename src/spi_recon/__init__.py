@@ -6,8 +6,6 @@ from .model import (
     MeasurementSet,
     NoiseModel,
     generate_patterns,
-    vectorize,
-    devectorize,
     synthesize,
     add_noise,
 )

@@ -1,14 +1,17 @@
 """Persistence: PGM images, binary pattern/measurement bundles, result CSVs.
 
+Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.
+
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
 (1 = patterns, 2 = measurements), u32 m, u32 n, u64 seed, then for
 measurement bundles one f64 sigma, followed by the float64 payload
 (m*n values row-major for patterns, m values for measurements).
 
-A bundle path must be a regular file.  The reader parses the fixed
-header, checks the payload length it declares against the file size
-before allocating anything, and then reads the payload straight into
-the array it returns, so reading holds one copy of the payload; the
+The writer refuses a seed outside [0, 2**64) rather than record a
+different one.  A bundle path must be a regular file.  The reader parses
+the fixed header, checks the payload length it declares against the file
+size before allocating anything, and then reads the payload straight
+into the array it returns, so reading holds one copy of the payload; the
 writer writes the array's own buffer, with no intermediate bytes copy.
 """
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
-from .model import Image, MeasurementSet, PatternSet
+from .model import Image, MeasurementSet, PatternSet, _check_seed
 
 __all__ = [
     "BundleHeader",
@@ -115,18 +118,13 @@ def read_image(path) -> Image:
     return Image(width=width, height=height, data=values / 255.0)
 
 
-def write_image(img: Image, path, binary: bool = True) -> None:
-    """Write as PGM with maxval 255; values are clipped to [0, 1] and rounded."""
+def write_image(img: Image, path) -> None:
+    """Write as binary (P5) PGM with maxval 255; values are clipped to [0, 1]
+    and rounded."""
     u8 = np.clip(np.rint(np.clip(img.data, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
-    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n255\n"
     with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        if binary:
-            f.write(u8.tobytes())
-        else:
-            rows = u8.reshape(img.height, img.width)
-            for row in rows:
-                f.write((" ".join(str(v) for v in row) + "\n").encode("ascii"))
+        f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        f.write(u8.tobytes())
 
 
 # -------------------------------------------------------------------- bundles
@@ -150,6 +148,7 @@ class BundleHeader:
 
 
 def write_bundle(header: BundleHeader, payload: np.ndarray, path) -> None:
+    _check_seed(header.seed)
     payload = np.ascontiguousarray(payload, dtype="<f8").ravel()
     if payload.size != header.payload_count:
         raise InvalidArgumentError(
@@ -158,7 +157,7 @@ def write_bundle(header: BundleHeader, payload: np.ndarray, path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<BIIQ", _KIND_CODE[header.kind], header.m, header.n,
-                            header.seed & 0xFFFFFFFFFFFFFFFF))
+                            header.seed))
         if header.kind == "measurements":
             f.write(struct.pack("<d", header.sigma))
         f.write(memoryview(payload).cast("B"))
@@ -215,9 +214,7 @@ def read_patterns(path) -> PatternSet:
     header, payload = read_bundle(path)
     if header.kind != "patterns":
         raise FormatError(f"expected a patterns bundle, got {header.kind}")
-    rows = payload.reshape(header.m, header.n)
-    return PatternSet(m=header.m, n=header.n, rows=rows,
-                      intensities=rows.sum(axis=1), seed=header.seed)
+    return PatternSet(payload.reshape(header.m, header.n), seed=header.seed)
 
 
 def write_measurements(meas: MeasurementSet, n: int, path) -> None:
@@ -245,13 +242,16 @@ CSV_COLUMNS = [
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.9g}"
     return str(v)
 
 
 def write_results_csv(rows, path) -> None:
-    """One line per sweep row; failed cells leave rmse empty.
+    """One line per sweep row, one cell per CSV_COLUMNS field; None (the
+    rmse of a failed cell) is an empty cell.
 
     ``rows`` is an iterable of objects exposing the CSV_COLUMNS fields
     (see bench.SweepRow).
@@ -263,11 +263,7 @@ def write_results_csv(rows, path) -> None:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
         for r in rows:
-            rmse = "" if r.rmse is None else _fmt(r.rmse)
-            w.writerow([
-                r.scene, r.solver, _fmt(r.ratio), r.size, _fmt(r.noise_level),
-                r.repeat, rmse, r.iterations, _fmt(r.wall_time_s), r.seed, r.status,
-            ])
+            w.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
 
 
 def read_results_csv(path):

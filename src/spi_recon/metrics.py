@@ -8,22 +8,16 @@ from .model import Image
 __all__ = ["normalized_rmse"]
 
 
-def normalized_rmse(truth: Image, estimate: Image, denominator: str = "mean") -> float:
+def normalized_rmse(truth: Image, estimate: Image) -> float:
     """Normalized root-mean-square error between ground truth and estimate.
 
     Computed as sqrt(mean((I1 - I2)^2) / mean(I1)) with I1 the ground
     truth.  Note the denominator is the plain mean of I1, not the mean of
-    its squares; pass denominator="mean_square" for the alternative
-    normalization.  Not symmetric: always pass the ground truth first.
+    its squares.  Not symmetric: always pass the ground truth first.
     """
     if truth.width != estimate.width or truth.height != estimate.height:
         raise InvalidArgumentError("image dimensions differ")
-    if denominator == "mean":
-        norm = float(np.mean(truth.data))
-    elif denominator == "mean_square":
-        norm = float(np.mean(truth.data**2))
-    else:
-        raise InvalidArgumentError(f"unknown denominator {denominator!r}")
+    norm = float(np.mean(truth.data))
     if norm == 0.0:
         raise InvalidArgumentError("ground-truth mean is zero; metric undefined")
     mse = float(np.mean((truth.data - estimate.data) ** 2))

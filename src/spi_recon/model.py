@@ -19,8 +19,6 @@ __all__ = [
     "MeasurementSet",
     "NoiseModel",
     "generate_patterns",
-    "vectorize",
-    "devectorize",
     "synthesize",
     "add_noise",
 ]
@@ -71,39 +69,37 @@ class Image:
 class PatternSet:
     """Modulation matrix A: m patterns of n pixels each, entries >= 0.
 
-    ``intensities[i]`` caches the total light of pattern i (row sum).
-    Validation is two reductions over ``rows`` with no m x n temporary:
-    a non-empty matrix is accepted iff ``rows.min() >= 0`` (false for
-    NaN and -inf; -0.0 passes) and ``rows.max()`` is finite (false for
-    +inf).  A matrix with no entries is accepted as it is.
+    ``rows`` is the whole state: ``m``, ``n`` and ``intensities`` (the
+    total light of each pattern, its row sum) are derived from it, so
+    they cannot disagree with it.  Validation is two reductions over
+    ``rows`` with no m x n temporary: a non-empty matrix is accepted iff
+    ``rows.min() >= 0`` (false for NaN and -inf; -0.0 passes) and
+    ``rows.max()`` is finite (false for +inf).  A matrix with no entries
+    is accepted as it is.
     """
 
-    m: int
-    n: int
     rows: np.ndarray
-    intensities: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
-        self.rows = _readonly(np.asarray(self.rows).reshape(self.m, self.n))
-        self.intensities = _readonly(np.asarray(self.intensities).ravel())
-        if self.intensities.size != self.m:
-            raise InvalidArgumentError("intensities length must equal m")
+        rows = np.asarray(self.rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise InvalidArgumentError("pattern matrix must be 2D")
+        self.rows = _readonly(rows.view())  # a view: the caller's array stays writable
         if self.rows.size and not (self.rows.min() >= 0 and np.isfinite(self.rows.max())):
             raise InvalidArgumentError("pattern entries must be finite and >= 0")
 
-    @classmethod
-    def from_matrix(cls, rows: np.ndarray, seed: int = 0) -> "PatternSet":
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise InvalidArgumentError("pattern matrix must be 2D")
-        return cls(
-            m=rows.shape[0],
-            n=rows.shape[1],
-            rows=rows,
-            intensities=rows.sum(axis=1),
-            seed=seed,
-        )
+    @property
+    def m(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def intensities(self) -> np.ndarray:
+        return self.rows.sum(axis=1)
 
 
 @dataclass
@@ -146,9 +142,15 @@ class NoiseModel:
         self.sigma = self.level * self.pixel_count
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise InvalidArgumentError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _rng(seed: int) -> "np.random.Generator":
     # a string annotation: numpy.random is imported on the first draw,
     # not when this module loads
+    _check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -166,6 +168,8 @@ def generate_patterns(
     if width < 1 or height < 1:
         raise InvalidArgumentError("pattern dimensions must be positive")
     n = width * height
+    if m * n * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"a {m} x {n} pattern matrix is too large to address")
     rng = _rng(seed)
     if distribution == "uniform01":
         rows = rng.random((m, n))
@@ -179,32 +183,16 @@ def generate_patterns(
             rows[i:i + k] = rng.integers(0, 2, size=rows[i:i + k].shape)
     else:
         raise InvalidArgumentError(f"unknown distribution {distribution!r}")
-    return PatternSet(m=m, n=n, rows=rows, intensities=rows.sum(axis=1), seed=seed)
-
-
-def vectorize(img: Image) -> np.ndarray:
-    """Row-major flattening of the scene."""
-    return np.array(img.data, copy=True)
-
-
-def devectorize(v: np.ndarray, width: int, height: int) -> Image:
-    """Inverse of :func:`vectorize`; length must match width*height."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != width * height:
-        raise InvalidArgumentError(
-            f"vector length {v.size} != {width}x{height}"
-        )
-    return Image(width=width, height=height, data=v)
+    return PatternSet(rows, seed=seed)
 
 
 def synthesize(patterns: PatternSet, scene: Image) -> MeasurementSet:
     """Clean measurements b = A x for the given scene."""
-    x = vectorize(scene)
-    if patterns.n != x.size:
+    if patterns.n != scene.data.size:
         raise InvalidArgumentError(
-            f"pattern pixel count {patterns.n} != scene pixel count {x.size}"
+            f"pattern pixel count {patterns.n} != scene pixel count {scene.data.size}"
         )
-    return MeasurementSet(values=patterns.rows @ x, noise_sigma=0.0)
+    return MeasurementSet(values=patterns.rows @ scene.data, noise_sigma=0.0)
 
 
 def add_noise(meas: MeasurementSet, noise: NoiseModel, seed: int = 0) -> MeasurementSet:
@@ -214,6 +202,7 @@ def add_noise(meas: MeasurementSet, noise: NoiseModel, seed: int = 0) -> Measure
     the seeded generator, so for a fixed seed the noise scales linearly
     with sigma (useful for paired noise-level comparisons).
     """
+    _check_seed(seed)
     if noise.sigma == 0.0:
         return MeasurementSet(values=meas.values, noise_sigma=0.0, noise_seed=seed)
     g = _rng(seed).standard_normal(meas.m)

@@ -41,7 +41,7 @@ from .errors import (
     UnknownSolverError,
     DomainError,
 )
-from .model import Image, MeasurementSet, PatternSet, devectorize
+from .model import Image, MeasurementSet, PatternSet
 from .transforms import LinearOperator, dct_operator, gradient_operator, soft_threshold
 
 __all__ = [
@@ -164,7 +164,7 @@ class _Run:
             self.terminated_by = "exact"
             self.trace = self.trace or [(0, rnorm, rnorm**2)]
         return SolverReport(
-            image=devectorize(x, width, height),
+            image=Image(width, height, x),
             iterations=self.k,
             wall_time=time.perf_counter() - self.t0,
             trace=self.trace,
@@ -375,17 +375,16 @@ def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) 
     return _poisson_grad(A, A @ x, meas.values)
 
 
-def _armijo(trial: Callable[[float], float], f0: float, pp: float,
-            max_shrinks: int = MAX_SHRINKS) -> tuple[float, int]:
+def _armijo(trial: Callable[[float], float], f0: float, pp: float) -> tuple[float, int]:
     """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp,
     and the number of trials it took."""
     step = 1.0
-    for trials in range(1, max_shrinks + 2):
+    for trials in range(1, MAX_SHRINKS + 2):
         if trial(step) <= f0 - ARMIJO_ALPHA * step * pp:
             return step, trials
         step *= ARMIJO_BETA
     raise LineSearchFailureError(
-        f"no acceptable step after {max_shrinks} shrinks: "
+        f"no acceptable step after {MAX_SHRINKS} shrinks: "
         "non-descent direction or broken objective"
     )
 
@@ -394,7 +393,6 @@ def backtracking_search(
     objective: Callable[[np.ndarray], float],
     x: np.ndarray,
     p: np.ndarray,
-    max_shrinks: int = MAX_SHRINKS,
 ) -> float:
     """First step in {1, beta, beta^2, ...} passing the Armijo test.
 
@@ -402,7 +400,7 @@ def backtracking_search(
     p must be a descent direction (pass the negated gradient).
     """
     f0 = objective(x)
-    return _armijo(lambda step: objective(x + step * p), f0, float(p @ p), max_shrinks)[0]
+    return _armijo(lambda step: objective(x + step * p), f0, float(p @ p))[0]
 
 
 def poisson_solve(

@@ -199,7 +199,7 @@ def test_criterion_07_equivalence_reductions(capsys):
         rng = np.random.default_rng(200 + seed)
         rows = rng.random((40, 16))
         rows *= 8.0 / rows.sum(axis=1, keepdims=True)  # equal intensities
-        patterns = PatternSet.from_matrix(rows, seed=seed)
+        patterns = PatternSet(rows, seed=seed)
         meas = synthesize(patterns, Image(4, 4, rng.random(16)))
         a = corr(patterns, meas, 4, 4).image.data
         b = dgi(patterns, meas, 4, 4).image.data
@@ -243,7 +243,7 @@ def test_criterion_08_exact_recovery(capsys):
         # steepest descent needs a well-conditioned system to converge
         # within its iteration budget
         rng = np.random.default_rng(500 + seed)
-        boosted = PatternSet.from_matrix(
+        boosted = PatternSet(
             rng.random((n, n)) + 50.0 * np.eye(n), seed=500 + seed)
         meas_b = synthesize(boosted, truth)
         worst["gd"] = max(worst["gd"], normalized_rmse(

@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spi_recon
-from spi_recon import bench, solvers, transforms
+from spi_recon import bench, io, metrics, model, solvers, transforms
 
 MODULES = ["bench", "cli", "io", "metrics", "model", "scenes", "solvers", "transforms"]
 
@@ -77,6 +79,33 @@ def test_transforms_public_names():
     ]
 
 
+def test_model_public_names():
+    assert model.__all__ == [
+        "Image",
+        "PatternSet",
+        "MeasurementSet",
+        "NoiseModel",
+        "generate_patterns",
+        "synthesize",
+        "add_noise",
+    ]
+    assert not hasattr(spi_recon, "vectorize") and not hasattr(spi_recon, "devectorize")
+
+
+def test_pattern_set_fields():
+    assert [f.name for f in dataclasses.fields(model.PatternSet)] == ["rows", "seed"]
+    assert not hasattr(model.PatternSet, "from_matrix")
+
+
+@pytest.mark.parametrize("fn, params", [
+    (metrics.normalized_rmse, ["truth", "estimate"]),
+    (io.write_image, ["img", "path"]),
+    (solvers.backtracking_search, ["objective", "x", "p"]),
+])
+def test_signatures_have_no_test_only_options(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
+
+
 def test_linear_operator_fields():
     assert [f.name for f in dataclasses.fields(transforms.LinearOperator)] == [
         "apply", "apply_transpose", "in_dim", "out_dim"]
@@ -92,6 +121,9 @@ assert not heavy, f"importing spi_recon loads {heavy}"
 
 from spi_recon import cli, io, scenes
 tmp = Path(sys.argv[1])
+assert cli.main(["gen-patterns", "--m", "4", "--width", "2", "--height", "2",
+                 "--seed", "-1", "--out", str(tmp / "bad.spib")]) == 1
+assert "numpy.random" not in sys.modules, "checking a seed loads numpy.random"
 io.write_image(scenes.builtin_scene("blocks", 4, 4), tmp / "scene.pgm")
 for argv in (["gen-patterns", "--m", "24", "--width", "4", "--height", "4",
               "--out", str(tmp / "pat.spib")],
@@ -108,8 +140,9 @@ assert "scipy.fft" in sys.modules
 
 
 def test_scipy_and_numpy_random_load_only_when_used(tmp_path):
-    """Importing the library loads neither scipy nor numpy.random; a dgi
-    reconstruct still loads no scipy, and the DCT operator loads scipy.fft."""
+    """Importing the library loads neither scipy nor numpy.random, nor does
+    refusing a bad seed; a dgi reconstruct still loads no scipy, and the DCT
+    operator loads scipy.fft."""
     src = Path(spi_recon.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, str(tmp_path)], env=env,
@@ -134,3 +167,16 @@ TRACED_SOLVER_NAMES = [
 @pytest.mark.parametrize("name", TRACED_SOLVER_NAMES)
 def test_traced_names_exist_on_solvers(name):
     assert callable(getattr(solvers, name))
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_imports_resolve(path):
+    """Each demo imports cleanly (main is not run), so pruning a public name
+    a demo still uses fails here."""
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,34 @@ def test_domain_and_memory_errors_are_runtime_errors(tmp_path, capsys, monkeypat
                  "--out", str(tmp_path / "pat.spib")])
     assert code == 2
     assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+def test_out_of_range_seed_is_usage_error(tmp_path, capsys, seed):
+    pat, scene, out = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "out.spib"
+    assert main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4",
+                 "--seed", seed, "--out", str(out)]) == 1
+    assert not out.exists()
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--noise-level", "1e-3", "--seed", seed, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.count("usage error: seed must be in [0, 2**64)") == 2
+
+
+def test_unaddressable_gen_patterns_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "pat.spib"
+    tracemalloc.start()
+    try:
+        code = main(["gen-patterns", "--m", "4000000000", "--width", "100000",
+                     "--height", "100000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "4000000000 x 10000000000" in capsys.readouterr().err
+    assert peak < 2**20 and not out.exists()
 
 
 def test_benchmark_subcommand(tmp_path):

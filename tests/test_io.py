@@ -1,6 +1,7 @@
 import os
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from spi_recon.bench import SweepRow
 from spi_recon.errors import FormatError, InvalidArgumentError
 from spi_recon.io import (
+    CSV_COLUMNS,
     MAGIC,
     BundleHeader,
     read_bundle,
@@ -45,8 +47,11 @@ def test_pgm_roundtrip_quantization(tmp_path):
 def test_pgm_ascii_binary_equivalent(tmp_path):
     img = random_image(3)
     p2, p5 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    write_image(img, p2, binary=False)
-    write_image(img, p5, binary=True)
+    write_image(img, p5)
+    assert p5.read_bytes().startswith(b"P5\n7 5\n255\n")
+    levels = np.rint(img.data * 255).astype(int).reshape(img.height, img.width)
+    p2.write_text("P2\n7 5\n255\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in levels))
     assert np.array_equal(read_image(p2).data, read_image(p5).data)
 
 
@@ -120,6 +125,20 @@ def test_bundle_payload_length_check():
     with pytest.raises(InvalidArgumentError):
         write_bundle(BundleHeader(kind="patterns", m=2, n=3, seed=0),
                      np.zeros(5), "/dev/null")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_bundle_refuses_a_seed_outside_64_bits(seed, tmp_path):
+    path = tmp_path / "pat.spib"
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        write_patterns(PatternSet(np.ones((2, 3)), seed=seed), path)
+    assert not path.exists()
+
+
+def test_bundle_keeps_the_largest_seed(tmp_path):
+    path = tmp_path / "pat.spib"
+    write_patterns(PatternSet(np.ones((2, 3)), seed=2**64 - 1), path)
+    assert read_patterns(path).seed == 2**64 - 1
 
 
 # fixed header length of each bundle kind: magic, kind/m/n/seed, then sigma
@@ -201,7 +220,7 @@ def test_pattern_io_and_validation_hold_one_copy_of_the_payload(tmp_path):
     path = tmp_path / "pat.spib"
     assert traced_peak(lambda: write_patterns(ps, path)) < 0.1 * payload
     assert traced_peak(lambda: read_patterns(path)) <= 1.1 * payload
-    assert traced_peak(lambda: PatternSet.from_matrix(ps.rows)) < 0.05 * payload
+    assert traced_peak(lambda: PatternSet(ps.rows)) < 0.05 * payload
 
 
 def rows3():
@@ -220,6 +239,29 @@ def test_results_csv_shape(tmp_path):
     assert len(lines) == 4
     assert lines[0] == ("scene,solver,ratio,size,noise_level,repeat,"
                         "rmse,iterations,wall_time_s,seed,status")
+
+
+def test_csv_columns_are_the_sweep_row_fields():
+    assert [f.name for f in fields(SweepRow)] == CSV_COLUMNS
+
+
+def test_results_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "res.csv"
+    write_results_csv([
+        *rows3()[:2],
+        SweepRow("blocks", "pinv", 0.2, "32x32", 0.0, 0, None, 0, 0.0, 9,
+                 "failed:rank-deficient, m < n"),
+        SweepRow("disk", "cs-tv", 0.5, "16x8", 1e-3, 2, 1 / 3, 7, 1.23456789012,
+                 2**63 - 1, "ok"),
+    ], path)
+    assert path.read_bytes() == (
+        b"scene,solver,ratio,size,noise_level,repeat,rmse,iterations,wall_time_s,"
+        b"seed,status\r\n"
+        b"blocks,cgd,1,32x32,0,0,0.123456789,40,0.5,7,ok\r\n"
+        b"blocks,cgd,1,32x32,0,1,0.2,41,0.6,8,ok\r\n"
+        b'blocks,pinv,0.2,32x32,0,0,,0,0,9,"failed:rank-deficient, m < n"\r\n'
+        b"disk,cs-tv,0.5,16x8,0.001,2,0.333333333,7,1.23456789,9223372036854775807,ok\r\n"
+    )
 
 
 def test_results_csv_failed_row(tmp_path):

@@ -10,10 +10,8 @@ from spi_recon.model import (
     NoiseModel,
     PatternSet,
     add_noise,
-    devectorize,
     generate_patterns,
     synthesize,
-    vectorize,
 )
 
 
@@ -76,9 +74,59 @@ def test_intensities_are_row_sums():
     assert np.allclose(ps.intensities, recomputed, rtol=1e-12)
 
 
+def test_intensities_and_shape_are_derived_from_rows():
+    A = np.random.default_rng(4).random((6, 5))
+    ps = PatternSet(A, seed=3)
+    assert np.array_equal(ps.intensities, A.sum(axis=1))
+    assert (ps.m, ps.n, ps.seed) == (6, 5, 3)
+    for name in ("m", "n", "intensities"):
+        with pytest.raises(TypeError):
+            PatternSet(A, **{name: np.ones(6)})
+        with pytest.raises(AttributeError):
+            setattr(ps, name, np.ones(6))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_patterns_must_be_a_matrix(shape):
+    with pytest.raises(InvalidArgumentError, match="2D"):
+        PatternSet(np.ones(shape))
+
+
+def test_patterns_leave_the_callers_array_writable():
+    A = np.ones((2, 3))
+    ps = PatternSet(A)
+    assert A.flags.writeable and not ps.rows.flags.writeable
+    assert np.shares_memory(A, ps.rows)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_64_bits_are_refused(seed):
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        generate_patterns(2, 2, 2, seed=seed)
+    meas = MeasurementSet(values=np.ones(3))
+    for level in (0.0, 1e-3):  # sigma = 0 takes a shortcut past the generator
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            add_noise(meas, NoiseModel(level=level, pixel_count=4), seed=seed)
+
+
+def test_largest_seed_is_accepted():
+    assert generate_patterns(2, 2, 2, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_unaddressable_pattern_matrix_is_refused_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="4000000000 x 10000000000"):
+            generate_patterns(4_000_000_000, 100_000, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_patterns_reject_negative_entries():
     with pytest.raises(InvalidArgumentError):
-        PatternSet.from_matrix(np.array([[1.0, -0.5]]))
+        PatternSet(np.array([[1.0, -0.5]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
@@ -86,53 +134,41 @@ def test_patterns_reject_non_finite_or_negative_entries(bad):
     rows = np.ones((3, 4))
     rows[2, 1] = bad
     with pytest.raises(InvalidArgumentError, match="finite and >= 0"):
-        PatternSet.from_matrix(rows)
+        PatternSet(rows)
 
 
 def test_patterns_accept_negative_zero_and_no_rows():
-    assert PatternSet.from_matrix(np.array([[-0.0, 1.0]])).m == 1
-    empty = PatternSet.from_matrix(np.empty((0, 4)))
+    assert PatternSet(np.array([[-0.0, 1.0]])).m == 1
+    empty = PatternSet(np.empty((0, 4)))
     assert (empty.m, empty.n) == (0, 4)
 
 
-def test_vectorize_row_major():
-    img = Image.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(vectorize(img), [1, 2, 3, 4])
-
-
-def test_devectorize_roundtrip():
-    img = Image.from_array(np.arange(12.0).reshape(3, 4) / 12)
-    back = devectorize(vectorize(img), img.width, img.height)
-    assert np.array_equal(back.data, img.data)
-    assert (back.width, back.height) == (img.width, img.height)
-
-
-def test_devectorize_length_mismatch():
-    with pytest.raises(InvalidArgumentError):
-        devectorize(np.zeros(3), 2, 2)
+def test_image_data_length_must_match_its_size():
+    with pytest.raises(InvalidArgumentError, match="data length 3 != 2x2"):
+        Image(2, 2, np.zeros(3))
 
 
 def test_synthesize_identity():
-    ps = PatternSet.from_matrix(np.eye(4))
-    img = devectorize(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
+    ps = PatternSet(np.eye(4))
+    img = Image(2, 2, np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(synthesize(ps, img).values, [1, 2, 3, 4])
 
 
 def test_synthesize_zero_scene():
     ps = generate_patterns(10, 3, 3, seed=0)
-    img = devectorize(np.zeros(9), 3, 3)
+    img = Image(3, 3, np.zeros(9))
     assert np.array_equal(synthesize(ps, img).values, np.zeros(10))
 
 
 def test_synthesize_forced_2x3():
-    ps = PatternSet.from_matrix(np.array([[1.0, 0, 1], [0, 1, 1]]))
-    img = devectorize(np.array([1.0, 2.0, 3.0]), 3, 1)
+    ps = PatternSet(np.array([[1.0, 0, 1], [0, 1, 1]]))
+    img = Image(3, 1, np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(synthesize(ps, img).values, [4, 5])
 
 
 def test_synthesize_dimension_mismatch():
     ps = generate_patterns(4, 2, 2, seed=0)
-    img = devectorize(np.zeros(9), 3, 3)
+    img = Image(3, 3, np.zeros(9))
     with pytest.raises(InvalidArgumentError):
         synthesize(ps, img)
 
@@ -142,9 +178,9 @@ def test_synthesize_linearity():
     ps = generate_patterns(30, 4, 4, seed=9)
     x1, x2 = rng.random(16), rng.random(16)
     a, b = 2.5, -1.25
-    lhs = synthesize(ps, devectorize(a * x1 + b * x2, 4, 4)).values
-    rhs = a * synthesize(ps, devectorize(x1, 4, 4)).values + b * synthesize(
-        ps, devectorize(x2, 4, 4)
+    lhs = synthesize(ps, Image(4, 4, a * x1 + b * x2)).values
+    rhs = a * synthesize(ps, Image(4, 4, x1)).values + b * synthesize(
+        ps, Image(4, 4, x2)
     ).values
     assert np.allclose(lhs, rhs, rtol=1e-10)
 
@@ -153,7 +189,7 @@ def test_uniform_allones_expected_measurement():
     # mean measurement of all-ones scene under uniform01 patterns approaches n/2
     n = 16
     ps = generate_patterns(10**4, 4, 4, seed=11)
-    b = synthesize(ps, devectorize(np.ones(n), 4, 4)).values
+    b = synthesize(ps, Image(4, 4, np.ones(n))).values
     se = b.std() / np.sqrt(b.size)
     assert abs(b.mean() - n / 2) < 3 * se
 
