@@ -7,8 +7,10 @@ Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
 measurement bundles one f64 sigma, followed by the float64 payload
 (m*n values row-major for patterns, m values for measurements).
 
-The writer refuses a seed outside [0, 2**64) rather than record a
-different one.  A bundle path must be a regular file.  The reader parses
+m and n must be at least 1: the writer refuses m = 0 or n = 0, and the
+reader reports either as a FormatError at the field's offset (m at 9, n
+at 13).  The writer refuses a seed outside [0, 2**64) rather than record
+a different one.  A bundle path must be a regular file.  The reader parses
 the fixed header, checks the payload length it declares against the file
 size before allocating anything, and then reads the payload straight
 into the array it returns, so reading holds one copy of the payload; the
@@ -148,6 +150,10 @@ class BundleHeader:
 
 
 def write_bundle(header: BundleHeader, payload: np.ndarray, path) -> None:
+    if header.m < 1 or header.n < 1:
+        raise InvalidArgumentError(
+            f"a bundle needs m >= 1 and n >= 1, got m={header.m}, n={header.n}"
+        )
     _check_seed(header.seed)
     payload = np.ascontiguousarray(payload, dtype="<f8").ravel()
     if payload.size != header.payload_count:
@@ -179,6 +185,10 @@ def read_bundle(path):
         code, m, n, seed = struct.unpack("<BIIQ", fixed)
         if code not in _KIND_NAME:
             raise FormatError(f"unknown kind byte {code}", offset=8)
+        for field, value, at in (("m", m, 9), ("n", n, 13)):
+            if value == 0:
+                raise FormatError(f"{field} is 0: a bundle needs m >= 1 and n >= 1",
+                                  offset=at)
         sigma = 0.0
         if _KIND_NAME[code] == "measurements":
             raw = f.read(8)

@@ -24,7 +24,8 @@ recomputing it.  Per iteration:
 - cgd: 1 A + 1 A^T (b - Ax is tracked by recurrence for the stop test)
 - poisson: 2 A + 1 A^T (each Armijo trial is O(m): Ax + step * Ap)
 - ap: m row updates plus 1 A for the residual, with no per-row allocation
-- cs-dct/cs-tv: 2 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner CG step
+- cs-dct/cs-tv: 1 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner
+  CG step, plus 1 A once; cgd and the ALM x-update share one CG loop, _cg
 """
 
 import time
@@ -124,8 +125,9 @@ class SolverReport:
 
 
 class _Run:
-    """One solve's stop protocol: checks that measurements and patterns
-    agree, times the solve, records the trace and decides when to stop."""
+    """One solve's stop protocol: checks that there are measurements and
+    that they agree with the patterns, times the solve, records the trace
+    and decides when to stop."""
 
     def __init__(self, patterns: PatternSet, meas: MeasurementSet,
                  stop: Optional[StopCriteria] = None):
@@ -133,6 +135,8 @@ class _Run:
             raise InvalidArgumentError(
                 f"measurement count {meas.m} != pattern count {patterns.m}"
             )
+        if patterns.m == 0:
+            raise InvalidArgumentError("no measurements (m = 0): nothing to reconstruct from")
         self.stop = stop or StopCriteria()
         self.max_iter = self.stop.max_iterations(patterns.n)
         self.t0 = time.perf_counter()
@@ -280,6 +284,32 @@ def gd_solve(
             return run.report(x, width, height)
 
 
+def _cg(normal, x, r):
+    """Conjugate gradient (Hestenes & Stiefel 1952) on an SPD system G x = rhs,
+    from x with residual r = rhs - G x; normal(v) applies G.
+
+    The one CG recurrence of cgd_solve and alm_solve.  Yields (x, r.r,
+    alpha) before each step, where alpha is the step just taken (None
+    before the first); the caller stops by leaving the loop.  Each step
+    calls normal once.  Raises NumericalFailureError when p^T G p <= 1e-300.
+    """
+    rr, p, alpha, step = float(r @ r), r, None, 0
+    while True:
+        yield x, rr, alpha
+        step += 1
+        q = normal(p)
+        denom = float(p @ q)
+        if denom <= 1e-300:
+            raise NumericalFailureError(
+                f"p^T G p = {denom:.3g} at CG step {step}: G is not positive definite"
+            )
+        alpha = rr / denom
+        x = x + alpha * p
+        r = r - alpha * q
+        rr, rr_old = float(r @ r), rr
+        p = r + (rr / rr_old) * p
+
+
 def cgd_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -296,7 +326,7 @@ def cgd_solve(
     tracked as b - Ax -= alpha * Ap.  First search direction is steepest
     descent.  Terminates early ("exact") when the normal-equation residual
     drops below max(1e-12, normal_residual_rtol * ||A^T b||), bypassing
-    the minimum iteration count.
+    the minimum iteration count.  The CG loop is _cg, shared with alm_solve.
     """
     run = _Run(patterns, meas, stop)
     A, b = patterns.rows, meas.values
@@ -306,31 +336,22 @@ def cgd_solve(
         raise NumericalFailureError("norm of A^T b overflowed", iteration=0)
     exact_tol = max(1e-12, normal_residual_rtol * bp_norm)
 
-    x = np.zeros(patterns.n)
+    Ap = None
+
+    def normal(p):
+        nonlocal Ap
+        Ap = A @ p
+        return A.T @ Ap
+
     res = b.copy()  # measurement residual b - Ax
-    r = bp.copy()  # normal-equation residual b' - A'x
-    rr = float(r @ r)
-    p = r.copy()
-    while True:
+    for x, rr, alpha in _cg(normal, np.zeros(patterns.n), bp):
+        if alpha is not None:
+            res -= alpha * Ap
+            rnorm = float(np.linalg.norm(res))
+            if run.record(rnorm, rnorm**2):
+                return run.report(x, width, height)
         if np.sqrt(rr) <= exact_tol:
             return run.report(x, width, height, rnorm=float(np.linalg.norm(res)))
-        Ap = A @ p
-        q = A.T @ Ap
-        denom = float(p @ q)
-        if denom <= 1e-300:
-            raise NumericalFailureError(
-                "p^T A'p is numerically zero: semidefinite system", iteration=run.k + 1
-            )
-        alpha = rr / denom
-        x = x + alpha * p
-        res -= alpha * Ap
-        r = r - alpha * q
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-        rnorm = float(np.linalg.norm(res))
-        if run.record(rnorm, rnorm**2):
-            return run.report(x, width, height)
 
 
 # ------------------------------------------------------ Poisson max. likelihood
@@ -513,35 +534,6 @@ def ap_solve(
 # --------------------------------------------------------- augmented Lagrangian
 
 
-def _inner_cg(matvec, rhs, x0, rtol=1e-8, maxit=500):
-    """Plain CG for the SPD inner system of the x-update.
-
-    Returns (x, converged, steps); each step is one matvec after the
-    initial residual's.
-    """
-    x = x0.copy()
-    r = rhs - matvec(x)
-    rr = float(r @ r)
-    target = (rtol * float(np.linalg.norm(rhs))) ** 2
-    if rr <= max(target, 1e-300):
-        return x, True, 0
-    p = r.copy()
-    for steps in range(1, maxit + 1):
-        q = matvec(p)
-        denom = float(p @ q)
-        if denom <= 1e-300:
-            return x, False, steps
-        alpha = rr / denom
-        x += alpha * p
-        r -= alpha * q
-        rr_new = float(r @ r)
-        if rr_new <= max(target, 1e-300):
-            return x, True, steps
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x, False, maxit
-
-
 def alm_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -552,38 +544,43 @@ def alm_solve(
 ) -> SolverReport:
     """l1-minimization of the prior coefficients subject to Px = c, Ax = b.
 
-    Alternates: soft-threshold update of c, an inner-CG solve of the SPD
-    system (mu P^T P + mu A^T A) x = mu P^T(c - y1/mu) + mu A^T(b - y2/mu),
-    multiplier ascent for y1/y2, then growth of the penalty weight mu
-    (from 1, by ALM_RHO, capped at ALM_MU_MAX).  Use the DCT prior for
-    sparse representation, the gradient prior for total variation.
+    Alternates: soft-threshold update of c, a solve of the SPD system
+    (mu P^T P + mu A^T A) x = mu P^T(c - y1/mu) + mu A^T(b - y2/mu) by the
+    shared CG (_cg) to rtol 1e-8 in at most 500 steps, multiplier ascent
+    for y1/y2, then growth of the penalty weight mu (from 1, by ALM_RHO,
+    capped at ALM_MU_MAX).  The CG starts from the previous x, with its
+    residual built from the Px and Ax already computed there.  Use the
+    DCT prior for sparse representation, the gradient prior for total
+    variation.
     """
     run = _Run(patterns, meas, stop)
     if prior.in_dim != patterns.n:
         raise InvalidArgumentError("prior operator dimension != pixel count")
     A, b = patterns.rows, meas.values
 
+    def system(Pv, Av):  # mu (P^T P + A^T A) v, from P v and A v
+        return mu * prior.apply_transpose(Pv) + mu * (A.T @ Av)
+
     x = np.zeros(patterns.n)
     y1 = np.zeros(prior.out_dim)
     y2 = np.zeros(patterns.m)
     mu = 1.0
     cg_steps = 0
+    Px, Ax = prior.apply(x), A @ x
     while True:
-        Px = prior.apply(x)
         c = soft_threshold(Px + y1 / mu, 1.0 / mu)
         rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
-
-        def matvec(v, mu=mu):
-            return mu * prior.apply_transpose(prior.apply(v)) + mu * (A.T @ (A @ v))
-
-        x, ok, steps = _inner_cg(matvec, rhs, x)
+        tol = max((1e-8 * float(np.linalg.norm(rhs))) ** 2, 1e-300)
+        cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
+        for steps, (x, rr, _) in enumerate(cg):
+            if rr <= tol:
+                break
+            if steps == 500:
+                raise NumericalFailureError(
+                    "inner CG did not converge within 500 iterations", iteration=run.k + 1
+                )
         cg_steps += steps
-        if not ok:
-            raise NumericalFailureError(
-                "inner CG did not converge within 500 iterations", iteration=run.k + 1
-            )
-        Px = prior.apply(x)
-        Ax = A @ x
+        Px, Ax = prior.apply(x), A @ x
         y1 = y1 + mu * (Px - c)
         y2 = y2 + mu * (Ax - b)
         mu = min(ALM_RHO * mu, ALM_MU_MAX)

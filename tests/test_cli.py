@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from spi_recon import cli
 from spi_recon.cli import main
 from spi_recon.errors import DomainError
 from spi_recon.io import (
+    MAGIC,
     read_image,
     read_measurements,
     read_patterns,
@@ -207,6 +209,35 @@ def test_out_of_range_seed_is_usage_error(tmp_path, capsys, seed):
                  "--noise-level", "1e-3", "--seed", seed, "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.count("usage error: seed must be in [0, 2**64)") == 2
+
+
+@pytest.mark.parametrize("kind", ["patterns", "measurements"])
+@pytest.mark.parametrize("field, offset", [("m", 9), ("n", 13)])
+def test_bundle_with_no_rows_or_no_pixels_is_runtime_error(tmp_path, capsys, kind,
+                                                           field, offset):
+    """reconstruct on a bundle with m = 0 or n = 0 exits 2 naming the field,
+    with no traceback and no image written."""
+    paths = {"patterns": tmp_path / "pat.spib", "measurements": tmp_path / "meas.spib"}
+    scene, out = tmp_path / "scene.pgm", tmp_path / "out.pgm"
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4",
+          "--out", str(paths["patterns"])])
+    main(["simulate", "--patterns", str(paths["patterns"]), "--scene", str(scene),
+          "--out", str(paths["measurements"])])
+    m, n = (0, 16) if field == "m" else (8, 0)
+    code, sigma, count = ((1, b"", m * n) if kind == "patterns"
+                          else (2, struct.pack("<d", 0.0), m))
+    paths[kind].write_bytes(MAGIC + struct.pack("<BIIQ", code, m, n, 0) + sigma
+                            + bytes(8 * count))
+    for solver in ("corr", "dgi", "cgd"):
+        assert main(["reconstruct", "--solver", solver,
+                     "--patterns", str(paths["patterns"]),
+                     "--measurements", str(paths["measurements"]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "Traceback" not in err
+        assert f"{field} is 0" in err and f"(byte offset {offset})" in err
+        assert not out.exists()
 
 
 def test_unaddressable_gen_patterns_is_usage_error(tmp_path, capsys):

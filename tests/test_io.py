@@ -141,6 +141,26 @@ def test_bundle_keeps_the_largest_seed(tmp_path):
     assert read_patterns(path).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("kind, code", [("patterns", 1), ("measurements", 2)])
+@pytest.mark.parametrize("field, offset", [("m", 9), ("n", 13)])
+def test_bundle_with_no_rows_or_no_pixels_is_malformed(kind, code, field, offset,
+                                                       tmp_path):
+    """m = 0 or n = 0: the writer refuses it, and the reader reports the
+    field at its byte offset, even when the payload length agrees."""
+    header = BundleHeader(kind=kind, m=3, n=4, seed=0)
+    setattr(header, field, 0)
+    path = tmp_path / "empty.spib"
+    with pytest.raises(InvalidArgumentError, match=f"{field}=0"):
+        write_bundle(header, np.zeros(header.payload_count), path)
+    assert not path.exists()
+    sigma = struct.pack("<d", 0.0) if kind == "measurements" else b""
+    path.write_bytes(MAGIC + struct.pack("<BIIQ", code, header.m, header.n, 0) + sigma
+                     + bytes(8 * header.payload_count))
+    with pytest.raises(FormatError, match=f"{field} is 0") as info:
+        read_bundle(path)
+    assert info.value.offset == offset
+
+
 # fixed header length of each bundle kind: magic, kind/m/n/seed, then sigma
 HEADER_BYTES = {"patterns": 25, "measurements": 33}
 

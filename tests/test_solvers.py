@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -40,7 +41,7 @@ from spi_recon.solvers import (
     poisson_solve,
     solver_registry,
 )
-from spi_recon.transforms import dct_operator, gradient_operator
+from spi_recon.transforms import LinearOperator, dct_operator, gradient_operator
 
 NO_STOP = StopCriteria(residual_change_threshold=0.0, min_iterations=0)
 
@@ -736,13 +737,42 @@ def _count_products(patterns: PatternSet) -> _Products:
     return rows.products
 
 
-# solver: (A at set-up, A^T at set-up, A per iteration, A^T per iteration)
+# solver: (A at set-up, A^T at set-up, A per iteration, A^T per iteration);
+# cs-dct and cs-tv add 1 A + 1 A^T per inner CG step, and apply their prior
+# exactly as often as A (apply) and A^T (apply_transpose)
 PRODUCTS = {
     "gd": (0, 0, 2, 1),
     "cgd": (0, 1, 1, 1),
     "poisson": (1, 0, 2, 1),
     "ap": (0, 0, 1, 0),
+    "cs-dct": (1, 0, 1, 2),
+    "cs-tv": (1, 0, 1, 2),
 }
+ALM = ("cs-dct", "cs-tv")
+
+
+def _count_prior_calls(monkeypatch):
+    """Make every prior the registry builds count its apply and
+    apply_transpose calls; returns the live counters."""
+    calls = {"apply": 0, "apply_transpose": 0}
+
+    def counted(fn, key):
+        def call(v):
+            calls[key] += 1
+            return fn(v)
+        return call
+
+    def counting(make):
+        def build(width, height):
+            op = make(width, height)
+            return dataclasses.replace(
+                op, apply=counted(op.apply, "apply"),
+                apply_transpose=counted(op.apply_transpose, "apply_transpose"))
+        return build
+
+    for name in ("dct_operator", "gradient_operator"):
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
+    return calls
 
 
 def test_counting_matrix_sees_both_directions():
@@ -755,9 +785,10 @@ def test_counting_matrix_sees_both_directions():
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
-def test_products_per_iteration_are_pinned(name):
-    """Hardware-independent perf gate: the A and A^T products each solver
-    makes, once at set-up and per iteration, under a fixed budget."""
+def test_products_per_iteration_are_pinned(name, monkeypatch):
+    """Hardware-independent perf gate: the A and A^T products and prior
+    applies each solver makes, once at set-up, per iteration and per inner
+    CG step, under a fixed budget."""
     setup_a, setup_at, per_a, per_at = PRODUCTS[name]
     meas = synthesize(generate_patterns(24, 4, 4, seed=41),
                       builtin_scene("blocks", 4, 4))
@@ -768,25 +799,32 @@ def test_products_per_iteration_are_pinned(name):
                                  stop=budget)
         ps = generate_patterns(24, 4, 4, seed=41)
         products = _count_products(ps)
-        rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
+        with monkeypatch.context() as patch:
+            prior = _count_prior_calls(patch)
+            rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
+        steps = rep.inner_cg_steps
         assert rep.iterations == k
         assert np.array_equal(rep.image.data, plain.image.data)
-        assert (products.A, products.AT) == (setup_a + k * per_a, setup_at + k * per_at)
+        assert (products.A, products.AT) == (setup_a + k * per_a + steps,
+                                             setup_at + k * per_at + steps)
+        assert (prior["apply"], prior["apply_transpose"]) == (
+            (products.A, products.AT) if name in ALM else (0, 0))
+        assert (steps > 0) == (name in ALM)
 
 
 def test_report_counts_linesearch_trials_and_inner_cg_steps(monkeypatch):
     """SolverReport's counters equal counts taken by wrapping the Armijo
-    trial callable and the inner-CG matvec, and counting leaves every
-    iterate unchanged."""
+    trial callable and the operator of the shared CG, and counting leaves
+    every iterate unchanged."""
     ps = generate_patterns(24, 4, 4, seed=41)
     meas = synthesize(ps, builtin_scene("blocks", 4, 4))
     budget = StopCriteria(residual_change_threshold=0.0, min_iterations=7,
                           max_iterations_factor=0.0)
-    names = sorted(PRODUCTS) + ["cs-dct", "cs-tv"]
+    names = sorted(PRODUCTS)
     plain = {name: get_solver(name)(ps, meas, 4, 4, stop=budget) for name in names}
 
     seen = {}
-    armijo, inner_cg = solvers._armijo, solvers._inner_cg
+    armijo, cg = solvers._armijo, solvers._cg
 
     def counting_armijo(trial, *args):
         def counted(step):
@@ -794,24 +832,67 @@ def test_report_counts_linesearch_trials_and_inner_cg_steps(monkeypatch):
             return trial(step)
         return armijo(counted, *args)
 
-    def counting_inner_cg(matvec, *args):
+    def counting_cg(normal, *args):
         def counted(v):
-            seen["matvecs"] += 1
-            return matvec(v)
-        seen["cg_calls"] += 1
-        return inner_cg(counted, *args)
+            seen["normals"] += 1
+            return normal(v)
+        return cg(counted, *args)
 
     monkeypatch.setattr(solvers, "_armijo", counting_armijo)
-    monkeypatch.setattr(solvers, "_inner_cg", counting_inner_cg)
+    monkeypatch.setattr(solvers, "_cg", counting_cg)
     for name in names:
-        seen.update(trials=0, matvecs=0, cg_calls=0)
+        seen.update(trials=0, normals=0)
         rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
         assert np.array_equal(rep.image.data, plain[name].image.data), name
         assert rep.linesearch_trials == plain[name].linesearch_trials == seen["trials"]
         assert rep.inner_cg_steps == plain[name].inner_cg_steps == (
-            seen["matvecs"] - seen["cg_calls"])
+            seen["normals"] if name in ALM else 0)
     assert plain["poisson"].linesearch_trials >= plain["poisson"].iterations == 7
     assert plain["cs-dct"].inner_cg_steps > 0 and plain["cs-tv"].inner_cg_steps > 0
+
+
+def test_cgd_and_alm_run_the_one_cg_loop(monkeypatch):
+    """cgd_solve runs one _cg for its whole solve and alm_solve one per outer
+    iteration; no other solver runs it, and iterates are unchanged."""
+    ps = generate_patterns(24, 4, 4, seed=41)
+    meas = synthesize(ps, builtin_scene("blocks", 4, 4))
+    budget = StopCriteria(residual_change_threshold=0.0, min_iterations=7,
+                          max_iterations_factor=0.0)
+    plain = {name: solve(ps, meas, 4, 4, stop=budget) for name, solve in solver_registry()}
+    cg, runs = solvers._cg, []
+
+    def traced(*args):
+        runs.append(1)
+        return cg(*args)
+
+    monkeypatch.setattr(solvers, "_cg", traced)
+    for name, ref in plain.items():
+        runs.clear()
+        rep = get_solver(name)(ps, meas, 4, 4, stop=budget)
+        assert np.array_equal(rep.image.data, ref.image.data), name
+        assert rep.trace == ref.trace, name
+        expected = {"cgd": 1, "cs-dct": rep.iterations, "cs-tv": rep.iterations}
+        assert len(runs) == expected.get(name, 0), name
+    assert not hasattr(solvers, "_inner_cg")
+
+
+def test_alm_cg_on_an_indefinite_system_is_a_numerical_failure():
+    """Patterns scaled so that ||Ap|| < ||p||, with a prior whose adjoint
+    negates, make P^T P + A^T A negative definite while mu A^T b != 0: the
+    shared CG refuses its first step."""
+    ps = PatternSet(generate_patterns(24, 4, 4, seed=41).rows * 1e-3)
+    meas = synthesize(ps, builtin_scene("blocks", 4, 4))
+    prior = LinearOperator(apply=lambda v: np.array(v), apply_transpose=lambda v: -v,
+                           in_dim=16, out_dim=16)
+    with pytest.raises(NumericalFailureError, match="CG step 1: G is not positive definite"):
+        alm_solve(ps, meas, prior, 4, 4)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
+def test_no_measurements_no_image(name):
+    """With m = 0 every solver refuses: no measurement supports an image."""
+    with pytest.raises(InvalidArgumentError, match="m = 0"):
+        get_solver(name)(PatternSet(np.empty((0, 16))), MeasurementSet(np.empty(0)), 4, 4)
 
 
 @pytest.mark.parametrize("name, helper, public", [
