@@ -1,6 +1,9 @@
 """Persistence: PGM images, binary pattern/measurement bundles, result CSVs.
 
-Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.
+Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.  A
+P2 raster that declares more pixels than the rest of the file can hold is
+refused before anything is allocated, so reading a PGM allocates a fixed
+multiple of its file size at most.
 
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
 (1 = patterns, 2 = measurements), u32 m, u32 n, u64 seed, then for
@@ -13,12 +16,14 @@ at 13).  The writer refuses a seed outside [0, 2**64) rather than record
 a different one.  A bundle path must be a regular file.  The reader parses
 the fixed header, checks the payload length it declares against the file
 size before allocating anything, and then reads the payload straight
-into the array it returns, so reading holds one copy of the payload; the
-writer writes the array's own buffer, with no intermediate bytes copy.
+into the array it returns, in its final shape, so reading holds one copy
+of the payload; the writer writes the array's own buffer.  A payload
+value the model refuses is a FormatError at that value's offset.
 """
 
 import csv
 import os
+import re
 import stat
 import struct
 from dataclasses import dataclass
@@ -51,46 +56,30 @@ _FIXED = struct.calcsize("<BIIQ")  # kind, m, n, seed
 # ------------------------------------------------------------------------ PGM
 
 
-def _pgm_tokens(data: bytes):
-    """Yield (token, byte_offset) for the ASCII header part, skipping comments."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            start = i
-            while i < len(data) and not data[i : i + 1].isspace():
-                i += 1
-            yield data[start:i], start, i
+# a comment (# to the end of the line) or a token (group 1), which may hold a #
+_PGM_TOKEN = re.compile(rb"#[^\n]*|([^#\s]\S*)")
 
 
 def read_image(path) -> Image:
     """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255 into [0, 1]."""
     with open(path, "rb") as f:
         data = f.read()
-    tokens = _pgm_tokens(data)
+    tokens = (t for t in _PGM_TOKEN.finditer(data) if t.lastindex)
 
-    def next_token(what):
-        try:
-            return next(tokens)
-        except StopIteration:
+    def next_field(what, parse=int):
+        t = next(tokens, None)
+        if t is None:
             raise FormatError(f"truncated header: missing {what}", offset=len(data))
-
-    magic, off, _ = next_token("magic")
-    if magic not in (b"P2", b"P5"):
-        raise FormatError(f"not a PGM file (magic {magic!r})", offset=off)
-    fields = []
-    for what in ("width", "height", "maxval"):
-        tok, off, end = next_token(what)
         try:
-            fields.append(int(tok))
+            return parse(t[0]), t
         except ValueError:
-            raise FormatError(f"bad {what} {tok!r}", offset=off)
-    width, height, maxval = fields
+            raise FormatError(f"bad {what} {t[0]!r}", offset=t.start())
+
+    magic, tok = next_field("magic", bytes)
+    if magic not in (b"P2", b"P5"):
+        raise FormatError(f"not a PGM file (magic {magic!r})", offset=tok.start())
+    (width, _), (height, _), (maxval, tok) = map(next_field, ("width", "height", "maxval"))
+    off, end = tok.span()
     if width < 1 or height < 1:
         raise FormatError("non-positive dimensions", offset=off)
     if maxval != 255:
@@ -98,24 +87,20 @@ def read_image(path) -> Image:
     count = width * height
 
     if magic == b"P5":
-        payload_start = end + 1  # single whitespace byte after maxval
-        payload = data[payload_start : payload_start + count]
-        if len(payload) < count:
-            raise FormatError(
-                f"truncated payload: expected {count} bytes, got {len(payload)}",
-                offset=len(data),
-            )
-        values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+        got = len(data) - end - 1  # after the single whitespace byte after maxval
+        if got < count:
+            raise FormatError(f"truncated payload: expected {count} bytes, got {max(got, 0)}",
+                              offset=len(data))
+        values = np.frombuffer(data, np.uint8, count, end + 1)
     else:
+        if 2 * count > len(data) - end:  # a digit and a separator per pixel
+            raise FormatError(f"truncated raster: {count} pixels need {2 * count} "
+                              f"bytes after maxval, got {len(data) - end}", offset=len(data))
         values = np.empty(count)
         for idx in range(count):
-            tok, off, end = next_token(f"pixel {idx}")
-            try:
-                v = int(tok)
-            except ValueError:
-                raise FormatError(f"bad pixel value {tok!r}", offset=off)
+            v, tok = next_field(f"pixel {idx}")
             if not 0 <= v <= 255:
-                raise FormatError(f"pixel value {v} out of range", offset=off)
+                raise FormatError(f"pixel value {v} out of range", offset=tok.start())
             values[idx] = v
     return Image(width=width, height=height, data=values / 255.0)
 
@@ -170,7 +155,8 @@ def write_bundle(header: BundleHeader, payload: np.ndarray, path) -> None:
 
 
 def read_bundle(path):
-    """Returns (BundleHeader, payload ndarray); bit-exact inverse of write."""
+    """Returns (BundleHeader, payload ndarray of shape (m, n) for patterns,
+    (m,) for measurements); bit-exact inverse of write."""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         if not stat.S_ISREG(st.st_mode):
@@ -204,7 +190,7 @@ def read_bundle(path):
                 f"payload length mismatch: expected {expected} bytes, got {actual}",
                 offset=offset,
             )
-        payload = np.empty(header.payload_count, dtype="<f8")
+        payload = np.empty((m, n) if header.kind == "patterns" else m, dtype="<f8")
         got = f.readinto(memoryview(payload).cast("B"))
         if got != expected:  # the file shrank after fstat
             raise FormatError(
@@ -223,8 +209,12 @@ def write_patterns(patterns: PatternSet, path) -> None:
 def read_patterns(path) -> PatternSet:
     header, payload = read_bundle(path)
     if header.kind != "patterns":
-        raise FormatError(f"expected a patterns bundle, got {header.kind}")
-    return PatternSet(payload.reshape(header.m, header.n), seed=header.seed)
+        raise FormatError(f"expected a patterns bundle, got {header.kind}", offset=8)
+    try:
+        return PatternSet(payload, seed=header.seed)
+    except InvalidArgumentError as exc:  # at the first negative or non-finite entry
+        bad = ~(payload >= 0) | (payload == np.inf)
+        raise FormatError(str(exc), offset=25 + 8 * int(bad.argmax())) from None
 
 
 def write_measurements(meas: MeasurementSet, n: int, path) -> None:
@@ -237,9 +227,13 @@ def read_measurements(path):
     """Returns (MeasurementSet, n)."""
     header, payload = read_bundle(path)
     if header.kind != "measurements":
-        raise FormatError(f"expected a measurements bundle, got {header.kind}")
-    meas = MeasurementSet(values=payload, noise_sigma=header.sigma,
-                          noise_seed=header.seed)
+        raise FormatError(f"expected a measurements bundle, got {header.kind}", offset=8)
+    try:
+        meas = MeasurementSet(values=payload, noise_sigma=header.sigma,
+                              noise_seed=header.seed)
+    except InvalidArgumentError as exc:  # at the first non-finite value, else at sigma
+        bad = ~np.isfinite(payload)
+        raise FormatError(str(exc), offset=33 + 8 * int(bad.argmax()) if bad.any() else 25) from None
     return meas, header.n
 
 

@@ -5,6 +5,11 @@ rows of a matrix A, giving scalar detector readings b = A x.  Gaussian
 noise can be added to the readings afterwards.  All randomness goes
 through numpy's PCG64 generator so a (seed, distribution, shape) triple
 reproduces streams bit-identically on any platform.
+
+Image, PatternSet and MeasurementSet take over a C-contiguous float64 array
+that owns its memory: once it passes their checks it is made read-only in
+place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
+before the hand-over stay writable).  Any other input is copied.
 """
 
 from dataclasses import dataclass, field
@@ -27,10 +32,12 @@ __all__ = [
 _BINARY_BLOCK = 1 << 15  # entries per int64 draw of a binary pattern block
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+def _intake(a) -> np.ndarray:
+    """``a`` itself if the intake rule takes it over, else a copy."""
+    a = np.asarray(a)
+    if a.flags.owndata and a.flags.c_contiguous and a.dtype == np.float64:
+        return a
+    return np.array(a, dtype=np.float64, order="C")
 
 
 @dataclass
@@ -47,22 +54,17 @@ class Image:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidArgumentError("image dimensions must be positive")
-        self.data = _readonly(np.asarray(self.data).ravel())
-        if self.data.size != self.width * self.height:
-            raise InvalidArgumentError(
-                f"data length {self.data.size} != {self.width}x{self.height}"
-            )
-
-    def as_array(self) -> np.ndarray:
-        """View as a (height, width) 2D array."""
-        return self.data.reshape(self.height, self.width)
+        data = _intake(self.data)
+        if data.size != self.width * self.height:
+            raise InvalidArgumentError(f"data length {data.size} != {self.width}x{self.height}")
+        data.setflags(write=False)
+        self.data = data.ravel()
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "Image":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2:
+        if np.ndim(a) != 2:
             raise InvalidArgumentError("expected a 2D array")
-        return cls(width=a.shape[1], height=a.shape[0], data=a.ravel())
+        return cls(width=np.shape(a)[1], height=np.shape(a)[0], data=a)
 
 
 @dataclass
@@ -82,12 +84,13 @@ class PatternSet:
     seed: int = 0
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = _intake(self.rows)
         if rows.ndim != 2:
             raise InvalidArgumentError("pattern matrix must be 2D")
-        self.rows = _readonly(rows.view())  # a view: the caller's array stays writable
-        if self.rows.size and not (self.rows.min() >= 0 and np.isfinite(self.rows.max())):
+        if rows.size and not (rows.min() >= 0 and np.isfinite(rows.max())):
             raise InvalidArgumentError("pattern entries must be finite and >= 0")
+        rows.setflags(write=False)
+        self.rows = rows
 
     @property
     def m(self) -> int:
@@ -111,11 +114,13 @@ class MeasurementSet:
     noise_seed: int = 0
 
     def __post_init__(self):
-        self.values = _readonly(np.asarray(self.values).ravel())
-        if not np.all(np.isfinite(self.values)):
+        values = _intake(self.values)
+        if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("measurements must be finite")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # false for NaN
             raise InvalidArgumentError("noise_sigma must be >= 0")
+        values.setflags(write=False)
+        self.values = values.ravel()
 
     @property
     def m(self) -> int:

@@ -90,6 +90,7 @@ def test_model_public_names():
         "add_noise",
     ]
     assert not hasattr(spi_recon, "vectorize") and not hasattr(spi_recon, "devectorize")
+    assert not hasattr(model.Image, "as_array")
 
 
 def test_pattern_set_fields():

@@ -240,6 +240,39 @@ def test_bundle_with_no_rows_or_no_pixels_is_runtime_error(tmp_path, capsys, kin
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, index, value, command", [
+    ("patterns", 5, -1.0, "simulate"),
+    ("patterns", 0, np.inf, "reconstruct"),
+    ("measurements", 2, np.nan, "reconstruct"),
+])
+def test_a_bad_payload_value_is_a_data_error(tmp_path, capsys, kind, index, value,
+                                             command):
+    """A bundle value the model refuses exits 2 at its byte offset, with no
+    traceback and no output written."""
+    paths = {"patterns": tmp_path / "pat.spib", "measurements": tmp_path / "meas.spib"}
+    scene, out = tmp_path / "scene.pgm", tmp_path / "out"
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4",
+          "--out", str(paths["patterns"])])
+    main(["simulate", "--patterns", str(paths["patterns"]), "--scene", str(scene),
+          "--out", str(paths["measurements"])])
+    offset = {"patterns": 25, "measurements": 33}[kind] + 8 * index
+    data = bytearray(paths[kind].read_bytes())
+    data[offset:offset + 8] = struct.pack("<d", value)
+    paths[kind].write_bytes(data)
+    argv = {"simulate": ["simulate", "--patterns", str(paths["patterns"]),
+                         "--scene", str(scene), "--out", str(out)],
+            "reconstruct": ["reconstruct", "--solver", "dgi",
+                            "--patterns", str(paths["patterns"]),
+                            "--measurements", str(paths["measurements"]),
+                            "--out", str(out)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Traceback" not in err
+    assert f"(byte offset {offset})" in err
+    assert not out.exists()
+
+
 def test_unaddressable_gen_patterns_is_usage_error(tmp_path, capsys):
     out = tmp_path / "pat.spib"
     tracemalloc.start()

@@ -221,6 +221,48 @@ def test_bundle_declaring_a_huge_payload_allocates_nothing(tmp_path):
     assert traced_peak(read) < 2**20
 
 
+def test_p2_declaring_more_pixels_than_the_file_holds_allocates_nothing(tmp_path):
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P2\n20000 20000\n255\n0 1\n")
+
+    def read():
+        with pytest.raises(FormatError, match="truncated raster") as info:
+            read_image(path)
+        assert info.value.offset == 23
+
+    assert traced_peak(read) < 2**20
+
+
+def test_patterns_are_read_in_their_final_shape_and_taken_over(tmp_path):
+    path = tmp_path / "pat.spib"
+    write_patterns(generate_patterns(3, 2, 2), path)
+    _, payload = read_bundle(path)
+    assert payload.shape == (3, 4) and payload.flags.owndata
+    rows = read_patterns(path).rows
+    assert rows.flags.owndata and not rows.flags.writeable
+
+
+@pytest.mark.parametrize("reader, kind", [(read_patterns, "measurements"),
+                                          (read_measurements, "patterns")])
+def test_a_bundle_of_the_other_kind_is_refused_at_the_kind_byte(reader, kind, tmp_path):
+    path = tmp_path / "bundle.spib"
+    path.write_bytes(bundle_bytes(kind, tmp_path))
+    with pytest.raises(FormatError, match=f"got {kind}") as info:
+        reader(path)
+    assert info.value.offset == 8
+
+
+@pytest.mark.parametrize("sigma", [-0.5, np.nan])
+def test_a_negative_or_nan_noise_sigma_is_refused_at_its_offset(sigma, tmp_path):
+    data = bytearray(bundle_bytes("measurements", tmp_path))
+    data[25:33] = struct.pack("<d", sigma)
+    path = tmp_path / "meas.spib"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="noise_sigma") as info:
+        read_measurements(path)
+    assert info.value.offset == 25
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_bundle_path_must_be_a_regular_file(tmp_path):
     path = tmp_path / "pipe.spib"

@@ -92,11 +92,47 @@ def test_patterns_must_be_a_matrix(shape):
         PatternSet(np.ones(shape))
 
 
-def test_patterns_leave_the_callers_array_writable():
-    A = np.ones((2, 3))
-    ps = PatternSet(A)
-    assert A.flags.writeable and not ps.rows.flags.writeable
-    assert np.shares_memory(A, ps.rows)
+# each model object's intake: how it is built from an array, and what it holds
+INTAKES = {
+    "patterns": (lambda a: PatternSet(a).rows, (2, 3)),
+    "measurements": (lambda a: MeasurementSet(values=a).values, (6,)),
+    "image": (lambda a: Image(3, 2, a).data, (6,)),
+}
+
+
+@pytest.mark.parametrize("make, shape", INTAKES.values(), ids=INTAKES)
+def test_an_owned_float64_array_is_taken_over(make, shape):
+    a = np.ones(shape)
+    held = make(a)
+    assert np.shares_memory(a, held)
+    assert not a.flags.writeable and not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = np.nan
+    assert np.all(held == 1.0)
+
+
+@pytest.mark.parametrize("make, shape", INTAKES.values(), ids=INTAKES)
+def test_a_view_is_copied_and_stays_writable(make, shape):
+    base = np.ones((2, *shape))
+    held = make(base[1])
+    assert not np.shares_memory(base, held) and base.flags.writeable
+    base[1] = -1.0
+    assert np.all(held == 1.0)
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3), np.float32), np.ones((2, 3), order="F")],
+                         ids=["float32", "fortran"])
+def test_another_dtype_or_layout_is_copied(a):
+    rows = PatternSet(a).rows
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert not np.shares_memory(a, rows) and a.flags.writeable
+
+
+def test_a_refused_array_stays_writable():
+    A = -np.ones((2, 3))
+    with pytest.raises(InvalidArgumentError):
+        PatternSet(A)
+    assert A.flags.writeable
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
