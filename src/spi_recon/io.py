@@ -3,7 +3,9 @@
 Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.  A
 P2 raster that declares more pixels than the rest of the file can hold is
 refused before anything is allocated, so reading a PGM allocates a fixed
-multiple of its file size at most.
+multiple of its file size at most.  Data past the declared raster is
+refused too, at the offset of its first byte (P5) or token (P2); only
+whitespace and comments may follow a P2 raster.
 
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
 (1 = patterns, 2 = measurements), u32 m, u32 n, u64 seed, then for
@@ -91,6 +93,9 @@ def read_image(path) -> Image:
         if got < count:
             raise FormatError(f"truncated payload: expected {count} bytes, got {max(got, 0)}",
                               offset=len(data))
+        if got > count:
+            raise FormatError(f"{got - count} bytes past the {count}-byte raster",
+                              offset=end + 1 + count)
         values = np.frombuffer(data, np.uint8, count, end + 1)
     else:
         if 2 * count > len(data) - end:  # a digit and a separator per pixel
@@ -102,6 +107,10 @@ def read_image(path) -> Image:
             if not 0 <= v <= 255:
                 raise FormatError(f"pixel value {v} out of range", offset=tok.start())
             values[idx] = v
+        extra = next(tokens, None)
+        if extra is not None:
+            raise FormatError(f"data past the {count}-pixel raster: {extra[0]!r}",
+                              offset=extra.start())
     return Image(width=width, height=height, data=values / 255.0)
 
 

@@ -76,9 +76,22 @@ def test_pgm_truncated_payload(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("data, offset", [
+    (b"P5\n2 2\n255\n" + bytes(8), 15),       # the first byte past the 4-pixel raster
+    (b"P2\n2 1\n255\n1 2 3 4\n", 15),         # the token "3"
+    (b"P2\n2 1\n255\n1 2 # end\n9\n", 21),   # a token after a comment
+])
+def test_pgm_data_past_the_raster_is_refused_at_its_offset(tmp_path, data, offset):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="past the") as info:
+        read_image(path)
+    assert info.value.offset == offset
+
+
 def test_pgm_comments_are_skipped(tmp_path):
     path = tmp_path / "c.pgm"
-    path.write_bytes(b"P2\n# a comment\n2 1\n255\n0 255\n")
+    path.write_bytes(b"P2\n# a comment\n2 1\n255\n0 255\n# after the raster\n \n")
     img = read_image(path)
     assert np.array_equal(img.data, [0.0, 1.0])
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spi_recon.errors import InvalidArgumentError
 from spi_recon.transforms import (
@@ -95,6 +97,47 @@ def test_dct_adjoint_identity():
         lhs = op.apply(u) @ v
         rhs = u @ op.apply_transpose(v)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+ORACLE_SHAPES = ([(n, 3) for n in range(1, 71)] + [(4, n) for n in range(1, 71)]
+                 + [(13, 17), (96, 96), (160, 160), (257, 2), (2, 311)])
+
+
+@pytest.mark.parametrize("height, width", ORACLE_SHAPES)
+def test_dct_is_bit_identical_to_scipy(height, width):
+    """apply/apply_transpose equal scipy.fft.dctn/idctn(norm="ortho") byte for
+    byte, signed zeros included, for lengths of both parities along either
+    axis and two large primes."""
+    sfft = pytest.importorskip("scipy.fft")
+    rng = np.random.default_rng(height * 1000 + width)
+    img = rng.standard_normal((height, width))
+    img[rng.random(img.shape) < 0.2] = -0.0
+    img[rng.random(img.shape) < 0.1] = 0.0
+    op = dct_operator(width, height)
+    for got, want in [(op.apply(img.ravel()), sfft.dctn(img, type=2, norm="ortho")),
+                      (op.apply_transpose(img.ravel()), sfft.idctn(img, type=2, norm="ortho"))]:
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0])
+def test_dct_of_a_zero_image_keeps_scipys_signed_zeros(value):
+    sfft = pytest.importorskip("scipy.fft")
+    img = np.full((6, 5), value)
+    op = dct_operator(5, 6)
+    assert op.apply(img.ravel()).tobytes() == sfft.dctn(img, norm="ortho").tobytes()
+    assert op.apply_transpose(img.ravel()).tobytes() == sfft.idctn(img, norm="ortho").tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["dct", "gradient"]), width=st.integers(2, 24),
+       height=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
+def test_adjoint_identity_over_shapes(kind, width, height, seed):
+    """<apply(u), v> == <u, apply_transpose(v)> up to round-off."""
+    op = (dct_operator if kind == "dct" else gradient_operator)(width, height)
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
+    lhs, rhs = op.apply(u) @ v, u @ op.apply_transpose(v)
+    assert abs(lhs - rhs) <= 1e-13 * op.out_dim * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def test_gradient_rejects_small_dims():
