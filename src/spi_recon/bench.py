@@ -119,6 +119,8 @@ def run_cell(
     width, height = truth.width, truth.height
     n = width * height
     noise = NoiseModel(level=noise_level, pixel_count=n)
+    if not np.isfinite(ratio * n):  # int() of an infinite count raises OverflowError
+        raise InvalidArgumentError(f"ratio {ratio} x {n} pixels overflows the measurement count")
     m = int(round(ratio * n))
     size = f"{width}x{height}"
     pattern_seed = stable_seed(base_seed, "patterns", scene, ratio, size, repeat)

@@ -19,7 +19,7 @@ from .errors import (
     UnknownSolverError,
 )
 from .metrics import normalized_rmse
-from .model import NoiseModel, add_noise, generate_patterns, synthesize
+from .model import NoiseModel, _check_seed, add_noise, generate_patterns, synthesize
 from .solvers import StopCriteria, get_solver
 
 __all__ = ["main"]
@@ -59,9 +59,9 @@ def _build_parser() -> _Parser:
     r.add_argument("--measurements", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--trace", default=None)
-    r.add_argument("--threshold", type=float, default=1e-2)
-    r.add_argument("--min-iter", type=int, default=30)
-    r.add_argument("--max-iter-factor", type=float, default=3.0)
+    r.add_argument("--threshold", type=float, default=StopCriteria.residual_change_threshold)
+    r.add_argument("--min-iter", type=int, default=StopCriteria.min_iterations)
+    r.add_argument("--max-iter-factor", type=float, default=StopCriteria.max_iterations_factor)
 
     b = sub.add_parser("benchmark", help="run a sweep described by a config file")
     b.add_argument("--config", required=True)
@@ -88,6 +88,7 @@ def _run(args) -> int:
                                      args.dist, seed=args.seed)
         spio.write_patterns(patterns, args.out)
     elif args.command == "simulate":
+        _check_seed(args.seed)  # at zero noise too, where add_noise is not called
         patterns = spio.read_patterns(args.patterns)
         scene = spio.read_image(args.scene)
         noise = NoiseModel(level=args.noise_level, pixel_count=patterns.n)
@@ -116,8 +117,12 @@ def _run(args) -> int:
                 for k, rnorm, obj in report.trace:
                     w.writerow([k, f"{rnorm:.9g}", f"{obj:.9g}"])
     elif args.command == "benchmark":
-        with open(args.config) as f:
-            spec = bench.parse_sweep_config(f.read())
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"config {args.config} is not UTF-8: {exc}") from None
+        spec = bench.parse_sweep_config(text)
         if args.desk:
             spec = bench.desk_preset(spec)
         rows = bench.run_sweep(spec)

@@ -8,9 +8,11 @@ refused too, at the offset of its first byte (P5) or token (P2); only
 whitespace and comments may follow a P2 raster.
 
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
-(1 = patterns, 2 = measurements), u32 m, u32 n, u64 seed, then for
-measurement bundles one f64 sigma, followed by the float64 payload
-(m*n values row-major for patterns, m values for measurements).
+(1 = patterns A, 2 = measurements b), u32 m, u32 n, u64 seed, then for
+measurement bundles one f64 sigma, so the header is 25 or 33 bytes,
+followed by the float64 payload (m*n values row-major for patterns, m
+values for measurements).  Each kind has its own writer and reader, and
+a reader refuses the other kind at the kind byte (offset 8).
 
 m and n must be at least 1: the writer refuses m = 0 or n = 0, and the
 reader reports either as a FormatError at the field's offset (m at 9, n
@@ -24,11 +26,11 @@ value the model refuses is a FormatError at that value's offset.
 """
 
 import csv
+import math
 import os
 import re
 import stat
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +38,8 @@ from .errors import FormatError, InvalidArgumentError
 from .model import Image, MeasurementSet, PatternSet, _check_seed
 
 __all__ = [
-    "BundleHeader",
     "read_image",
     "write_image",
-    "read_bundle",
-    "write_bundle",
     "write_patterns",
     "read_patterns",
     "write_measurements",
@@ -50,9 +49,6 @@ __all__ = [
 ]
 
 MAGIC = b"SPIBNDL1"
-_KIND_CODE = {"patterns": 1, "measurements": 2}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
-_FIXED = struct.calcsize("<BIIQ")  # kind, m, n, seed
 
 
 # ------------------------------------------------------------------------ PGM
@@ -126,124 +122,93 @@ def write_image(img: Image, path) -> None:
 # -------------------------------------------------------------------- bundles
 
 
-@dataclass
-class BundleHeader:
-    kind: str  # "patterns" | "measurements"
-    m: int
-    n: int
-    seed: int
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KIND_CODE:
-            raise InvalidArgumentError(f"unknown bundle kind {self.kind!r}")
-
-    @property
-    def payload_count(self) -> int:
-        return self.m * self.n if self.kind == "patterns" else self.m
+# kind -> (kind byte, header layout)
+_BUNDLES = {"patterns": (1, struct.Struct("<8sBIIQ")),
+            "measurements": (2, struct.Struct("<8sBIIQd"))}
 
 
-def write_bundle(header: BundleHeader, payload: np.ndarray, path) -> None:
-    if header.m < 1 or header.n < 1:
-        raise InvalidArgumentError(
-            f"a bundle needs m >= 1 and n >= 1, got m={header.m}, n={header.n}"
-        )
-    _check_seed(header.seed)
-    payload = np.ascontiguousarray(payload, dtype="<f8").ravel()
-    if payload.size != header.payload_count:
-        raise InvalidArgumentError(
-            f"payload has {payload.size} values, header declares {header.payload_count}"
-        )
+def _save_bundle(path, kind, payload, n, seed, *sigma) -> None:
+    """Write a bundle of m = len(payload) rows; sigma for measurements only."""
+    m = len(payload)
+    if m < 1 or n < 1:
+        raise InvalidArgumentError(f"a bundle needs m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_seed(seed)
+    code, header = _BUNDLES[kind]
+    payload = np.ascontiguousarray(payload, dtype="<f8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<BIIQ", _KIND_CODE[header.kind], header.m, header.n,
-                            header.seed))
-        if header.kind == "measurements":
-            f.write(struct.pack("<d", header.sigma))
+        f.write(header.pack(MAGIC, code, m, n, seed, *sigma))
         f.write(memoryview(payload).cast("B"))
 
 
-def read_bundle(path):
-    """Returns (BundleHeader, payload ndarray of shape (m, n) for patterns,
-    (m,) for measurements); bit-exact inverse of write."""
+def _load_bundle(path, kind):
+    """(payload, n, seed[, sigma]) of a bundle of the given kind, the payload
+    read straight into its final shape: (m, n) for patterns, (m,) for
+    measurements."""
+    code, header = _BUNDLES[kind]
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         if not stat.S_ISREG(st.st_mode):
             raise FormatError("not a regular file", offset=0)
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}", offset=0)
-        fixed = f.read(_FIXED)
-        offset = 8 + len(fixed)
-        if len(fixed) < _FIXED:
-            raise FormatError("truncated header", offset=offset)
-        code, m, n, seed = struct.unpack("<BIIQ", fixed)
-        if code not in _KIND_NAME:
-            raise FormatError(f"unknown kind byte {code}", offset=8)
+        head = f.read(header.size)
+        if head[:8] != MAGIC:
+            raise FormatError(f"bad magic {head[:8]!r}", offset=0)
+        if len(head) < header.size:
+            raise FormatError("truncated header", offset=len(head))
+        _, found, m, n, seed, *sigma = header.unpack(head)
+        if found != code:
+            name = {c: k for k, (c, _) in _BUNDLES.items()}.get(found, f"kind byte {found}")
+            raise FormatError(f"expected a {kind} bundle, got {name}", offset=8)
         for field, value, at in (("m", m, 9), ("n", n, 13)):
             if value == 0:
                 raise FormatError(f"{field} is 0: a bundle needs m >= 1 and n >= 1",
                                   offset=at)
-        sigma = 0.0
-        if _KIND_NAME[code] == "measurements":
-            raw = f.read(8)
-            offset += len(raw)
-            if len(raw) < 8:
-                raise FormatError("truncated header (sigma)", offset=offset)
-            (sigma,) = struct.unpack("<d", raw)
-        header = BundleHeader(kind=_KIND_NAME[code], m=m, n=n, seed=seed, sigma=sigma)
-        expected = header.payload_count * 8
-        actual = st.st_size - offset
+        shape = (m, n) if kind == "patterns" else (m,)
+        expected = 8 * math.prod(shape)
+        actual = st.st_size - header.size
         if actual != expected:
             raise FormatError(
                 f"payload length mismatch: expected {expected} bytes, got {actual}",
-                offset=offset,
+                offset=header.size,
             )
-        payload = np.empty((m, n) if header.kind == "patterns" else m, dtype="<f8")
+        payload = np.empty(shape, dtype="<f8")
         got = f.readinto(memoryview(payload).cast("B"))
         if got != expected:  # the file shrank after fstat
             raise FormatError(
                 f"truncated payload: expected {expected} bytes, got {got}",
-                offset=offset + got,
+                offset=header.size + got,
             )
-    return header, payload
+    return payload, n, seed, *sigma
 
 
 def write_patterns(patterns: PatternSet, path) -> None:
-    header = BundleHeader(kind="patterns", m=patterns.m, n=patterns.n,
-                          seed=patterns.seed)
-    write_bundle(header, patterns.rows, path)
+    _save_bundle(path, "patterns", patterns.rows, patterns.n, patterns.seed)
 
 
 def read_patterns(path) -> PatternSet:
-    header, payload = read_bundle(path)
-    if header.kind != "patterns":
-        raise FormatError(f"expected a patterns bundle, got {header.kind}", offset=8)
+    rows, _, seed = _load_bundle(path, "patterns")
     try:
-        return PatternSet(payload, seed=header.seed)
+        return PatternSet(rows, seed=seed)
     except InvalidArgumentError as exc:  # at the first negative or non-finite entry
-        bad = ~(payload >= 0) | (payload == np.inf)
-        raise FormatError(str(exc), offset=25 + 8 * int(bad.argmax())) from None
+        bad = ~(rows >= 0) | (rows == np.inf)
+        start = _BUNDLES["patterns"][1].size
+        raise FormatError(str(exc), offset=start + 8 * int(bad.argmax())) from None
 
 
 def write_measurements(meas: MeasurementSet, n: int, path) -> None:
-    header = BundleHeader(kind="measurements", m=meas.m, n=n,
-                          seed=meas.noise_seed, sigma=meas.noise_sigma)
-    write_bundle(header, meas.values, path)
+    _save_bundle(path, "measurements", meas.values, n, meas.noise_seed, meas.noise_sigma)
 
 
 def read_measurements(path):
     """Returns (MeasurementSet, n)."""
-    header, payload = read_bundle(path)
-    if header.kind != "measurements":
-        raise FormatError(f"expected a measurements bundle, got {header.kind}", offset=8)
+    values, n, seed, sigma = _load_bundle(path, "measurements")
     try:
-        meas = MeasurementSet(values=payload, noise_sigma=header.sigma,
-                              noise_seed=header.seed)
+        meas = MeasurementSet(values=values, noise_sigma=sigma, noise_seed=seed)
     except InvalidArgumentError as exc:  # at the first non-finite value, else at sigma
-        bad = ~np.isfinite(payload)
-        raise FormatError(str(exc), offset=33 + 8 * int(bad.argmax()) if bad.any() else 25) from None
-    return meas, header.n
+        bad = ~np.isfinite(values)
+        start = _BUNDLES["measurements"][1].size  # sigma is the 8 bytes before it
+        at = start + 8 * int(bad.argmax()) if bad.any() else start - 8
+        raise FormatError(str(exc), offset=at) from None
+    return meas, n
 
 
 # ------------------------------------------------------------------------ CSV

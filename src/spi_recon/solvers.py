@@ -13,8 +13,8 @@ All iterative solvers share one stopping protocol, held in one place,
 _Run: stop when the change of the measurement residual norm ||b - Ax||
 between consecutive iterations falls below a threshold (default 1e-2),
 with a minimum of 30 iterations and a cap of 3x the pixel count.  _Run
-also owns the dimension check, the timing, the trace, the finiteness
-check and the report.
+also owns the dimension and image-shape checks, made before any
+product, the timing, the trace, the finiteness check and the report.
 
 Products with the m x n pattern matrix A dominate every solve, so each
 loop carries Ax (and A times its search direction) forward instead of
@@ -125,11 +125,12 @@ class SolverReport:
 
 
 class _Run:
-    """One solve's stop protocol: checks that there are measurements and
-    that they agree with the patterns, times the solve, records the trace
-    and decides when to stop."""
+    """One solve's stop protocol: checks that there are measurements, that
+    they agree with the patterns and that the image shape holds the
+    patterns' pixels, all before any product; times the solve, records
+    the trace and decides when to stop."""
 
-    def __init__(self, patterns: PatternSet, meas: MeasurementSet,
+    def __init__(self, patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
                  stop: Optional[StopCriteria] = None):
         if meas.m != patterns.m:
             raise InvalidArgumentError(
@@ -137,6 +138,11 @@ class _Run:
             )
         if patterns.m == 0:
             raise InvalidArgumentError("no measurements (m = 0): nothing to reconstruct from")
+        if width < 1 or height < 1 or width * height != patterns.n:
+            raise InvalidArgumentError(
+                f"image shape {width}x{height} does not hold the {patterns.n} pattern pixels"
+            )
+        self.width, self.height = width, height
         self.stop = stop or StopCriteria()
         self.max_iter = self.stop.max_iterations(patterns.n)
         self.t0 = time.perf_counter()
@@ -158,7 +164,7 @@ class _Run:
             self.terminated_by = "max_iterations"
         return self.terminated_by is not None
 
-    def report(self, x, width, height, rnorm=None, warnings=0, **counts) -> SolverReport:
+    def report(self, x, rnorm=None, warnings=0, **counts) -> SolverReport:
         """A given rnorm marks an exact solve; with no iteration recorded,
         its trace is the single entry (0, rnorm, rnorm^2).  A non-finite
         rnorm is an overflow, never an exact solve."""
@@ -168,7 +174,7 @@ class _Run:
             self.terminated_by = "exact"
             self.trace = self.trace or [(0, rnorm, rnorm**2)]
         return SolverReport(
-            image=Image(width, height, x),
+            image=Image(self.width, self.height, x),
             iterations=self.k,
             wall_time=time.perf_counter() - self.t0,
             trace=self.trace,
@@ -186,7 +192,7 @@ def pinv_solve(
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Dense least squares x = (A^T A)^{-1} A^T b; requires m >= n full rank."""
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A, b = patterns.rows, meas.values
     if patterns.m < patterns.n:
         raise SingularSystemError(
@@ -198,7 +204,7 @@ def pinv_solve(
         raise SingularSystemError(
             f"A^T A condition estimate {cond_normal:.2e} exceeds 1e12"
         )
-    return run.report(x, width, height, rnorm=float(np.linalg.norm(b - A @ x)))
+    return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
 def corr_reconstruct(
@@ -206,10 +212,10 @@ def corr_reconstruct(
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Conventional correlation: x = {b_i a_i} - {b_i}{a_i}."""
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A, b = patterns.rows, meas.values
     x = (b @ A) / patterns.m - b.mean() * A.mean(axis=0)
-    return run.report(x, width, height, rnorm=float(np.linalg.norm(b - A @ x)))
+    return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
 def dgi_reconstruct(
@@ -217,13 +223,13 @@ def dgi_reconstruct(
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Differential correlation: x = {b_i a_i} - ({b_i}/{s_i}) {s_i a_i}."""
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A, b, s = patterns.rows, meas.values, patterns.intensities
     s_mean = s.mean()
     if s_mean == 0:
         raise InvalidArgumentError("all patterns are zero: mean intensity is 0")
     x = (b @ A) / patterns.m - (b.mean() / s_mean) * ((s @ A) / patterns.m)
-    return run.report(x, width, height, rnorm=float(np.linalg.norm(b - A @ x)))
+    return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
 # ------------------------------------------------------------- gradient descent
@@ -267,7 +273,7 @@ def gd_solve(
     Per iteration 2 A + 1 A^T: A^T for the gradient, A p for the step,
     and an exact A x after the step, which the next gradient reuses.
     """
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A, b = patterns.rows, meas.values
     x = np.zeros(patterns.n)
     Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
@@ -281,7 +287,7 @@ def gd_solve(
             r = b - Ax
         rnorm = float(np.linalg.norm(r))
         if run.record(rnorm, rnorm**2):
-            return run.report(x, width, height)
+            return run.report(x)
 
 
 def _cg(normal, x, r):
@@ -328,7 +334,7 @@ def cgd_solve(
     drops below max(1e-12, normal_residual_rtol * ||A^T b||), bypassing
     the minimum iteration count.  The CG loop is _cg, shared with alm_solve.
     """
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A, b = patterns.rows, meas.values
     bp = A.T @ b
     bp_norm = float(np.linalg.norm(bp))
@@ -349,9 +355,9 @@ def cgd_solve(
             res -= alpha * Ap
             rnorm = float(np.linalg.norm(res))
             if run.record(rnorm, rnorm**2):
-                return run.report(x, width, height)
+                return run.report(x)
         if np.sqrt(rr) <= exact_tol:
-            return run.report(x, width, height, rnorm=float(np.linalg.norm(res)))
+            return run.report(x, rnorm=float(np.linalg.norm(res)))
 
 
 # ------------------------------------------------------ Poisson max. likelihood
@@ -443,7 +449,7 @@ def poisson_solve(
     Armijo trial evaluates the likelihood at Ax + step * Ap in O(m);
     a trial with any a_i.x <= 0 is rejected.
     """
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A = patterns.rows
 
     clamped = int(np.count_nonzero(meas.values < 0))
@@ -467,8 +473,7 @@ def poisson_solve(
         rnorm = float(np.linalg.norm(b - Ax))
         obj = objective(Ax)
         if run.record(rnorm, obj):
-            return run.report(x, width, height, warnings=clamped,
-                              linesearch_trials=trials)
+            return run.report(x, warnings=clamped, linesearch_trials=trials)
 
 
 # -------------------------------------------------------- alternating projection
@@ -515,7 +520,7 @@ def ap_solve(
     max(a)^2 computed once, so a sweep allocates nothing per row.  Per
     iteration m row dot products plus 1 A for the residual.
     """
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     A, b, n = patterns.rows, meas.values, patterns.n
     zero_rows = int(np.count_nonzero(patterns.intensities == 0))
     amax = A.max(axis=1, initial=0.0)
@@ -528,7 +533,7 @@ def ap_solve(
             _ap_correct(a, b_i, amax2, x, buf)
         rnorm = float(np.linalg.norm(b - A @ x))
         if run.record(rnorm, rnorm**2):
-            return run.report(x, width, height, warnings=zero_rows * run.k)
+            return run.report(x, warnings=zero_rows * run.k)
 
 
 # --------------------------------------------------------- augmented Lagrangian
@@ -553,7 +558,7 @@ def alm_solve(
     DCT prior for sparse representation, the gradient prior for total
     variation.
     """
-    run = _Run(patterns, meas, stop)
+    run = _Run(patterns, meas, width, height, stop)
     if prior.in_dim != patterns.n:
         raise InvalidArgumentError("prior operator dimension != pixel count")
     A, b = patterns.rows, meas.values
@@ -585,7 +590,7 @@ def alm_solve(
         y2 = y2 + mu * (Ax - b)
         mu = min(ALM_RHO * mu, ALM_MU_MAX)
         if run.record(float(np.linalg.norm(Ax - b)), float(np.abs(Px).sum())):
-            return run.report(x, width, height, inner_cg_steps=cg_steps)
+            return run.report(x, inner_cg_steps=cg_steps)
 
 
 # ---------------------------------------------------------------------- registry

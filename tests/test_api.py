@@ -93,6 +93,21 @@ def test_model_public_names():
     assert not hasattr(model.Image, "as_array")
 
 
+def test_io_public_names():
+    assert io.__all__ == [
+        "read_image",
+        "write_image",
+        "write_patterns",
+        "read_patterns",
+        "write_measurements",
+        "read_measurements",
+        "write_results_csv",
+        "read_results_csv",
+    ]
+    gone = ["BundleHeader", "read_bundle", "write_bundle"]
+    assert [name for name in gone if hasattr(io, name) or hasattr(spi_recon, name)] == []
+
+
 def test_pattern_set_fields():
     assert [f.name for f in dataclasses.fields(model.PatternSet)] == ["rows", "seed"]
     assert not hasattr(model.PatternSet, "from_matrix")

@@ -205,10 +205,11 @@ def test_out_of_range_seed_is_usage_error(tmp_path, capsys, seed):
     assert not out.exists()
     main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
     write_image(builtin_scene("blocks", 4, 4), scene)
-    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
-                 "--noise-level", "1e-3", "--seed", seed, "--out", str(out)]) == 1
-    assert not out.exists()
-    assert capsys.readouterr().err.count("usage error: seed must be in [0, 2**64)") == 2
+    for level in ("1e-3", "0"):  # zero noise draws nothing, but the seed is still checked
+        assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                     "--noise-level", level, "--seed", seed, "--out", str(out)]) == 1
+        assert not out.exists()
+    assert capsys.readouterr().err.count("usage error: seed must be in [0, 2**64)") == 3
 
 
 @pytest.mark.parametrize("kind", ["patterns", "measurements"])
@@ -307,6 +308,22 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
     assert main(["benchmark", "--config", str(cfg), "--out", str(out),
                  "--jobs", "2"]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    # ratio * n is infinite, so no measurement count exists
+    ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1e308\nimage_sizes = 32x32\n",
+     "1e+308 x 1024 pixels overflows"),
+    ("scenes = blocks\nsolvers = dgi\n# caf\xe9 in Latin-1\n".encode("latin-1"),
+     "is not UTF-8"),
+], ids=["overflowing-ratio", "not-utf8"])
+def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    cfg.write_bytes(config.encode() if isinstance(config, str) else config)
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err and "Traceback" not in err
     assert not out.exists()
 
 

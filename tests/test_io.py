@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -11,13 +12,10 @@ from spi_recon.errors import FormatError, InvalidArgumentError
 from spi_recon.io import (
     CSV_COLUMNS,
     MAGIC,
-    BundleHeader,
-    read_bundle,
     read_image,
     read_measurements,
     read_patterns,
     read_results_csv,
-    write_bundle,
     write_image,
     write_measurements,
     write_patterns,
@@ -121,7 +119,7 @@ def test_bundle_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.spib"
     path.write_bytes(b"NOTMAGIC" + bytes(32))
     with pytest.raises(FormatError, match="magic"):
-        read_bundle(path)
+        read_patterns(path)
 
 
 def test_bundle_rejects_truncation(tmp_path):
@@ -131,13 +129,7 @@ def test_bundle_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(FormatError, match="expected"):
-        read_bundle(path)
-
-
-def test_bundle_payload_length_check():
-    with pytest.raises(InvalidArgumentError):
-        write_bundle(BundleHeader(kind="patterns", m=2, n=3, seed=0),
-                     np.zeros(5), "/dev/null")
+        read_patterns(path)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
@@ -154,23 +146,33 @@ def test_bundle_keeps_the_largest_seed(tmp_path):
     assert read_patterns(path).seed == 2**64 - 1
 
 
+READERS = {"patterns": read_patterns, "measurements": read_measurements}
+
+
+def write_zero_bundle(kind, m, n, path):
+    """A bundle of m rows of n pixels, all zero, through the public writer."""
+    if kind == "patterns":
+        write_patterns(PatternSet(np.zeros((m, n))), path)
+    else:
+        write_measurements(MeasurementSet(values=np.zeros(m)), n, path)
+
+
 @pytest.mark.parametrize("kind, code", [("patterns", 1), ("measurements", 2)])
 @pytest.mark.parametrize("field, offset", [("m", 9), ("n", 13)])
 def test_bundle_with_no_rows_or_no_pixels_is_malformed(kind, code, field, offset,
                                                        tmp_path):
     """m = 0 or n = 0: the writer refuses it, and the reader reports the
     field at its byte offset, even when the payload length agrees."""
-    header = BundleHeader(kind=kind, m=3, n=4, seed=0)
-    setattr(header, field, 0)
+    m, n = (0, 4) if field == "m" else (3, 0)
     path = tmp_path / "empty.spib"
     with pytest.raises(InvalidArgumentError, match=f"{field}=0"):
-        write_bundle(header, np.zeros(header.payload_count), path)
+        write_zero_bundle(kind, m, n, path)
     assert not path.exists()
     sigma = struct.pack("<d", 0.0) if kind == "measurements" else b""
-    path.write_bytes(MAGIC + struct.pack("<BIIQ", code, header.m, header.n, 0) + sigma
-                     + bytes(8 * header.payload_count))
+    count = m * n if kind == "patterns" else m
+    path.write_bytes(MAGIC + struct.pack("<BIIQ", code, m, n, 0) + sigma + bytes(8 * count))
     with pytest.raises(FormatError, match=f"{field} is 0") as info:
-        read_bundle(path)
+        READERS[kind](path)
     assert info.value.offset == offset
 
 
@@ -208,8 +210,25 @@ def test_bundle_cut_or_extended_anywhere_is_a_format_error(kind, tmp_path):
     for bad in variants:
         path.write_bytes(bad)
         with pytest.raises(FormatError) as info:
-            read_bundle(path)
+            READERS[kind](path)
         assert info.value.offset == offset_after_cut(kind, len(bad)), len(bad)
+
+
+def test_bundle_bytes_are_pinned(tmp_path):
+    """The layout byte for byte: a patterns bundle with the largest seed and
+    a measurements bundle with its noise sigma."""
+    path = tmp_path / "bundle.spib"
+    write_patterns(PatternSet(np.arange(12.0).reshape(3, 4) / 8, seed=2**64 - 1), path)
+    data = path.read_bytes()
+    assert len(data) == 25 + 8 * 12
+    assert hashlib.sha256(data).hexdigest() == (
+        "da686ca9d85e06c2417bc96157eddeb7b150d3eb8d4fb1ac83cdd64257529629")
+    write_measurements(MeasurementSet(values=np.array([1.5, -0.25, 3.0]), noise_sigma=0.5,
+                                      noise_seed=7), 4, path)
+    data = path.read_bytes()
+    assert len(data) == 33 + 8 * 3
+    assert hashlib.sha256(data).hexdigest() == (
+        "6ea56d51e7ddb03c19a30124caa32db1824930e210e3376f1cb4e60318c5b0e6")
 
 
 def traced_peak(fn):
@@ -228,7 +247,7 @@ def test_bundle_declaring_a_huge_payload_allocates_nothing(tmp_path):
 
     def read():
         with pytest.raises(FormatError, match="payload length mismatch") as info:
-            read_bundle(path)
+            read_patterns(path)
         assert info.value.offset == 25
 
     assert traced_peak(read) < 2**20
@@ -249,10 +268,8 @@ def test_p2_declaring_more_pixels_than_the_file_holds_allocates_nothing(tmp_path
 def test_patterns_are_read_in_their_final_shape_and_taken_over(tmp_path):
     path = tmp_path / "pat.spib"
     write_patterns(generate_patterns(3, 2, 2), path)
-    _, payload = read_bundle(path)
-    assert payload.shape == (3, 4) and payload.flags.owndata
     rows = read_patterns(path).rows
-    assert rows.flags.owndata and not rows.flags.writeable
+    assert rows.shape == (3, 4) and rows.flags.owndata and not rows.flags.writeable
 
 
 @pytest.mark.parametrize("reader, kind", [(read_patterns, "measurements"),
@@ -284,7 +301,7 @@ def test_bundle_path_must_be_a_regular_file(tmp_path):
     fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
     try:
         with pytest.raises(FormatError, match="not a regular file"):
-            read_bundle(path)
+            read_patterns(path)
     finally:
         os.close(fd)
 

@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spi_recon import solvers
 from spi_recon.errors import (
@@ -44,6 +46,7 @@ from spi_recon.solvers import (
 from spi_recon.transforms import LinearOperator, dct_operator, gradient_operator
 
 NO_STOP = StopCriteria(residual_change_threshold=0.0, min_iterations=0)
+EXACT = StopCriteria(residual_change_threshold=0.0)  # iterate until exact or 3n
 
 
 def three_pattern_instance():
@@ -59,6 +62,26 @@ def well_conditioned_square(n, seed, boost=5.0):
 
 
 # -------------------------------------------------------------- non-iterative
+
+
+@pytest.mark.parametrize("name, min_ratio", [("corr", 0), ("cgd", 0), ("pinv", 1.5)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_corr_cgd_and_pinv_are_linear_in_b(name, min_ratio, data):
+    """x(alpha b1 + beta b2) = alpha x(b1) + beta x(b2) up to round-off, on
+    up to 8 x 8 pixels and m up to 2n; cgd runs to its exact stop, and pinv
+    gets m >= 1.5 n so that its system is well posed."""
+    w, h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(max(1, int(np.ceil(min_ratio * w * h))), 2 * w * h))
+    ps = generate_patterns(m, w, h, seed=data.draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b1, b2 = rng.standard_normal((2, m))
+    alpha, beta = data.draw(st.floats(-3, 3)), data.draw(st.floats(-3, 3))
+    solve = get_solver(name)
+    x1, x2, x = (solve(ps, MeasurementSet(values=b), w, h, stop=EXACT).image.data
+                 for b in (b1, b2, alpha * b1 + beta * b2))
+    scale = abs(alpha) * np.linalg.norm(x1) + abs(beta) * np.linalg.norm(x2)
+    np.testing.assert_allclose(x, alpha * x1 + beta * x2, rtol=0, atol=1e-9 * scale + 1e-15)
 
 
 def test_pinv_identity_system():
@@ -633,7 +656,7 @@ def test_overflowed_residual_is_not_an_exact_solve(name):
 @pytest.mark.parametrize("bad", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
 def test_run_record_rejects_non_finite_values(bad):
     ps = generate_patterns(4, 2, 2, seed=46)
-    run = solvers._Run(ps, MeasurementSet(values=np.ones(4)), NO_STOP)
+    run = solvers._Run(ps, MeasurementSet(values=np.ones(4)), 2, 2, NO_STOP)
     assert not run.record(2.0, 4.0)
     assert not run.record(1.0, 1.0)
     with pytest.raises(NumericalFailureError, match="residual diverged") as info:
@@ -644,17 +667,17 @@ def test_run_record_rejects_non_finite_values(bad):
 def test_run_stop_rule():
     ps = generate_patterns(4, 2, 2, seed=47)
     meas = MeasurementSet(values=np.ones(4))
-    run = solvers._Run(ps, meas, StopCriteria(residual_change_threshold=0.5,
-                                              min_iterations=3))
+    run = solvers._Run(ps, meas, 2, 2, StopCriteria(residual_change_threshold=0.5,
+                                                    min_iterations=3))
     # a change below the threshold stops only once min_iterations is reached
     assert [run.record(r, r * r) for r in (3.0, 2.9, 2.8)] == [False, False, True]
     assert run.terminated_by == "residual_change"
-    run = solvers._Run(ps, meas, StopCriteria(residual_change_threshold=0.5))
+    run = solvers._Run(ps, meas, 2, 2, StopCriteria(residual_change_threshold=0.5))
     assert run.max_iter == 30  # the 30-iteration minimum exceeds 3n = 12
     stopped = [run.record(float(k), 0.0) for k in range(1, 31)]
     assert stopped == [False] * 29 + [True] and run.terminated_by == "max_iterations"
     with pytest.raises(InvalidArgumentError, match="measurement count 3 != pattern count 4"):
-        solvers._Run(ps, MeasurementSet(values=np.ones(3)))
+        solvers._Run(ps, MeasurementSet(values=np.ones(3)), 2, 2)
 
 
 def test_reports_are_deterministic():
@@ -893,6 +916,18 @@ def test_no_measurements_no_image(name):
     """With m = 0 every solver refuses: no measurement supports an image."""
     with pytest.raises(InvalidArgumentError, match="m = 0"):
         get_solver(name)(PatternSet(np.empty((0, 16))), MeasurementSet(np.empty(0)), 4, 4)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
+def test_a_wrong_image_shape_is_refused_before_any_product(name):
+    """A width x height that does not hold the n pattern pixels is refused
+    up front, not after a whole solve when the image is built."""
+    ps = generate_patterns(128, 16, 16, seed=48)
+    meas = synthesize(ps, builtin_scene("blocks", 16, 16))
+    products = _count_products(ps)
+    with pytest.raises(InvalidArgumentError, match="10x20 does not hold the 256"):
+        get_solver(name)(ps, meas, 10, 20)
+    assert (products.A, products.AT) == (0, 0)
 
 
 @pytest.mark.parametrize("name, helper, public", [
