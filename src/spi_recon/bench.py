@@ -85,6 +85,16 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest, "little") & (2**63 - 1)
 
 
+def _pattern_count(ratio: float, n: int) -> int:
+    """The m of a cell of n pixels sampled at ratio."""
+    if not np.isfinite(ratio * n):  # int() of an infinite count raises OverflowError
+        raise InvalidArgumentError(f"ratio {ratio} x {n} pixels overflows the measurement count")
+    m = int(round(ratio * n))
+    if m < 1:
+        raise InvalidArgumentError(f"ratio {ratio} gives zero measurements")
+    return m
+
+
 def run_cell(
     scene: str,
     solver: str,
@@ -119,14 +129,10 @@ def run_cell(
     width, height = truth.width, truth.height
     n = width * height
     noise = NoiseModel(level=noise_level, pixel_count=n)
-    if not np.isfinite(ratio * n):  # int() of an infinite count raises OverflowError
-        raise InvalidArgumentError(f"ratio {ratio} x {n} pixels overflows the measurement count")
-    m = int(round(ratio * n))
+    m = _pattern_count(ratio, n)
     size = f"{width}x{height}"
     pattern_seed = stable_seed(base_seed, "patterns", scene, ratio, size, repeat)
     noise_seed = stable_seed(base_seed, "noise", scene, ratio, size, repeat)
-    if m < 1:
-        raise InvalidArgumentError(f"ratio {ratio} gives zero measurements")
 
     patterns = generate_patterns(m, width, height, distribution, seed=pattern_seed)
     meas = synthesize(patterns, truth)
@@ -146,7 +152,15 @@ def run_cell(
 
 
 def run_sweep(spec: SweepSpec, stop: Optional[StopCriteria] = None) -> list:
-    """All cells x repeats, run one after another in grid order."""
+    """All cells x repeats, run one after another in grid order.
+
+    A ratio that gives a builtin scene no measurement count is refused
+    before any cell runs; a PGM scene keeps its own size, so its cells
+    are checked as they run.
+    """
+    if not all(scene.endswith(".pgm") for scene in spec.scenes):
+        for ratio, (w, h) in product(spec.sampling_ratios, spec.image_sizes):
+            _pattern_count(ratio, w * h)
     return [
         run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
                  stop=stop, distribution=spec.distribution)

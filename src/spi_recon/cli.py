@@ -2,11 +2,17 @@
 
 Subcommands: gen-patterns, simulate, reconstruct, benchmark, metrics.
 Exit codes: 0 success, 1 usage error, 2 runtime/numerical failure.
+
+gen-patterns and simulate hold one block of pattern rows at a time
+(about 256 KiB, at least 4 rows), never the whole matrix A; reconstruct
+reads A whole.
 """
 
 import argparse
 import csv
 import sys
+
+import numpy as np
 
 from . import bench
 from . import io as spio
@@ -18,8 +24,12 @@ from .errors import (
     SingularSystemError,
     UnknownSolverError,
 )
+from .io import _read_pattern_blocks, _write_pattern_blocks
 from .metrics import normalized_rmse
-from .model import NoiseModel, _check_seed, add_noise, generate_patterns, synthesize
+# gen-patterns does not call generate_patterns; the name stays here with the
+# other model and solver names that perfbench/layertrace.py wraps on cli
+from .model import (MeasurementSet, NoiseModel, _check_seed, _pattern_draw, add_noise,
+                    generate_patterns, synthesize)  # noqa: F401
 from .solvers import StopCriteria, get_solver
 
 __all__ = ["main"]
@@ -84,18 +94,20 @@ def _infer_shape(n: int):
 
 def _run(args) -> int:
     if args.command == "gen-patterns":
-        patterns = generate_patterns(args.m, args.width, args.height,
-                                     args.dist, seed=args.seed)
-        spio.write_patterns(patterns, args.out)
+        n, draw = _pattern_draw(args.m, args.width, args.height, args.dist, args.seed)
+        _write_pattern_blocks(args.out, args.m, n, args.seed, draw)
     elif args.command == "simulate":
         _check_seed(args.seed)  # at zero noise too, where add_noise is not called
-        patterns = spio.read_patterns(args.patterns)
         scene = spio.read_image(args.scene)
-        noise = NoiseModel(level=args.noise_level, pixel_count=patterns.n)
-        meas = synthesize(patterns, scene)
+        # the level is checked before the bundle is opened; synthesize refuses
+        # patterns whose pixel count is not the scene's
+        noise = NoiseModel(level=args.noise_level, pixel_count=scene.data.size)
+        meas = MeasurementSet(np.concatenate(
+            [synthesize(block, scene).values
+             for block in _read_pattern_blocks(args.patterns)]))
         if noise.sigma > 0:
             meas = add_noise(meas, noise, seed=args.seed)
-        spio.write_measurements(meas, patterns.n, args.out)
+        spio.write_measurements(meas, scene.data.size, args.out)
     elif args.command == "reconstruct":
         solver = get_solver(args.solver)
         stop = StopCriteria(residual_change_threshold=args.threshold,

@@ -14,19 +14,26 @@ followed by the float64 payload (m*n values row-major for patterns, m
 values for measurements).  Each kind has its own writer and reader, and
 a reader refuses the other kind at the kind byte (offset 8).
 
-m and n must be at least 1: the writer refuses m = 0 or n = 0, and the
-reader reports either as a FormatError at the field's offset (m at 9, n
-at 13).  The writer refuses a seed outside [0, 2**64) rather than record
+m and n must be at least 1: the writer refuses m or n outside [1, 2**32)
+(the header's u32 fields), and the reader reports m = 0 or n = 0 as a
+FormatError at the field's offset (m at 9, n at 13).  The writer refuses a seed outside [0, 2**64) rather than record
 a different one.  A bundle path must be a regular file.  The reader parses
 the fixed header, checks the payload length it declares against the file
 size before allocating anything, and then reads the payload straight
 into the array it returns, in its final shape, so reading holds one copy
 of the payload; the writer writes the array's own buffer.  A payload
-value the model refuses is a FormatError at that value's offset.
+value the model refuses is a FormatError at that value's offset.  A
+writer that fails part way removes the file it was writing.
+
+The CLI streams pattern bundles in blocks of about 256 KiB of rows.
+``_write_pattern_blocks`` draws each block into one reused buffer and
+writes it before drawing the next; its bytes equal write_patterns' of
+the whole matrix.  ``_read_pattern_blocks`` yields the bundle as a
+PatternSet per block, each checked as read_patterns checks the whole,
+with the same byte offsets.  Neither holds the m x n matrix.
 """
 
 import csv
-import math
 import os
 import re
 import stat
@@ -125,77 +132,137 @@ def write_image(img: Image, path) -> None:
 # kind -> (kind byte, header layout)
 _BUNDLES = {"patterns": (1, struct.Struct("<8sBIIQ")),
             "measurements": (2, struct.Struct("<8sBIIQd"))}
+_BLOCK_BYTES = 1 << 18  # of A, held at once by the block reader and the block writer
 
 
-def _save_bundle(path, kind, payload, n, seed, *sigma) -> None:
-    """Write a bundle of m = len(payload) rows; sigma for measurements only."""
-    m = len(payload)
-    if m < 1 or n < 1:
-        raise InvalidArgumentError(f"a bundle needs m >= 1 and n >= 1, got m={m}, n={n}")
+def _block_rows(n):
+    """Rows per block of A: about _BLOCK_BYTES, a multiple of 4 (so a
+    binary draw goes on with one stream, and a block's gemv groups its
+    rows as a one-thread gemv of the whole matrix does), at least 4."""
+    return 4 * max(1, _BLOCK_BYTES // (32 * n))
+
+
+def _save_bundle(path, kind, m, n, seed, blocks, *sigma) -> None:
+    """Write a bundle whose payload is the arrays ``blocks`` yields, in
+    turn; sigma for measurements only.  If writing fails, the file is
+    removed."""
+    if not (0 < m < 2**32 and 0 < n < 2**32):
+        raise InvalidArgumentError(f"a bundle needs 1 <= m, n < 2**32, got m={m}, n={n}")
     _check_seed(seed)
     code, header = _BUNDLES[kind]
-    payload = np.ascontiguousarray(payload, dtype="<f8")
     with open(path, "wb") as f:
-        f.write(header.pack(MAGIC, code, m, n, seed, *sigma))
-        f.write(memoryview(payload).cast("B"))
+        try:
+            f.write(header.pack(MAGIC, code, m, n, seed, *sigma))
+            for block in blocks:
+                f.write(memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B"))
+        except BaseException:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                os.remove(path)
+            raise
+
+
+def _open_bundle(f, kind):
+    """(m, n, seed[, sigma]) from the header of the open bundle f, once
+    the payload length it declares matches the file size."""
+    code, header = _BUNDLES[kind]
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise FormatError("not a regular file", offset=0)
+    head = f.read(header.size)
+    if head[:8] != MAGIC:
+        raise FormatError(f"bad magic {head[:8]!r}", offset=0)
+    if len(head) < header.size:
+        raise FormatError("truncated header", offset=len(head))
+    _, found, m, n, seed, *sigma = header.unpack(head)
+    if found != code:
+        name = {c: k for k, (c, _) in _BUNDLES.items()}.get(found, f"kind byte {found}")
+        raise FormatError(f"expected a {kind} bundle, got {name}", offset=8)
+    for field, value, at in (("m", m, 9), ("n", n, 13)):
+        if value == 0:
+            raise FormatError(f"{field} is 0: a bundle needs m >= 1 and n >= 1", offset=at)
+    expected = 8 * m * (n if kind == "patterns" else 1)
+    actual = st.st_size - header.size
+    if actual != expected:
+        raise FormatError(
+            f"payload length mismatch: expected {expected} bytes, got {actual}",
+            offset=header.size,
+        )
+    return m, n, seed, *sigma
+
+
+def _read_into(f, out) -> None:
+    """Fill out from f's next out.nbytes bytes."""
+    at = f.tell()
+    got = f.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:  # the file shrank after fstat
+        raise FormatError(f"truncated payload: expected {out.nbytes} bytes, got {got}",
+                          offset=at + got)
 
 
 def _load_bundle(path, kind):
     """(payload, n, seed[, sigma]) of a bundle of the given kind, the payload
     read straight into its final shape: (m, n) for patterns, (m,) for
     measurements."""
-    code, header = _BUNDLES[kind]
     with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise FormatError("not a regular file", offset=0)
-        head = f.read(header.size)
-        if head[:8] != MAGIC:
-            raise FormatError(f"bad magic {head[:8]!r}", offset=0)
-        if len(head) < header.size:
-            raise FormatError("truncated header", offset=len(head))
-        _, found, m, n, seed, *sigma = header.unpack(head)
-        if found != code:
-            name = {c: k for k, (c, _) in _BUNDLES.items()}.get(found, f"kind byte {found}")
-            raise FormatError(f"expected a {kind} bundle, got {name}", offset=8)
-        for field, value, at in (("m", m, 9), ("n", n, 13)):
-            if value == 0:
-                raise FormatError(f"{field} is 0: a bundle needs m >= 1 and n >= 1",
-                                  offset=at)
-        shape = (m, n) if kind == "patterns" else (m,)
-        expected = 8 * math.prod(shape)
-        actual = st.st_size - header.size
-        if actual != expected:
-            raise FormatError(
-                f"payload length mismatch: expected {expected} bytes, got {actual}",
-                offset=header.size,
-            )
-        payload = np.empty(shape, dtype="<f8")
-        got = f.readinto(memoryview(payload).cast("B"))
-        if got != expected:  # the file shrank after fstat
-            raise FormatError(
-                f"truncated payload: expected {expected} bytes, got {got}",
-                offset=header.size + got,
-            )
+        m, n, seed, *sigma = _open_bundle(f, kind)
+        payload = np.empty((m, n) if kind == "patterns" else (m,), dtype="<f8")
+        _read_into(f, payload)
     return payload, n, seed, *sigma
 
 
-def write_patterns(patterns: PatternSet, path) -> None:
-    _save_bundle(path, "patterns", patterns.rows, patterns.n, patterns.seed)
-
-
-def read_patterns(path) -> PatternSet:
-    rows, _, seed = _load_bundle(path, "patterns")
+def _pattern_set(rows, seed, at) -> PatternSet:
+    """PatternSet(rows, seed) of rows read from byte offset at; a refused
+    entry is a FormatError at its own offset."""
     try:
         return PatternSet(rows, seed=seed)
     except InvalidArgumentError as exc:  # at the first negative or non-finite entry
         bad = ~(rows >= 0) | (rows == np.inf)
-        start = _BUNDLES["patterns"][1].size
-        raise FormatError(str(exc), offset=start + 8 * int(bad.argmax())) from None
+        raise FormatError(str(exc), offset=at + 8 * int(bad.argmax())) from None
+
+
+def write_patterns(patterns: PatternSet, path) -> None:
+    _save_bundle(path, "patterns", patterns.m, patterns.n, patterns.seed, [patterns.rows])
+
+
+def read_patterns(path) -> PatternSet:
+    rows, _, seed = _load_bundle(path, "patterns")
+    return _pattern_set(rows, seed, _BUNDLES["patterns"][1].size)
+
+
+def _write_pattern_blocks(path, m, n, seed, draw) -> None:
+    """write_patterns' bundle of the m x n matrix whose rows draw(out) fills
+    in turn (see model._pattern_draw), drawn and written one block at a
+    time into one reused buffer."""
+    def blocks():
+        buf = np.empty((min(m, _block_rows(n)), n))
+        for i in range(0, m, len(buf)):
+            block = buf[:m - i]
+            draw(block)
+            yield block
+
+    _save_bundle(path, "patterns", m, n, seed, blocks())
+
+
+def _read_pattern_blocks(path):
+    """Yield the bundle's rows as one PatternSet per block, in order, each
+    checked as it is read.  Each block is read into its own array, which
+    its PatternSet takes over.  A last block of one row joins the block
+    before it: numpy takes a one-row product as a dot product, whose
+    rounding differs from a gemv row's."""
+    with open(path, "rb") as f:
+        m, n, seed = _open_bundle(f, "patterns")
+        step, done = _block_rows(n), 0
+        while done < m:
+            rows = np.empty((step if m - done > step + 1 else m - done, n), dtype="<f8")
+            at = f.tell()
+            _read_into(f, rows)
+            yield _pattern_set(rows, seed, at)
+            done += len(rows)
 
 
 def write_measurements(meas: MeasurementSet, n: int, path) -> None:
-    _save_bundle(path, "measurements", meas.values, n, meas.noise_seed, meas.noise_sigma)
+    _save_bundle(path, "measurements", meas.m, n, meas.noise_seed, [meas.values],
+                 meas.noise_sigma)
 
 
 def read_measurements(path):

@@ -10,6 +10,10 @@ Image, PatternSet and MeasurementSet take over a C-contiguous float64 array
 that owns its memory: once it passes their checks it is made read-only in
 place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
 before the hand-over stay writable).  Any other input is copied.
+
+generate_patterns fills A with the same row-block draw that the CLI's
+gen-patterns streams to a bundle one block at a time, so both give the
+same rows bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -159,6 +163,40 @@ def _rng(seed: int) -> "np.random.Generator":
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int):
+    """Check generate_patterns' arguments; return (n, draw).
+
+    ``draw(out)`` fills the C-contiguous float64 array ``out`` with the
+    next ``len(out)`` rows of A.  Filling the m rows in turn, in blocks
+    of any size, gives what one call on all of them gives, bit for bit,
+    as long as each block but the last holds an even number of entries:
+    a binary draw takes 32-bit halves of PCG64's outputs and drops an
+    unused half at its end.
+    """
+    if m < 1:
+        raise InvalidArgumentError("need at least one pattern")
+    if width < 1 or height < 1:
+        raise InvalidArgumentError("pattern dimensions must be positive")
+    n = width * height
+    if m * n * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"a {m} x {n} pattern matrix is too large to address")
+    if distribution not in ("uniform01", "binary"):
+        raise InvalidArgumentError(f"unknown distribution {distribution!r}")
+    rng = _rng(seed)
+
+    def draw(out):
+        if distribution == "uniform01":
+            rng.random(out=out)
+            return
+        # int64 draws of whole row blocks with an even entry count, cast into
+        # out: the peak is out plus one block
+        k = 2 * max(1, _BINARY_BLOCK // (2 * n))
+        for i in range(0, len(out), k):
+            out[i:i + k] = rng.integers(0, 2, size=out[i:i + k].shape)
+
+    return n, draw
+
+
 def generate_patterns(
     m: int, width: int, height: int, distribution: str = "uniform01", seed: int = 0
 ) -> PatternSet:
@@ -168,26 +206,9 @@ def generate_patterns(
     (Bernoulli(0.5) over {0,1}).  Same arguments -> bit-identical output
     (PCG64 stream).
     """
-    if m < 1:
-        raise InvalidArgumentError("need at least one pattern")
-    if width < 1 or height < 1:
-        raise InvalidArgumentError("pattern dimensions must be positive")
-    n = width * height
-    if m * n * 8 > np.iinfo(np.intp).max:
-        raise InvalidArgumentError(f"a {m} x {n} pattern matrix is too large to address")
-    rng = _rng(seed)
-    if distribution == "uniform01":
-        rows = rng.random((m, n))
-    elif distribution == "binary":
-        # int64 draws of whole row blocks with an even entry count, cast into
-        # one float64 array: the stream equals a single (m, n) draw, and the
-        # peak is A plus one block
-        rows = np.empty((m, n))
-        k = 2 * max(1, _BINARY_BLOCK // (2 * n))
-        for i in range(0, m, k):
-            rows[i:i + k] = rng.integers(0, 2, size=rows[i:i + k].shape)
-    else:
-        raise InvalidArgumentError(f"unknown distribution {distribution!r}")
+    n, draw = _pattern_draw(m, width, height, distribution, seed)
+    rows = np.empty((m, n))
+    draw(rows)
     return PatternSet(rows, seed=seed)
 
 

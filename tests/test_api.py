@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spi_recon
-from spi_recon import bench, io, metrics, model, solvers, transforms
+from spi_recon import bench, cli, io, metrics, model, solvers, transforms
 
 MODULES = ["bench", "cli", "io", "metrics", "model", "scenes", "solvers", "transforms"]
 
@@ -186,6 +186,15 @@ TRACED_SOLVER_NAMES = [
 @pytest.mark.parametrize("name", TRACED_SOLVER_NAMES)
 def test_traced_names_exist_on_solvers(name):
     assert callable(getattr(solvers, name))
+
+
+# model and solver names perfbench/layertrace.py swaps out on spi_recon.cli
+TRACED_CLI_NAMES = ["generate_patterns", "synthesize", "add_noise", "get_solver"]
+
+
+@pytest.mark.parametrize("name", TRACED_CLI_NAMES)
+def test_traced_names_exist_on_cli(name):
+    assert callable(getattr(cli, name))
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spi_recon import cli
+from spi_recon import bench, cli
 from spi_recon.cli import main
 from spi_recon.errors import DomainError
 from spi_recon.io import (
@@ -61,6 +61,27 @@ def test_simulate_rejects_bad_noise_level(tmp_path, capsys, level):
                  "--noise-level", level, "--out", str(out)]) == 1
     assert "noise level" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--noise-level", "-1"), ("--seed", "-1")])
+def test_simulate_checks_its_arguments_before_reading_the_bundle(tmp_path, capsys,
+                                                                 flag, value):
+    """A bad level or seed is a usage error before any of the 64 MiB bundle
+    is read."""
+    pat, scene, out = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
+    main(["gen-patterns", "--m", "2048", "--width", "64", "--height", "64",
+          "--out", str(pat)])
+    write_image(builtin_scene("blocks", 64, 64), scene)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                     flag, value, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert peak < 2**20 and not out.exists()
 
 
 def test_simulate_noise_level_zero_writes_clean_bundle(tmp_path):
@@ -190,7 +211,7 @@ def test_domain_and_memory_errors_are_runtime_errors(tmp_path, capsys, monkeypat
     def refuse(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "generate_patterns", refuse)
+    monkeypatch.setattr(cli, "_pattern_draw", refuse)
     code = main(["gen-patterns", "--m", "4", "--width", "2", "--height", "2",
                  "--out", str(tmp_path / "pat.spib")])
     assert code == 2
@@ -325,6 +346,41 @@ def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ratios, message", [
+    ("1.0, 1e308", "1e+308 x 1024 pixels overflows"),
+    ("1.0, 1e-4", "ratio 0.0001 gives zero measurements"),
+])
+def test_a_bad_ratio_is_refused_before_the_first_cell(tmp_path, capsys, monkeypatch,
+                                                      ratios, message):
+    calls, run_cell = [], bench.run_cell
+
+    def recording_run_cell(*args, **kwargs):
+        calls.append(args)
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_cell", recording_run_cell)
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    cfg.write_text(f"scenes = blocks\nsolvers = cgd\nsampling_ratios = {ratios}\n"
+                   "image_sizes = 32x32\nnoise_levels = 0\nrepeats = 3\n")
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("ratio, code", [("0.1", 0), ("1e-4", 1)])
+def test_a_pgm_scene_has_its_ratio_checked_at_its_own_size(tmp_path, capsys, ratio, code):
+    """A PGM keeps its own size: at 4x4, ratio 0.1 gives 2 measurements
+    though the grid's 2x2 would give none, and 1e-4 gives none."""
+    scene, cfg, out = tmp_path / "scene.pgm", tmp_path / "sweep.cfg", tmp_path / "res.csv"
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    cfg.write_text(f"scenes = {scene}\nsolvers = dgi\nsampling_ratios = {ratio}\n"
+                   "image_sizes = 2x2\nnoise_levels = 0\nrepeats = 1\n")
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "ratio 0.0001 gives zero measurements" in capsys.readouterr().err
 
 
 def test_benchmark_desk_preset_determinism(tmp_path):
