@@ -151,7 +151,7 @@ def run_cell(
         return failed(exc, pattern_seed)  # failed cells are recorded, never fatal
 
 
-def run_sweep(spec: SweepSpec, stop: Optional[StopCriteria] = None) -> list:
+def run_sweep(spec: SweepSpec) -> list:
     """All cells x repeats, run one after another in grid order.
 
     A ratio that gives a builtin scene no measurement count is refused
@@ -163,7 +163,7 @@ def run_sweep(spec: SweepSpec, stop: Optional[StopCriteria] = None) -> list:
             _pattern_count(ratio, w * h)
     return [
         run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
-                 stop=stop, distribution=spec.distribution)
+                 distribution=spec.distribution)
         for scene, solver, ratio, (w, h), level, rep in product(
             spec.scenes, spec.solvers, spec.sampling_ratios, spec.image_sizes,
             spec.noise_levels, range(spec.repeats))

@@ -3,9 +3,9 @@
 Subcommands: gen-patterns, simulate, reconstruct, benchmark, metrics.
 Exit codes: 0 success, 1 usage error, 2 runtime/numerical failure.
 
-gen-patterns and simulate hold one block of pattern rows at a time
-(about 256 KiB, at least 4 rows), never the whole matrix A; reconstruct
-reads A whole.
+gen-patterns and simulate hold one row block of A at a time, cut by the
+one rule model._row_blocks, never all of A; reconstruct reads A whole.
+simulate's readings equal synthesize's at any BLAS thread count.
 """
 
 import argparse

@@ -1,6 +1,7 @@
 """Persistence: PGM images, binary pattern/measurement bundles, result CSVs.
 
-Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.  A
+Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5; an
+image with a non-finite value is refused before its file is opened.  A
 P2 raster that declares more pixels than the rest of the file can hold is
 refused before anything is allocated, so reading a PGM allocates a fixed
 multiple of its file size at most.  Data past the declared raster is
@@ -16,21 +17,21 @@ a reader refuses the other kind at the kind byte (offset 8).
 
 m and n must be at least 1: the writer refuses m or n outside [1, 2**32)
 (the header's u32 fields), and the reader reports m = 0 or n = 0 as a
-FormatError at the field's offset (m at 9, n at 13).  The writer refuses a seed outside [0, 2**64) rather than record
-a different one.  A bundle path must be a regular file.  The reader parses
-the fixed header, checks the payload length it declares against the file
-size before allocating anything, and then reads the payload straight
-into the array it returns, in its final shape, so reading holds one copy
-of the payload; the writer writes the array's own buffer.  A payload
-value the model refuses is a FormatError at that value's offset.  A
-writer that fails part way removes the file it was writing.
+FormatError at the field's offset (m at 9, n at 13).  The writer refuses
+a seed outside [0, 2**64) rather than record a different one.  A bundle
+path must be a regular file.  The reader parses the fixed header, checks
+the payload length it declares against the file size before allocating
+anything, and then reads the payload straight into the array it returns,
+in its final shape, so reading holds one copy of the payload; the writer
+writes the array's own buffer.  A payload value the model refuses is a
+FormatError at that value's offset.  A writer that fails part way
+removes the file it was writing.
 
-The CLI streams pattern bundles in blocks of about 256 KiB of rows.
-``_write_pattern_blocks`` draws each block into one reused buffer and
-writes it before drawing the next; its bytes equal write_patterns' of
-the whole matrix.  ``_read_pattern_blocks`` yields the bundle as a
-PatternSet per block, each checked as read_patterns checks the whole,
-with the same byte offsets.  Neither holds the m x n matrix.
+The CLI streams pattern bundles one row block of model._row_blocks at a
+time.  ``_write_pattern_blocks`` draws each block into one reused buffer
+and writes it before drawing the next; its bytes equal write_patterns' of
+the whole matrix.  ``_read_pattern_blocks`` yields a PatternSet per block,
+checked as read_patterns checks the whole, at the same byte offsets.
 """
 
 import csv
@@ -42,7 +43,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
-from .model import Image, MeasurementSet, PatternSet, _check_seed
+from .model import Image, MeasurementSet, PatternSet, _check_seed, _row_blocks
 
 __all__ = [
     "read_image",
@@ -119,7 +120,9 @@ def read_image(path) -> Image:
 
 def write_image(img: Image, path) -> None:
     """Write as binary (P5) PGM with maxval 255; values are clipped to [0, 1]
-    and rounded."""
+    and rounded.  Non-finite values are refused before the file is opened."""
+    if not np.all(np.isfinite(img.data)):
+        raise InvalidArgumentError("image values must be finite")
     u8 = np.clip(np.rint(np.clip(img.data, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
@@ -132,14 +135,6 @@ def write_image(img: Image, path) -> None:
 # kind -> (kind byte, header layout)
 _BUNDLES = {"patterns": (1, struct.Struct("<8sBIIQ")),
             "measurements": (2, struct.Struct("<8sBIIQd"))}
-_BLOCK_BYTES = 1 << 18  # of A, held at once by the block reader and the block writer
-
-
-def _block_rows(n):
-    """Rows per block of A: about _BLOCK_BYTES, a multiple of 4 (so a
-    binary draw goes on with one stream, and a block's gemv groups its
-    rows as a one-thread gemv of the whole matrix does), at least 4."""
-    return 4 * max(1, _BLOCK_BYTES // (32 * n))
 
 
 def _save_bundle(path, kind, m, n, seed, blocks, *sigma) -> None:
@@ -234,30 +229,26 @@ def _write_pattern_blocks(path, m, n, seed, draw) -> None:
     in turn (see model._pattern_draw), drawn and written one block at a
     time into one reused buffer."""
     def blocks():
-        buf = np.empty((min(m, _block_rows(n)), n))
-        for i in range(0, m, len(buf)):
-            block = buf[:m - i]
-            draw(block)
-            yield block
+        buf = np.empty((max(b.stop - b.start for b in _row_blocks(m, n)), n))
+        for block in _row_blocks(m, n):
+            rows = buf[:block.stop - block.start]
+            draw(rows)
+            yield rows
 
     _save_bundle(path, "patterns", m, n, seed, blocks())
 
 
 def _read_pattern_blocks(path):
-    """Yield the bundle's rows as one PatternSet per block, in order, each
-    checked as it is read.  Each block is read into its own array, which
-    its PatternSet takes over.  A last block of one row joins the block
-    before it: numpy takes a one-row product as a dot product, whose
-    rounding differs from a gemv row's."""
+    """Yield the bundle's rows as one PatternSet per block of
+    model._row_blocks, in order, each checked as it is read.  Each block is
+    read into its own array, which its PatternSet takes over."""
     with open(path, "rb") as f:
         m, n, seed = _open_bundle(f, "patterns")
-        step, done = _block_rows(n), 0
-        while done < m:
-            rows = np.empty((step if m - done > step + 1 else m - done, n), dtype="<f8")
+        for block in _row_blocks(m, n):
+            rows = np.empty((block.stop - block.start, n), dtype="<f8")
             at = f.tell()
             _read_into(f, rows)
             yield _pattern_set(rows, seed, at)
-            done += len(rows)
 
 
 def write_measurements(meas: MeasurementSet, n: int, path) -> None:

@@ -11,9 +11,9 @@ that owns its memory: once it passes their checks it is made read-only in
 place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
 before the hand-over stay writable).  Any other input is copied.
 
-generate_patterns fills A with the same row-block draw that the CLI's
-gen-patterns streams to a bundle one block at a time, so both give the
-same rows bit for bit.
+One rule, _row_blocks, cuts A into row blocks for generate_patterns' draw,
+synthesize and the CLI's block reader and writer, so the library and the
+CLI give the same A and b, bit for bit, at any BLAS thread count.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +33,19 @@ __all__ = [
 ]
 
 
-_BINARY_BLOCK = 1 << 15  # entries per int64 draw of a binary pattern block
+_BLOCK_BYTES = 1 << 18  # of A, in each row block
+
+
+def _row_blocks(m: int, n: int):
+    """Yield slices that cut A's m rows of n entries into blocks of about
+    _BLOCK_BYTES, all but the last a multiple of 4 rows and at least 4, so
+    that a binary draw goes on with one stream and a block's gemv, too small
+    to thread, groups rows 4 at a time as a one-thread gemv of all of A
+    does.  A lone last row joins the block before it: numpy takes a one-row
+    product as a dot product, which rounds differently."""
+    step = 4 * max(1, _BLOCK_BYTES // (32 * n))
+    for start in range(0, max(m - 1, 1), step):  # no block starts at a last row m - 1 > 0
+        yield slice(start, start + step if m - start > step + 1 else m)
 
 
 def _intake(a) -> np.ndarray:
@@ -167,11 +179,9 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     """Check generate_patterns' arguments; return (n, draw).
 
     ``draw(out)`` fills the C-contiguous float64 array ``out`` with the
-    next ``len(out)`` rows of A.  Filling the m rows in turn, in blocks
-    of any size, gives what one call on all of them gives, bit for bit,
-    as long as each block but the last holds an even number of entries:
-    a binary draw takes 32-bit halves of PCG64's outputs and drops an
-    unused half at its end.
+    next ``len(out)`` rows of A.  Blocks drawn in turn equal one whole
+    draw bit for bit if each but the last holds an even number of entries:
+    a binary draw drops an unused 32-bit half of PCG64's output at its end.
     """
     if m < 1:
         raise InvalidArgumentError("need at least one pattern")
@@ -188,11 +198,9 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
         if distribution == "uniform01":
             rng.random(out=out)
             return
-        # int64 draws of whole row blocks with an even entry count, cast into
-        # out: the peak is out plus one block
-        k = 2 * max(1, _BINARY_BLOCK // (2 * n))
-        for i in range(0, len(out), k):
-            out[i:i + k] = rng.integers(0, 2, size=out[i:i + k].shape)
+        # an int64 draw per row block, cast into out: the peak is out plus one block
+        for block in _row_blocks(len(out), n):
+            out[block] = rng.integers(0, 2, size=out[block].shape)
 
     return n, draw
 
@@ -213,12 +221,13 @@ def generate_patterns(
 
 
 def synthesize(patterns: PatternSet, scene: Image) -> MeasurementSet:
-    """Clean measurements b = A x for the given scene."""
+    """Clean measurements b = A x, one row block of A at a time."""
     if patterns.n != scene.data.size:
         raise InvalidArgumentError(
             f"pattern pixel count {patterns.n} != scene pixel count {scene.data.size}"
         )
-    return MeasurementSet(values=patterns.rows @ scene.data, noise_sigma=0.0)
+    b = [patterns.rows[block] @ scene.data for block in _row_blocks(*patterns.rows.shape)]
+    return MeasurementSet(values=np.concatenate(b), noise_sigma=0.0)
 
 
 def add_noise(meas: MeasurementSet, noise: NoiseModel, seed: int = 0) -> MeasurementSet:

@@ -500,7 +500,7 @@ def ap_update(a: np.ndarray, b_i: float, x: np.ndarray) -> np.ndarray:
     unchanged.
     """
     a = np.asarray(a, dtype=np.float64)
-    amax = float(a.max(initial=0.0))
+    amax = a.max(initial=0.0)
     x = np.array(x, dtype=np.float64)
     if amax > 0.0:
         _ap_correct(a, b_i, amax**2, x, np.empty_like(x))
@@ -524,7 +524,7 @@ def ap_solve(
     A, b, n = patterns.rows, meas.values, patterns.n
     zero_rows = int(np.count_nonzero(patterns.intensities == 0))
     amax = A.max(axis=1, initial=0.0)
-    rows = [(a, float(b_i), float(am) ** 2)
+    rows = [(a, float(b_i), float(am**2))  # a float64 square: inf, not OverflowError
             for a, b_i, am in zip(A, b, amax) if am > 0.0]
     x = np.full(n, 1e-6)
     buf = np.empty(n)

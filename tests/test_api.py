@@ -5,9 +5,6 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +114,7 @@ def test_pattern_set_fields():
     (metrics.normalized_rmse, ["truth", "estimate"]),
     (io.write_image, ["img", "path"]),
     (solvers.backtracking_search, ["objective", "x", "p"]),
+    (bench.run_sweep, ["spec"]),
 ])
 def test_signatures_have_no_test_only_options(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -158,14 +156,11 @@ assert not loaded, f"spi_recon loads {loaded}"
 """
 
 
-def test_scipy_never_loads_and_numpy_random_only_when_used(tmp_path):
+def test_scipy_never_loads_and_numpy_random_only_when_used(tmp_path, run_python):
     """Importing the library loads neither scipy nor numpy.random, nor does
     refusing a bad seed; no path loads scipy, the DCT operator and a CLI
     cs-dct reconstruct included."""
-    src = Path(spi_recon.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, str(tmp_path)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = run_python(IMPORT_HYGIENE, tmp_path)
     assert out.returncode == 0, out.stderr
 
 

@@ -42,6 +42,15 @@ def test_pgm_roundtrip_quantization(tmp_path):
     assert np.array_equal(again.data, back.data)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+def test_write_image_refuses_non_finite_values(tmp_path, value):
+    """NaN and -inf were written as black and +inf as white."""
+    path = tmp_path / "img.pgm"
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        write_image(Image(2, 1, np.array([0.5, value])), path)
+    assert not path.exists()
+
+
 def test_pgm_ascii_binary_equivalent(tmp_path):
     img = random_image(3)
     p2, p5 = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -530,6 +530,14 @@ def test_ap_solve_deterministic():
     assert a.trace == b.trace
 
 
+def test_ap_with_entries_whose_square_overflows_is_a_numerical_failure():
+    """max(a)^2 of a finite entry past 1.34e154 was a Python OverflowError."""
+    ps = PatternSet(1e155 * generate_patterns(32, 4, 4, seed=0).rows)
+    meas = MeasurementSet(values=np.ones(32))
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError):
+        ap_solve(ps, meas, 4, 4)
+
+
 # --------------------------------------------------------- augmented Lagrangian
 
 
@@ -651,6 +659,34 @@ def test_overflowed_residual_is_not_an_exact_solve(name):
     with np.errstate(over="ignore"), pytest.raises(NumericalFailureError) as info:
         get_solver(name)(ps, meas, 4, 4)
     assert info.value.iteration == 0
+
+
+SMALL_BUDGET = StopCriteria(residual_change_threshold=1e-6, min_iterations=2,
+                            max_iterations_factor=0.5)
+LIBRARY_ERRORS = (DomainError, InvalidArgumentError, NumericalFailureError,
+                  SingularSystemError)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_finite_inputs_never_give_a_non_finite_exact_trace(name, data):
+    """Finite patterns and readings, at any scale up to 8 x 8 pixels and m up
+    to 2n, either end in a library error or give a report whose trace is
+    finite when it says "exact"."""
+    w, h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, 2 * w * h))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a_scale, b_scale = (10.0 ** data.draw(st.integers(-300, 300)) for _ in range(2))
+    ps = PatternSet(a_scale * rng.random((m, w * h)))
+    meas = MeasurementSet(values=b_scale * rng.standard_normal(m))
+    try:
+        with np.errstate(all="ignore"):
+            rep = get_solver(name)(ps, meas, w, h, stop=SMALL_BUDGET)
+    except LIBRARY_ERRORS:
+        return
+    if rep.terminated_by == "exact":
+        assert np.isfinite([entry[1:] for entry in rep.trace]).all(), rep.trace
 
 
 @pytest.mark.parametrize("bad", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spi_recon import cli, io
+from spi_recon import cli, io, model
 from spi_recon.cli import main
 from spi_recon.errors import FormatError
 from spi_recon.io import write_image, write_measurements, write_patterns
@@ -34,7 +34,7 @@ HEADER = 25  # bytes before a patterns bundle's payload
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Blocks of about 1 KiB: 8 rows of 15 pixels."""
-    monkeypatch.setattr(io, "_BLOCK_BYTES", 1024)
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 1024)
 
 
 def traced_peak(fn):
@@ -91,35 +91,72 @@ def test_a_block_draw_equals_the_same_rows_of_one_draw(case):
 
 
 @pytest.mark.parametrize("m, w, h, block_bytes, blocks", [
-    (300, 33, 31, io._BLOCK_BYTES, 10),  # 32-row blocks of 1023 pixels
-    (1, 1, 1, io._BLOCK_BYTES, 1),
-    (57, 5, 3, 1024, 8),
+    (300, 33, 31, model._BLOCK_BYTES, 10),  # 32-row blocks of 1023 pixels
+    (1, 1, 1, model._BLOCK_BYTES, 1),
+    (57, 5, 3, 1024, 7),  # 8-row blocks, the last row joined to the seventh
 ])
 @pytest.mark.parametrize("dist", ["uniform01", "binary"])
 def test_gen_patterns_writes_the_in_memory_bundle_bytes(tmp_path, monkeypatch, m, w, h,
                                                         block_bytes, blocks, dist):
-    monkeypatch.setattr(io, "_BLOCK_BYTES", block_bytes)
-    assert -(-m // io._block_rows(w * h)) == blocks
+    monkeypatch.setattr(model, "_BLOCK_BYTES", block_bytes)
+    assert len(list(model._row_blocks(m, w * h))) == blocks
     streamed, direct = tmp_path / "streamed.spib", tmp_path / "direct.spib"
     assert gen(streamed, m, w, h, dist) == 0
     write_patterns(generate_patterns(m, w, h, dist, seed=12345), direct)
     assert streamed.read_bytes() == direct.read_bytes()
 
 
-@pytest.mark.parametrize("m", [57, 50, 8, 9])  # a last block of 9 rows, 2 rows, 1 block
+@pytest.mark.parametrize("m, w, h, block_bytes", [
+    # 8-row blocks: a last block of 9 rows, a last block of 2 rows, one block,
+    # one block of 9 rows
+    *(pytest.param(m, 5, 3, 1024, id=str(m)) for m in (57, 50, 8, 9)),
+    # the default blocks, with m * n past where a two-thread BLAS splits a whole
+    # product, and m not a multiple of 8
+    pytest.param(717, 32, 32, model._BLOCK_BYTES, id="717-32x32-default-blocks"),
+])
 @pytest.mark.parametrize("level", ["0", "1e-3"])
-def test_simulate_writes_the_in_memory_bundle_bytes(tmp_path, small_blocks, m, level):
+def test_simulate_writes_the_in_memory_bundle_bytes(tmp_path, monkeypatch, m, w, h,
+                                                    block_bytes, level):
+    monkeypatch.setattr(model, "_BLOCK_BYTES", block_bytes)
     pat, scene = tmp_path / "pat.spib", tmp_path / "scene.pgm"
     streamed, direct = tmp_path / "streamed.spib", tmp_path / "direct.spib"
-    write_image(builtin_scene("blocks", 5, 3), scene)
-    assert gen(pat, m, 5, 3) == 0
+    write_image(builtin_scene("blocks", w, h), scene)
+    assert gen(pat, m, w, h) == 0
     assert simulate(pat, scene, streamed, level) == 0
     meas = synthesize(io.read_patterns(pat), io.read_image(scene))
-    noise = NoiseModel(level=float(level), pixel_count=15)
+    noise = NoiseModel(level=float(level), pixel_count=w * h)
     if noise.sigma > 0:
         meas = add_noise(meas, noise, seed=7)
-    write_measurements(meas, 15, direct)
+    write_measurements(meas, w * h, direct)
     assert streamed.read_bytes() == direct.read_bytes()
+
+
+READINGS = """
+import hashlib, sys
+from pathlib import Path
+from spi_recon import cli, io, model, scenes
+m, w, h, tmp = *map(int, sys.argv[1:4]), Path(sys.argv[4])
+io.write_image(scenes.builtin_scene("blocks", w, h), tmp / "scene.pgm")
+assert cli.main(["gen-patterns", "--m", str(m), "--width", str(w), "--height", str(h),
+                 "--seed", "7", "--out", str(tmp / "pat.spib")]) == 0
+assert cli.main(["simulate", "--patterns", str(tmp / "pat.spib"), "--scene",
+                 str(tmp / "scene.pgm"), "--out", str(tmp / "cli.spib")]) == 0
+meas = model.synthesize(io.read_patterns(tmp / "pat.spib"), io.read_image(tmp / "scene.pgm"))
+io.write_measurements(meas, w * h, tmp / "lib.spib")
+for name in ("cli.spib", "lib.spib"):
+    print(hashlib.sha256((tmp / name).read_bytes()).hexdigest())
+"""
+
+
+# m not a multiple of 8, with m * n past where a two-thread BLAS splits a whole product
+@pytest.mark.parametrize("m, w, h", [(100, 96, 96), (717, 32, 32)])
+def test_readings_do_not_depend_on_the_blas_thread_count(tmp_path, run_python, m, w, h):
+    digests = []
+    for threads in (1, 2):
+        out = run_python(READINGS, m, w, h, tmp_path, threads=threads)
+        assert out.returncode == 0, out.stderr
+        digests += out.stdout.split()
+    assert len(digests) == 4 and len(set(digests)) == 1, digests
 
 
 def test_blocks_cover_the_bundle_and_a_last_row_joins_the_block_before(tmp_path,
