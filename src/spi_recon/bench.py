@@ -9,6 +9,8 @@ draw, keeping noise-level comparisons paired.
 """
 
 import hashlib
+import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -55,6 +57,12 @@ class SweepSpec:
             raise InvalidArgumentError("spec needs at least one scene and one solver")
         if self.repeats < 1:
             raise InvalidArgumentError("repeats must be >= 1")
+        cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
+                                    self.image_sizes, self.noise_levels))) * self.repeats
+        if cells > sys.maxsize:  # more rows than a list can hold
+            raise InvalidArgumentError(
+                f"repeats {self.repeats} gives {cells} cells, more than a sweep can hold"
+            )
         if not all(np.isfinite(r) and r > 0 for r in self.sampling_ratios):
             raise InvalidArgumentError("sampling ratios must be finite and positive")
         if not all(np.isfinite(v) and v >= 0 for v in self.noise_levels):
@@ -164,9 +172,10 @@ def run_sweep(spec: SweepSpec) -> list:
     return [
         run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
                  distribution=spec.distribution)
-        for scene, solver, ratio, (w, h), level, rep in product(
+        for scene, solver, ratio, (w, h), level in product(
             spec.scenes, spec.solvers, spec.sampling_ratios, spec.image_sizes,
-            spec.noise_levels, range(spec.repeats))
+            spec.noise_levels)
+        for rep in range(spec.repeats)  # product() would hold a tuple of every repeat
     ]
 
 

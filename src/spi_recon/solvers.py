@@ -20,10 +20,12 @@ Products with the m x n pattern matrix A dominate every solve, so each
 loop carries Ax (and A times its search direction) forward instead of
 recomputing it.  Per iteration:
 
-- gd: 2 A + 1 A^T (A p for the step, exact A x after it, A^T for the gradient)
+- gd: 1 A + 1 A^T (A p for the step, A^T for the gradient; Ax -= step * Ap)
 - cgd: 1 A + 1 A^T (b - Ax is tracked by recurrence for the stop test)
-- poisson: 2 A + 1 A^T (each Armijo trial is O(m): Ax + step * Ap)
-- ap: m row updates plus 1 A for the residual, with no per-row allocation
+- poisson: 1 A + 1 A^T, plus 1 A once (each Armijo trial is O(m):
+  Ax + step * Ap, and the accepted trial becomes the next Ax)
+- ap: m row updates plus 1 A for the residual; each row is one dot product
+  and four n-length ufunc passes, with no allocation
 - cs-dct/cs-tv: 1 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner
   CG step, plus 1 A once; cgd and the ALM x-update share one CG loop, _cg
 """
@@ -101,8 +103,13 @@ class StopCriteria:
             )
 
     def max_iterations(self, n: int) -> int:
-        cap = int(round(self.max_iterations_factor * n))
-        return max(self.min_iterations, cap, 1)
+        cap = self.max_iterations_factor * n
+        if not np.isfinite(cap):  # int() of an infinite cap raises OverflowError
+            raise InvalidArgumentError(
+                f"max_iterations_factor {self.max_iterations_factor} x {n} pixels "
+                "overflows the iteration cap"
+            )
+        return max(self.min_iterations, int(round(cap)), 1)
 
 
 @dataclass
@@ -246,6 +253,15 @@ def gd_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np
     return _gd_grad(A, A @ x, meas.values)
 
 
+def _gd_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
+    """-(Ap.r) / (Ap.Ap) from a given Ap, or None when Ap = 0: the
+    arithmetic of gd_optimal_step and gd_solve."""
+    denom = float(Ap @ Ap)
+    if denom == 0.0:
+        return None
+    return -float(Ap @ r) / denom
+
+
 def gd_optimal_step(
     patterns: PatternSet, p: np.ndarray, r: np.ndarray
 ) -> Optional[float]:
@@ -254,11 +270,7 @@ def gd_optimal_step(
     step = -(p^T A^T r) / (p^T A^T A p) with r = b - Ax.  Returns None
     when Ap = 0 (converged: no progress possible along p).
     """
-    Ap = patterns.rows @ p
-    denom = float(Ap @ Ap)
-    if denom == 0.0:
-        return None
-    return -float(Ap @ r) / denom
+    return _gd_step(patterns.rows @ p, r)
 
 
 def gd_solve(
@@ -270,8 +282,9 @@ def gd_solve(
 ) -> SolverReport:
     """Steepest descent with the exact line-search step, x0 = 0.
 
-    Per iteration 2 A + 1 A^T: A^T for the gradient, A p for the step,
-    and an exact A x after the step, which the next gradient reuses.
+    Per iteration 1 A + 1 A^T: A^T for the gradient and A p for the
+    step.  Ax is carried forward as Ax -= step * Ap, never recomputed;
+    the next gradient, the step and the residual all read it.
     """
     run = _Run(patterns, meas, width, height, stop)
     A, b = patterns.rows, meas.values
@@ -279,13 +292,12 @@ def gd_solve(
     Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
     while True:
         p = _gd_grad(A, Ax, b)
-        r = b - Ax
-        step = gd_optimal_step(patterns, p, r)
+        Ap = A @ p
+        step = _gd_step(Ap, b - Ax)
         if step is not None:
-            x = x - step * p
-            Ax = A @ x
-            r = b - Ax
-        rnorm = float(np.linalg.norm(r))
+            x -= step * p
+            Ax -= step * Ap
+        rnorm = float(np.linalg.norm(b - Ax))
         if run.record(rnorm, rnorm**2):
             return run.report(x)
 
@@ -443,11 +455,12 @@ def poisson_solve(
     0 and counted in the report; x0 is a small positive constant so the
     likelihood's Ax > 0 domain constraint holds at the start.
 
-    Per iteration 2 A + 1 A^T, plus A x0 once: A^T for the gradient, A p
-    for the search direction p, and an exact A x after the step, which
-    serves the next gradient, the residual and the objective.  Each
-    Armijo trial evaluates the likelihood at Ax + step * Ap in O(m);
-    a trial with any a_i.x <= 0 is rejected.
+    Per iteration 1 A + 1 A^T, plus A x0 once: A^T for the gradient and
+    A p for the search direction p.  Each Armijo trial evaluates the
+    likelihood at Ax + step * Ap in O(m); a trial with any a_i.x <= 0 is
+    rejected.  The accepted trial's Ax + step * Ap becomes the next Ax,
+    so Ax > 0 still holds, and it serves the next gradient, the residual
+    and the objective.
     """
     run = _Run(patterns, meas, width, height, stop)
     A = patterns.rows
@@ -469,7 +482,7 @@ def poisson_solve(
                               float(direction @ direction))
         trials += tried
         x = x + step * direction
-        Ax = A @ x
+        Ax = Ax + step * Ap
         rnorm = float(np.linalg.norm(b - Ax))
         obj = objective(Ax)
         if run.record(rnorm, obj):
@@ -482,13 +495,14 @@ def poisson_solve(
 def _ap_correct(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
                 buf: np.ndarray) -> None:
     """ap_update's correction for a row with max(a)^2 = amax2 > 0, applied to
-    x in place; buf is a work array of x's size."""
+    x in place; buf is a work array of x's size.  The division by amax2
+    joins the row's scalar, a float64, so an amax2 that underflows to 0
+    gives inf, not ZeroDivisionError."""
     ax = float(a @ x)
     denom = ax if abs(ax) >= EPS_DIV else (EPS_DIV if ax >= 0 else -EPS_DIV)
     np.multiply(a, a, out=buf)
     buf *= x
-    buf /= amax2
-    buf *= (ax - b_i) / denom
+    buf *= np.float64(ax - b_i) / denom / amax2
     x -= buf
 
 
@@ -518,7 +532,8 @@ def ap_solve(
 
     Each row applies ap_update's correction in place, with every row's
     max(a)^2 computed once, so a sweep allocates nothing per row.  Per
-    iteration m row dot products plus 1 A for the residual.
+    iteration m row dot products and m row corrections of four ufunc
+    passes each, plus 1 A for the residual.
     """
     run = _Run(patterns, meas, width, height, stop)
     A, b, n = patterns.rows, meas.values, patterns.n

@@ -156,6 +156,8 @@ def test_reconstruct_flags_forward_to_stop_criteria(tmp_path):
     ("--threshold", "-1e-3", "residual_change_threshold"),
     ("--threshold", "nan", "residual_change_threshold"),
     ("--max-iter-factor", "-2", "max_iterations_factor"),
+    # finite, but the cap factor x 16 pixels is infinite
+    ("--max-iter-factor", "1e308", "max_iterations_factor 1e+308 x 16 pixels overflows"),
 ])
 def test_reconstruct_rejects_bad_stop_criteria(tmp_path, capsys, flag, value, field):
     pat = tmp_path / "pat.spib"
@@ -338,7 +340,11 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
      "1e+308 x 1024 pixels overflows"),
     ("scenes = blocks\nsolvers = dgi\n# caf\xe9 in Latin-1\n".encode("latin-1"),
      "is not UTF-8"),
-], ids=["overflowing-ratio", "not-utf8"])
+    # more cells than a list of rows can hold
+    ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1\nimage_sizes = 8x8\n"
+     "noise_levels = 0\nrepeats = 99999999999999999999\n",
+     "repeats 99999999999999999999 gives 99999999999999999999 cells"),
+], ids=["overflowing-ratio", "not-utf8", "too-many-repeats"])
 def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
     cfg.write_bytes(config.encode() if isinstance(config, str) else config)

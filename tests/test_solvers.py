@@ -18,7 +18,9 @@ from spi_recon.errors import (
 from spi_recon.model import (
     Image,
     MeasurementSet,
+    NoiseModel,
     PatternSet,
+    add_noise,
     generate_patterns,
     synthesize,
 )
@@ -800,9 +802,9 @@ def _count_products(patterns: PatternSet) -> _Products:
 # cs-dct and cs-tv add 1 A + 1 A^T per inner CG step, and apply their prior
 # exactly as often as A (apply) and A^T (apply_transpose)
 PRODUCTS = {
-    "gd": (0, 0, 2, 1),
+    "gd": (0, 0, 1, 1),
     "cgd": (0, 1, 1, 1),
-    "poisson": (1, 0, 2, 1),
+    "poisson": (1, 0, 1, 1),
     "ap": (0, 0, 1, 0),
     "cs-dct": (1, 0, 1, 2),
     "cs-tv": (1, 0, 1, 2),
@@ -992,3 +994,68 @@ def test_solvers_run_the_gradient_arithmetic_criterion_6_checks(monkeypatch, nam
     assert len(calls) == rep.iterations == 7
     public(ps, np.full(16, 0.5), meas)
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("name, helper", [("gd", "_gd_grad"), ("poisson", "_poisson_grad")])
+def test_the_carried_ax_does_not_drift_over_a_long_solve(monkeypatch, name, helper):
+    """gd and poisson carry Ax forward (Ax -= step * Ap, Ax + step * Ap)
+    instead of recomputing A x.  After 3,072 iterations at 16^2 the last
+    trace residual equals a fresh ||b - A x||, and the Ax the next gradient
+    is given equals a fresh A x, both within 1e-9 relative.  Noisy readings
+    at m = 2n keep the residual away from 0."""
+    k = 3072
+    ps = generate_patterns(512, 16, 16, seed=5)
+    meas = add_noise(synthesize(ps, builtin_scene("disk", 16, 16)),
+                     NoiseModel(level=1e-3, pixel_count=256), seed=6)
+    b = np.maximum(meas.values, 0.0) if name == "poisson" else meas.values
+
+    def budget(iterations):
+        return StopCriteria(residual_change_threshold=0.0, min_iterations=iterations,
+                            max_iterations_factor=0.0)
+
+    rep = get_solver(name)(ps, meas, 16, 16, stop=budget(k))
+    x = rep.image.data.ravel()
+    assert rep.iterations == k
+    fresh = np.linalg.norm(b - ps.rows @ x)
+    assert rep.trace[-1][1] == pytest.approx(fresh, rel=1e-9, abs=0)
+
+    grad, given = getattr(solvers, helper), []
+
+    def seen(A, Ax, b):
+        given.append(Ax.copy())
+        return grad(A, Ax, b)
+
+    monkeypatch.setattr(solvers, helper, seen)
+    get_solver(name)(ps, meas, 16, 16, stop=budget(k + 1))
+    carried = given[-1]  # the Ax after iteration k, given to gradient k + 1
+    assert len(given) == k + 1
+    assert np.linalg.norm(carried - ps.rows @ x) <= 1e-9 * np.linalg.norm(ps.rows @ x)
+
+
+IMAGES = """
+import hashlib, sys
+from spi_recon.model import generate_patterns, synthesize
+from spi_recon.scenes import builtin_scene
+from spi_recon.solvers import get_solver
+m, w, h = map(int, sys.argv[1:])
+ps = generate_patterns(m, w, h, seed=3)
+meas = synthesize(ps, builtin_scene("disk", w, h))
+for name in ("cgd", "gd", "cs-tv"):
+    rep = get_solver(name)(ps, meas, w, h)
+    print(name, rep.iterations, hashlib.sha256(rep.image.data.tobytes()).hexdigest())
+"""
+
+
+def test_images_do_not_depend_on_the_blas_thread_count_when_m_is_a_multiple_of_8(
+        run_python):
+    """The solvers multiply A whole.  A two-thread BLAS splits a gemv's rows
+    in half once m * n is large enough (here 720 x 32^2), and its kernels
+    take rows 4 at a time, so with m a multiple of 8 both halves group rows
+    as one thread does and the images are bit-identical.  At m = 717 they
+    are not (README, "Reproducibility")."""
+    outputs = []
+    for threads in (1, 2):
+        out = run_python(IMAGES, 720, 32, 32, threads=threads)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout.splitlines())
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1], outputs
