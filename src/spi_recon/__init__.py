@@ -22,7 +22,6 @@ from .solvers import (
     cgd_solve,
     poisson_solve,
     ap_solve,
-    alm_solve,
     solver_registry,
     get_solver,
 )

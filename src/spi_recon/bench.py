@@ -23,7 +23,7 @@ from .errors import (DomainError, FormatError, InvalidArgumentError, NumericalFa
 from .io import read_image
 from .metrics import normalized_rmse
 from .model import NoiseModel, add_noise, generate_patterns, synthesize
-from .scenes import builtin_scene
+from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
 __all__ = [
@@ -39,7 +39,8 @@ __all__ = [
 
 @dataclass
 class SweepSpec:
-    """Declarative benchmark sweep (Cartesian product of all grids)."""
+    """Declarative benchmark sweep (Cartesian product of all grids); an
+    unknown solver or builtin (non-.pgm) scene name is refused here."""
 
     scenes: list
     solvers: list
@@ -55,6 +56,13 @@ class SweepSpec:
     def __post_init__(self):
         if not self.scenes or not self.solvers:
             raise InvalidArgumentError("spec needs at least one scene and one solver")
+        for solver in self.solvers:
+            get_solver(solver)  # UnknownSolverError lists the valid names
+        for scene in self.scenes:
+            if not scene.endswith(".pgm") and scene not in BUILTIN_SCENES:
+                raise InvalidArgumentError(
+                    f"unknown scene {scene!r}; builtins: {sorted(BUILTIN_SCENES)}"
+                )
         if self.repeats < 1:
             raise InvalidArgumentError("repeats must be >= 1")
         cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
@@ -162,13 +170,16 @@ def run_cell(
 def run_sweep(spec: SweepSpec) -> list:
     """All cells x repeats, run one after another in grid order.
 
-    A ratio that gives a builtin scene no measurement count is refused
-    before any cell runs; a PGM scene keeps its own size, so its cells
-    are checked as they run.
+    A ratio that gives a builtin scene no measurement count, or a noise
+    level whose sigma overflows at a builtin size, is refused before any
+    cell runs; a PGM scene keeps its own size, so its cells are checked
+    as they run.
     """
     if not all(scene.endswith(".pgm") for scene in spec.scenes):
-        for ratio, (w, h) in product(spec.sampling_ratios, spec.image_sizes):
+        for (w, h), ratio, level in product(spec.image_sizes, spec.sampling_ratios,
+                                            spec.noise_levels):
             _pattern_count(ratio, w * h)
+            NoiseModel(level=level, pixel_count=w * h)
     return [
         run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
                  distribution=spec.distribution)

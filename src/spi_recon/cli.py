@@ -155,8 +155,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (InvalidArgumentError, UnknownSolverError) as exc:
-        stage = getattr(exc, "args", [""])[0]
-        print(f"usage error: {stage}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, FormatError, SingularSystemError, NumericalFailureError,
             OSError) as exc:

@@ -30,6 +30,8 @@ class DomainError(ValueError):
 class UnknownSolverError(KeyError):
     """Requested solver name is not in the registry."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
 
 class FormatError(ValueError):
     """Malformed file content (PGM or bundle)."""

@@ -148,7 +148,8 @@ class NoiseModel:
     """Gaussian measurement noise, parameterized by a dimensionless level.
 
     The standard deviation is ``level * pixel_count``: the level is the
-    ratio between sigma and the number of pixels.
+    ratio between sigma and the number of pixels.  A level whose sigma
+    overflows is refused.
     """
 
     level: float
@@ -161,6 +162,10 @@ class NoiseModel:
         if self.pixel_count < 1:
             raise InvalidArgumentError("pixel_count must be >= 1")
         self.sigma = self.level * self.pixel_count
+        if not np.isfinite(self.sigma):
+            raise InvalidArgumentError(
+                f"noise level {self.level} x {self.pixel_count} pixels overflows sigma"
+            )
 
 
 def _check_seed(seed: int) -> None:

@@ -63,7 +63,6 @@ __all__ = [
     "poisson_solve",
     "ap_update",
     "ap_solve",
-    "alm_solve",
     "solver_registry",
     "get_solver",
 ]
@@ -74,6 +73,7 @@ ARMIJO_ALPHA = 0.1  # sufficient-decrease fraction of the Armijo test
 ARMIJO_BETA = 0.5  # step shrink factor of the backtracking search
 ALM_RHO = 1.05  # geometric growth of the ALM penalty weight, which starts at 1
 ALM_MU_MAX = 1e6  # cap of the ALM penalty weight
+CGD_EXACT_RTOL = 1e-12  # cgd's exact stop, relative to max(1, ||A^T b||)
 
 
 @dataclass
@@ -306,7 +306,7 @@ def _cg(normal, x, r):
     """Conjugate gradient (Hestenes & Stiefel 1952) on an SPD system G x = rhs,
     from x with residual r = rhs - G x; normal(v) applies G.
 
-    The one CG recurrence of cgd_solve and alm_solve.  Yields (x, r.r,
+    The one CG recurrence of cgd_solve and _alm_solve.  Yields (x, r.r,
     alpha) before each step, where alpha is the step just taken (None
     before the first); the caller stops by leaving the loop.  Each step
     calls normal once.  Raises NumericalFailureError when p^T G p <= 1e-300.
@@ -334,7 +334,6 @@ def cgd_solve(
     width: int,
     height: int,
     stop: Optional[StopCriteria] = None,
-    normal_residual_rtol: float = 1e-12,
 ) -> SolverReport:
     """Conjugate gradient on the normal equations A^T A x = A^T b, x0 = 0.
 
@@ -343,8 +342,8 @@ def cgd_solve(
     residual b - Ax, which only feeds the trace and the stop test, is
     tracked as b - Ax -= alpha * Ap.  First search direction is steepest
     descent.  Terminates early ("exact") when the normal-equation residual
-    drops below max(1e-12, normal_residual_rtol * ||A^T b||), bypassing
-    the minimum iteration count.  The CG loop is _cg, shared with alm_solve.
+    drops below CGD_EXACT_RTOL * max(1, ||A^T b||), bypassing the minimum
+    iteration count.  The CG loop is _cg, shared with _alm_solve.
     """
     run = _Run(patterns, meas, width, height, stop)
     A, b = patterns.rows, meas.values
@@ -352,7 +351,7 @@ def cgd_solve(
     bp_norm = float(np.linalg.norm(bp))
     if not np.isfinite(bp_norm):  # an infinite exact_tol would pass before any step
         raise NumericalFailureError("norm of A^T b overflowed", iteration=0)
-    exact_tol = max(1e-12, normal_residual_rtol * bp_norm)
+    exact_tol = CGD_EXACT_RTOL * max(1.0, bp_norm)
 
     Ap = None
 
@@ -537,10 +536,10 @@ def ap_solve(
     """
     run = _Run(patterns, meas, width, height, stop)
     A, b, n = patterns.rows, meas.values, patterns.n
-    zero_rows = int(np.count_nonzero(patterns.intensities == 0))
     amax = A.max(axis=1, initial=0.0)
     rows = [(a, float(b_i), float(am**2))  # a float64 square: inf, not OverflowError
             for a, b_i, am in zip(A, b, amax) if am > 0.0]
+    zero_rows = patterns.m - len(rows)  # entries are >= 0: max 0 iff all 0
     x = np.full(n, 1e-6)
     buf = np.empty(n)
     while True:
@@ -554,7 +553,7 @@ def ap_solve(
 # --------------------------------------------------------- augmented Lagrangian
 
 
-def alm_solve(
+def _alm_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
     prior: LinearOperator,
@@ -612,11 +611,11 @@ def alm_solve(
 
 
 def _cs_dct(patterns, meas, width, height, stop=None):
-    return alm_solve(patterns, meas, dct_operator(width, height), width, height, stop=stop)
+    return _alm_solve(patterns, meas, dct_operator(width, height), width, height, stop=stop)
 
 
 def _cs_tv(patterns, meas, width, height, stop=None):
-    return alm_solve(patterns, meas, gradient_operator(width, height), width, height, stop=stop)
+    return _alm_solve(patterns, meas, gradient_operator(width, height), width, height, stop=stop)
 
 
 _REGISTRY = {

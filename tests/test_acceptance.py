@@ -135,8 +135,7 @@ def test_criterion_05_cg_finite_termination(capsys):
             patterns = generate_patterns(2 * n, side, side, seed=1000 + seed)
             x_true = rng.random(n)
             meas = synthesize(patterns, Image(side, side, x_true))
-            rep = cgd_solve(patterns, meas, side, side, stop=FULL_BUDGET,
-                            normal_residual_rtol=1e-8)
+            rep = cgd_solve(patterns, meas, side, side, stop=FULL_BUDGET)
             A, b = patterns.rows, meas.values
             g = A.T @ (A @ rep.image.data - b)
             rel = np.linalg.norm(g) / np.linalg.norm(A.T @ b)

@@ -48,10 +48,10 @@ def test_solvers_public_names():
         "poisson_solve",
         "ap_update",
         "ap_solve",
-        "alm_solve",
         "solver_registry",
         "get_solver",
     ]
+    assert not hasattr(spi_recon, "alm_solve") and not hasattr(solvers, "alm_solve")
 
 
 def test_bench_public_names():
@@ -110,14 +110,29 @@ def test_pattern_set_fields():
     assert not hasattr(model.PatternSet, "from_matrix")
 
 
+SOLVER_PARAMS = ["patterns", "meas", "width", "height", "stop"]
+
+
 @pytest.mark.parametrize("fn, params", [
     (metrics.normalized_rmse, ["truth", "estimate"]),
     (io.write_image, ["img", "path"]),
     (solvers.backtracking_search, ["objective", "x", "p"]),
     (bench.run_sweep, ["spec"]),
+    (solvers.cgd_solve, SOLVER_PARAMS),
 ])
 def test_signatures_have_no_test_only_options(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def test_every_solver_has_the_one_signature():
+    """Every registry entry, and every public function that returns a
+    SolverReport, takes exactly (patterns, meas, width, height, stop)."""
+    public = [getattr(solvers, name) for name in solvers.__all__]
+    reporting = [fn for fn in public if inspect.isfunction(fn)
+                 and inspect.signature(fn).return_annotation is solvers.SolverReport]
+    assert len(reporting) == 7
+    for fn in reporting + [fn for _, fn in solvers.solver_registry()]:
+        assert list(inspect.signature(fn).parameters) == SOLVER_PARAMS, fn.__name__
 
 
 def test_linear_operator_fields():

@@ -13,7 +13,7 @@ from spi_recon.bench import (
     run_sweep,
     stable_seed,
 )
-from spi_recon.errors import InvalidArgumentError
+from spi_recon.errors import InvalidArgumentError, UnknownSolverError
 from spi_recon.io import read_results_csv
 
 
@@ -129,6 +129,19 @@ def test_spec_validation():
         small_spec(sampling_ratios=[0.0])
     with pytest.raises(InvalidArgumentError):
         small_spec(image_sizes=[(1, 8)])
+
+
+def test_spec_refuses_unknown_solver_and_builtin_scene_names():
+    with pytest.raises(UnknownSolverError, match="unknown solver 'nope'; valid names: pinv"):
+        small_spec(solvers=["corr", "nope"])
+    with pytest.raises(InvalidArgumentError, match="unknown scene 'nope'; builtins"):
+        small_spec(scenes=["blocks", "nope"])
+    assert small_spec(scenes=["missing.pgm"]).scenes == ["missing.pgm"]  # read per cell
+
+
+def test_run_cell_unknown_solver_reason_is_the_plain_message():
+    row = run_cell("blocks", "nope", 0.5, 8, 8, 0.0, 0)
+    assert row.status.startswith("failed:unknown solver 'nope'; valid names: pinv, ")
 
 
 def test_parse_sweep_config_roundtrip():

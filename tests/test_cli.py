@@ -84,6 +84,16 @@ def test_simulate_checks_its_arguments_before_reading_the_bundle(tmp_path, capsy
     assert peak < 2**20 and not out.exists()
 
 
+def test_simulate_refuses_an_overflowing_sigma_before_opening_the_bundle(tmp_path, capsys):
+    scene, out = tmp_path / "scene.pgm", tmp_path / "meas.spib"
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    assert main(["simulate", "--patterns", str(tmp_path / "missing.spib"), "--scene",
+                 str(scene), "--noise-level", "1e308", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: noise level 1e+308 x 16 pixels overflows sigma\n")
+    assert not out.exists()
+
+
 def test_simulate_noise_level_zero_writes_clean_bundle(tmp_path):
     pat, scene = tmp_path / "pat.spib", tmp_path / "scene.pgm"
     main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
@@ -354,12 +364,9 @@ def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ratios, message", [
-    ("1.0, 1e308", "1e+308 x 1024 pixels overflows"),
-    ("1.0, 1e-4", "ratio 0.0001 gives zero measurements"),
-])
-def test_a_bad_ratio_is_refused_before_the_first_cell(tmp_path, capsys, monkeypatch,
-                                                      ratios, message):
+def _refused_before_the_first_cell(tmp_path, capsys, monkeypatch, config):
+    """benchmark on config exits 1 before any cell runs and writes no CSV;
+    returns its stderr."""
     calls, run_cell = [], bench.run_cell
 
     def recording_run_cell(*args, **kwargs):
@@ -368,11 +375,37 @@ def test_a_bad_ratio_is_refused_before_the_first_cell(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(bench, "run_cell", recording_run_cell)
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
-    cfg.write_text(f"scenes = blocks\nsolvers = cgd\nsampling_ratios = {ratios}\n"
-                   "image_sizes = 32x32\nnoise_levels = 0\nrepeats = 3\n")
+    cfg.write_text(config)
     assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
     assert calls == [] and not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios, message", [
+    ("1.0, 1e308", "1e+308 x 1024 pixels overflows"),
+    ("1.0, 1e-4", "ratio 0.0001 gives zero measurements"),
+])
+def test_a_bad_ratio_is_refused_before_the_first_cell(tmp_path, capsys, monkeypatch,
+                                                      ratios, message):
+    err = _refused_before_the_first_cell(
+        tmp_path, capsys, monkeypatch,
+        f"scenes = blocks\nsolvers = cgd\nsampling_ratios = {ratios}\n"
+        "image_sizes = 32x32\nnoise_levels = 0\nrepeats = 3\n")
+    assert message in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("scenes = blocks\nsolvers = corr, nope\nnoise_levels = 0\n", "unknown solver 'nope'"),
+    ("scenes = blocks, nope\nsolvers = dgi\nnoise_levels = 0\n", "unknown scene 'nope'"),
+    ("scenes = blocks\nsolvers = dgi\nnoise_levels = 0, 1e307\n",
+     "noise level 1e+307 x 64 pixels overflows"),
+], ids=["solver", "scene", "noise-level"])
+def test_a_bad_name_or_noise_level_is_refused_before_the_first_cell(
+        tmp_path, capsys, monkeypatch, lines, message):
+    err = _refused_before_the_first_cell(
+        tmp_path, capsys, monkeypatch,
+        lines + "sampling_ratios = 1\nimage_sizes = 8x8\nrepeats = 1\n")
+    assert err.startswith("usage error: ") and message in err and '"' not in err
 
 
 @pytest.mark.parametrize("ratio, code", [("0.1", 0), ("1e-4", 1)])

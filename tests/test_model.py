@@ -235,7 +235,8 @@ def test_noise_model_sigma():
     assert nm.sigma == pytest.approx(12.288, abs=0)
 
 
-@pytest.mark.parametrize("level", [-1.0, -1e-300, float("nan"), float("inf")])
+@pytest.mark.parametrize("level", [-1.0, -1e-300, float("nan"), float("inf"),
+                                   1e308])  # 1e308 x 16 pixels overflows sigma
 def test_noise_model_rejects_bad_level(level):
     with pytest.raises(InvalidArgumentError, match="noise level"):
         NoiseModel(level=level, pixel_count=16)
