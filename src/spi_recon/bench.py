@@ -11,18 +11,16 @@ draw, keeping noise-level comparisons paired.
 import hashlib
 import math
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainError, FormatError, InvalidArgumentError, NumericalFailureError,
-                     SingularSystemError, UnknownSolverError)
+from .errors import Error, InvalidArgumentError
 from .io import read_image
 from .metrics import normalized_rmse
-from .model import NoiseModel, add_noise, generate_patterns, synthesize
+from .model import _DISTRIBUTIONS, NoiseModel, add_noise, generate_patterns, synthesize
 from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
@@ -40,7 +38,8 @@ __all__ = [
 @dataclass
 class SweepSpec:
     """Declarative benchmark sweep (Cartesian product of all grids); an
-    unknown solver or builtin (non-.pgm) scene name is refused here."""
+    unknown solver, builtin (non-.pgm) scene or distribution name is
+    refused here."""
 
     scenes: list
     solvers: list
@@ -63,6 +62,10 @@ class SweepSpec:
                 raise InvalidArgumentError(
                     f"unknown scene {scene!r}; builtins: {sorted(BUILTIN_SCENES)}"
                 )
+        if self.distribution not in _DISTRIBUTIONS:
+            raise InvalidArgumentError(
+                f"unknown distribution {self.distribution!r}; valid: {', '.join(_DISTRIBUTIONS)}"
+            )
         if self.repeats < 1:
             raise InvalidArgumentError("repeats must be >= 1")
         cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
@@ -125,10 +128,10 @@ def run_cell(
 ) -> SweepRow:
     """Synthesize, reconstruct and score one benchmark cell.
 
-    Only the reconstruction is timed, not pattern generation or
-    measurement synthesis.  A scene file that cannot be read, or a solve
-    that raises one of the library's errors, gives a "failed:" row; any
-    other exception propagates.
+    The row's time is the solver's own wall_time, which leaves out pattern
+    generation and measurement synthesis.  A scene file that cannot be
+    read, or a solve that raises a library Error, gives a "failed:" row;
+    any other exception propagates.
     """
     def failed(exc, seed):
         reason = str(exc).replace("\n", " ")
@@ -138,7 +141,7 @@ def run_cell(
     if scene.endswith(".pgm"):  # a PGM keeps its own size
         try:
             truth = read_image(scene)
-        except (OSError, FormatError) as exc:
+        except (OSError, Error) as exc:
             return failed(exc, 0)  # seed 0: no patterns exist for this cell
     else:
         truth = builtin_scene(scene, width, height)
@@ -155,15 +158,11 @@ def run_cell(
     if noise.sigma > 0:
         meas = add_noise(meas, noise, seed=noise_seed)
     try:
-        fn = get_solver(solver)
-        t0 = time.perf_counter()
-        report = fn(patterns, meas, width, height, stop=stop)
-        elapsed = time.perf_counter() - t0
+        report = get_solver(solver)(patterns, meas, width, height, stop=stop)
         rmse = normalized_rmse(truth, report.image)
         return SweepRow(scene, solver, ratio, size, noise_level, repeat,
-                        rmse, report.iterations, elapsed, pattern_seed, "ok")
-    except (DomainError, FormatError, InvalidArgumentError, NumericalFailureError,
-            SingularSystemError, UnknownSolverError) as exc:
+                        rmse, report.iterations, report.wall_time, pattern_seed, "ok")
+    except Error as exc:
         return failed(exc, pattern_seed)  # failed cells are recorded, never fatal
 
 

@@ -16,32 +16,21 @@ import numpy as np
 
 from . import bench
 from . import io as spio
-from .errors import (
-    DomainError,
-    FormatError,
-    InvalidArgumentError,
-    NumericalFailureError,
-    SingularSystemError,
-    UnknownSolverError,
-)
+from .errors import Error, InvalidArgumentError
 from .io import _read_pattern_blocks, _write_pattern_blocks
 from .metrics import normalized_rmse
 # gen-patterns does not call generate_patterns; the name stays here with the
 # other model and solver names that perfbench/layertrace.py wraps on cli
-from .model import (MeasurementSet, NoiseModel, _check_seed, _pattern_draw, add_noise,
-                    generate_patterns, synthesize)  # noqa: F401
+from .model import (_DISTRIBUTIONS, MeasurementSet, NoiseModel, _check_seed, _pattern_draw,
+                    add_noise, generate_patterns, synthesize)  # noqa: F401
 from .solvers import StopCriteria, get_solver
 
 __all__ = ["main"]
 
 
-class _UsageExit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageExit(message)
+        raise InvalidArgumentError(message)
 
 
 def _build_parser() -> _Parser:
@@ -52,7 +41,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--width", type=int, required=True)
     g.add_argument("--height", type=int, required=True)
-    g.add_argument("--dist", choices=["uniform01", "binary"], default="uniform01")
+    g.add_argument("--dist", choices=_DISTRIBUTIONS, default="uniform01")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
@@ -151,14 +140,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except _UsageExit as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidArgumentError, UnknownSolverError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, FormatError, SingularSystemError, NumericalFailureError,
-            OSError) as exc:
+    except Error as exc:
+        kind = "usage" if exc.exit_code == 1 else "runtime"
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's message names the allocation that failed

@@ -34,6 +34,7 @@ __all__ = [
 
 
 _BLOCK_BYTES = 1 << 18  # of A, in each row block
+_DISTRIBUTIONS = ("uniform01", "binary")  # of A's entries
 
 
 def _row_blocks(m: int, n: int):
@@ -195,7 +196,7 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     n = width * height
     if m * n * 8 > np.iinfo(np.intp).max:
         raise InvalidArgumentError(f"a {m} x {n} pattern matrix is too large to address")
-    if distribution not in ("uniform01", "binary"):
+    if distribution not in _DISTRIBUTIONS:
         raise InvalidArgumentError(f"unknown distribution {distribution!r}")
     rng = _rng(seed)
 

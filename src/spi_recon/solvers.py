@@ -573,8 +573,6 @@ def _alm_solve(
     variation.
     """
     run = _Run(patterns, meas, width, height, stop)
-    if prior.in_dim != patterns.n:
-        raise InvalidArgumentError("prior operator dimension != pixel count")
     A, b = patterns.rows, meas.values
 
     def system(Pv, Av):  # mu (P^T P + A^T A) v, from P v and A v

@@ -139,6 +139,20 @@ def test_spec_refuses_unknown_solver_and_builtin_scene_names():
     assert small_spec(scenes=["missing.pgm"]).scenes == ["missing.pgm"]  # read per cell
 
 
+def test_spec_refuses_an_unknown_distribution_before_the_first_cell(tmp_path, capsys):
+    """Before, a sweep of PGM scenes ran every cell and wrote only failed: rows."""
+    missing = str(tmp_path / "missing.pgm")
+    with pytest.raises(InvalidArgumentError,
+                       match="unknown distribution 'foo'; valid: uniform01, binary"):
+        small_spec(scenes=[missing], distribution="foo")
+    assert small_spec(distribution="binary").distribution == "binary"
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    cfg.write_text(f"scenes = {missing}\nsolvers = corr\ndistribution = foo\n")
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: unknown distribution 'foo'")
+    assert not out.exists()
+
+
 def test_run_cell_unknown_solver_reason_is_the_plain_message():
     row = run_cell("blocks", "nope", 0.5, 8, 8, 0.0, 0)
     assert row.status.startswith("failed:unknown solver 'nope'; valid names: pinv, ")

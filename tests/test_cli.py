@@ -66,16 +66,14 @@ def test_simulate_rejects_bad_noise_level(tmp_path, capsys, level):
 @pytest.mark.parametrize("flag, value", [("--noise-level", "-1"), ("--seed", "-1")])
 def test_simulate_checks_its_arguments_before_reading_the_bundle(tmp_path, capsys,
                                                                  flag, value):
-    """A bad level or seed is a usage error before any of the 64 MiB bundle
-    is read."""
-    pat, scene, out = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
-    main(["gen-patterns", "--m", "2048", "--width", "64", "--height", "64",
-          "--out", str(pat)])
+    """A bad level or seed is a usage error before the bundle is opened: the
+    bundle is missing, so opening it would exit 2."""
+    scene, out = tmp_path / "scene.pgm", tmp_path / "meas.spib"
     write_image(builtin_scene("blocks", 64, 64), scene)
     tracemalloc.start()
     try:
-        code = main(["simulate", "--patterns", str(pat), "--scene", str(scene),
-                     flag, value, "--out", str(out)])
+        code = main(["simulate", "--patterns", str(tmp_path / "missing.spib"),
+                     "--scene", str(scene), flag, value, "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,0 +1,148 @@
+"""The error contract: every library refusal is an ``errors.Error`` whose
+``exit_code`` the CLI returns, with a ``usage error:`` (1) or ``runtime
+error:`` (2) line, and which a benchmark cell records as a ``failed:`` row.
+A grammar-driven fuzz of ``cli.main`` checks that no argv ends in a
+traceback."""
+
+import inspect
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spi_recon
+from spi_recon import bench, cli, errors
+from spi_recon.errors import Error, InvalidArgumentError, UnknownSolverError
+from spi_recon.io import write_image
+from spi_recon.scenes import builtin_scene
+from spi_recon.solvers import solver_registry
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+LIBRARY_ERRORS = [Error, *sorted(set(_subclasses(Error)), key=lambda c: c.__name__)]
+STDLIB_BASE = {"InvalidArgumentError": ValueError, "SingularSystemError": RuntimeError,
+               "NumericalFailureError": RuntimeError, "LineSearchFailureError": RuntimeError,
+               "DomainError": ValueError, "UnknownSolverError": KeyError,
+               "FormatError": ValueError}
+
+
+def test_every_exception_class_in_errors_is_an_error():
+    defined = {c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if c.__module__ == errors.__name__}
+    assert defined == set(LIBRARY_ERRORS)
+    for cls in LIBRARY_ERRORS[1:]:
+        assert issubclass(cls, STDLIB_BASE[cls.__name__])  # old except clauses still catch it
+
+
+def test_error_is_in_no_public_namespace():
+    assert not hasattr(spi_recon, "Error")
+    for name in ("model", "transforms", "metrics", "scenes", "solvers", "bench", "io", "cli"):
+        assert "Error" not in getattr(spi_recon, name).__all__
+
+
+@pytest.mark.parametrize("cls", LIBRARY_ERRORS, ids=lambda c: c.__name__)
+def test_every_error_reaches_its_exit_code_and_a_failed_row(cls, tmp_path, capsys,
+                                                            monkeypatch):
+    code, kind = (1, "usage") if cls in (InvalidArgumentError, UnknownSolverError) else (
+        2, "runtime")
+    assert cls.exit_code == code
+
+    def refuse(*args, **kwargs):
+        raise cls("refused")
+
+    scene = tmp_path / "scene.pgm"
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    monkeypatch.setattr(cli, "normalized_rmse", refuse)
+    assert cli.main(["metrics", "--truth", str(scene), "--estimate", str(scene)]) == code
+    assert capsys.readouterr().err == f"{kind} error: refused\n"
+
+    monkeypatch.setattr(bench, "get_solver", lambda name: refuse)
+    row = bench.run_cell("blocks", "corr", 1.0, 4, 4, 0.0, 0)
+    assert row.status == "failed:refused" and row.rmse is None
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+BAD_INTS = st.sampled_from(["", "x", "1.5", "-1", "0", str(2**64), str(10**30)])
+BAD_FLOATS = st.sampled_from(["", "x", "-1", "nan", "inf", "1e308"])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Small inputs, at most 8x8 pixels and m = 64, each good or bad."""
+    d = tmp_path_factory.mktemp("fuzz")
+    write_image(builtin_scene("blocks", 8, 8), d / "scene8.pgm")
+    write_image(builtin_scene("blocks", 4, 4), d / "scene4.pgm")
+    (d / "garbage").write_bytes(b"P5 not a file this library reads\n")
+    (d / "config.cfg").write_text("scenes = blocks\nsolvers = corr, pinv\n"
+                                  "sampling_ratios = 0.5, 1\nimage_sizes = 8\nrepeats = 1\n")
+    (d / "bad.cfg").write_text("scenes = blocks, missing.pgm\nsolvers = dgi\n"
+                               "image_sizes = 4x8\nnoise_levels = 0, 1e-3\nrepeats = 1\n"
+                               "distribution = binary\n")
+    (d / "latin1.cfg").write_bytes(b"scenes = caf\xe9\nsolvers = corr\n")
+    for name, m, size in [("pat8", 64, "8"), ("pat4", 16, "4")]:
+        assert cli.main(["gen-patterns", "--m", str(m), "--width", size, "--height", size,
+                         "--seed", "3", "--out", str(d / f"{name}.spib")]) == 0
+    assert cli.main(["simulate", "--patterns", str(d / "pat8.spib"), "--scene",
+                     str(d / "scene8.pgm"), "--out", str(d / "meas8.spib")]) == 0
+    return d
+
+
+def _flag(flag, good, bad):
+    # one time in twelve a bad value, and one in twelve no flag at all,
+    # which argparse refuses when the flag is required
+    return st.tuples(st.integers(0, 11), good, bad).map(
+        lambda t: [] if t[0] == 0 else [flag, t[2] if t[0] == 1 else t[1]])
+
+
+def _command(name, *flags):
+    return st.tuples(*flags).map(lambda parts: [name] + [a for p in parts for a in p])
+
+
+def _argv(d):
+    def path(*names):
+        return st.sampled_from([str(d / n) for n in names])
+
+    def ints(lo, hi):
+        return st.integers(lo, hi).map(str)
+
+    bad_path = path("missing", "garbage", "scene4.pgm", "pat4.spib")
+    out = (path("out"), st.sampled_from([str(d), str(d / "missing" / "out")]))
+    seed = (ints(0, 3), BAD_INTS)
+    return st.one_of(
+        _command("gen-patterns", _flag("--m", ints(1, 128), BAD_INTS),
+                 _flag("--width", ints(1, 8), BAD_INTS), _flag("--height", ints(1, 8), BAD_INTS),
+                 _flag("--dist", st.sampled_from(["uniform01", "binary"]), st.just("foo")),
+                 _flag("--seed", *seed), _flag("--out", *out)),
+        _command("simulate", _flag("--patterns", path("pat8.spib"), bad_path),
+                 _flag("--scene", path("scene8.pgm"), bad_path),
+                 _flag("--noise-level", st.sampled_from(["0", "1e-3"]), BAD_FLOATS),
+                 _flag("--seed", *seed), _flag("--out", *out)),
+        _command("reconstruct",
+                 _flag("--solver", st.sampled_from([n for n, _ in solver_registry()]),
+                       st.just("nope")),
+                 _flag("--patterns", path("pat8.spib"), bad_path),
+                 _flag("--measurements", path("meas8.spib"), bad_path),
+                 _flag("--out", *out), _flag("--trace", *out),
+                 _flag("--threshold", st.sampled_from(["0", "1e-2"]), BAD_FLOATS),
+                 _flag("--min-iter", ints(0, 40), BAD_INTS),
+                 _flag("--max-iter-factor", st.sampled_from(["0", "1", "3"]), BAD_FLOATS)),
+        _command("benchmark", _flag("--config", path("config.cfg"),
+                                    path("bad.cfg", "latin1.cfg", "missing", "garbage")),
+                 _flag("--out", *out)),
+        _command("metrics", _flag("--truth", path("scene8.pgm"), bad_path),
+                 _flag("--estimate", path("scene8.pgm"), bad_path)),
+        st.lists(st.sampled_from(["nope", "--m", "8", "-x", "simulate"]), max_size=3),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cli_never_raises_and_exits_0_1_or_2(files, data):
+    argv = data.draw(_argv(files), label="argv")
+    assert cli.main(argv) in (0, 1, 2)
