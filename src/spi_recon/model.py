@@ -61,7 +61,7 @@ def _intake(a) -> np.ndarray:
 class Image:
     """2D grayscale scene; pixel values nominally in [0, 1].
 
-    ``data`` is row-major (top-left origin), length ``width * height``.
+    ``data`` is row-major (top-left origin), flat or (height, width); held flat.
     """
 
     width: int
@@ -74,6 +74,8 @@ class Image:
         data = _intake(self.data)
         if data.size != self.width * self.height:
             raise InvalidArgumentError(f"data length {data.size} != {self.width}x{self.height}")
+        if data.ndim != 1 and data.shape != (self.height, self.width):
+            raise InvalidArgumentError(f"data shape {data.shape} != ({self.height}, {self.width})")
         data.setflags(write=False)
         self.data = data.ravel()
 

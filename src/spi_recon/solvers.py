@@ -28,6 +28,9 @@ recomputing it.  Per iteration:
   and four n-length ufunc passes, with no allocation
 - cs-dct/cs-tv: 1 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner
   CG step, plus 1 A once; cgd and the ALM x-update share one CG loop, _cg
+
+gd_solve and ap_solve call gd_optimal_step and ap_update by their module
+names, so a wrapper set on this module sees every step and row update.
 """
 
 import time
@@ -253,24 +256,16 @@ def gd_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np
     return _gd_grad(A, A @ x, meas.values)
 
 
-def _gd_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
-    """-(Ap.r) / (Ap.Ap) from a given Ap, or None when Ap = 0: the
-    arithmetic of gd_optimal_step and gd_solve."""
+def gd_optimal_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
+    """gd_solve's exact minimizing step along a direction p, from Ap.
+
+    step = -(Ap.r) / (Ap.Ap) with r = b - Ax.  Returns None when Ap = 0
+    (converged: no progress possible along p).
+    """
     denom = float(Ap @ Ap)
     if denom == 0.0:
         return None
     return -float(Ap @ r) / denom
-
-
-def gd_optimal_step(
-    patterns: PatternSet, p: np.ndarray, r: np.ndarray
-) -> Optional[float]:
-    """Exact minimizing step for the quadratic objective along direction p.
-
-    step = -(p^T A^T r) / (p^T A^T A p) with r = b - Ax.  Returns None
-    when Ap = 0 (converged: no progress possible along p).
-    """
-    return _gd_step(patterns.rows @ p, r)
 
 
 def gd_solve(
@@ -293,7 +288,7 @@ def gd_solve(
     while True:
         p = _gd_grad(A, Ax, b)
         Ap = A @ p
-        step = _gd_step(Ap, b - Ax)
+        step = gd_optimal_step(Ap, b - Ax)
         if step is not None:
             x -= step * p
             Ax -= step * Ap
@@ -491,33 +486,21 @@ def poisson_solve(
 # -------------------------------------------------------- alternating projection
 
 
-def _ap_correct(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
-                buf: np.ndarray) -> None:
-    """ap_update's correction for a row with max(a)^2 = amax2 > 0, applied to
-    x in place; buf is a work array of x's size.  The division by amax2
-    joins the row's scalar, a float64, so an amax2 that underflows to 0
-    gives inf, not ZeroDivisionError."""
+def ap_update(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
+              buf: np.ndarray) -> None:
+    """ap_solve's in-place correction of x by one row a with max(a) > 0.
+
+    x -= [a (.) (a (.) x)] / amax2 * (a.x - b_i)/(a.x), with amax2 =
+    max(a)^2 and a.x clamped sign-preservingly; buf is x-sized scratch.
+    amax2 joins a float64 scalar, so if it underflows to 0 the step is
+    inf, not ZeroDivisionError.  ap_solve skips and counts all-zero rows.
+    """
     ax = float(a @ x)
     denom = ax if abs(ax) >= EPS_DIV else (EPS_DIV if ax >= 0 else -EPS_DIV)
     np.multiply(a, a, out=buf)
     buf *= x
     buf *= np.float64(ax - b_i) / denom / amax2
     x -= buf
-
-
-def ap_update(a: np.ndarray, b_i: float, x: np.ndarray) -> np.ndarray:
-    """One measurement's correction of the estimate.
-
-    x' = x - [a (.) (a (.) x)] / max(a)^2 * (a.x - b_i)/(a.x), with the
-    a.x denominator clamped sign-preservingly.  All-zero patterns leave x
-    unchanged.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    amax = a.max(initial=0.0)
-    x = np.array(x, dtype=np.float64)
-    if amax > 0.0:
-        _ap_correct(a, b_i, amax**2, x, np.empty_like(x))
-    return x
 
 
 def ap_solve(
@@ -529,7 +512,7 @@ def ap_solve(
 ) -> SolverReport:
     """Sweeps every measurement in ascending order, once per outer iteration.
 
-    Each row applies ap_update's correction in place, with every row's
+    Each row with max(a) > 0 is one ap_update call, with every row's
     max(a)^2 computed once, so a sweep allocates nothing per row.  Per
     iteration m row dot products and m row corrections of four ufunc
     passes each, plus 1 A for the residual.
@@ -544,7 +527,7 @@ def ap_solve(
     buf = np.empty(n)
     while True:
         for a, b_i, amax2 in rows:
-            _ap_correct(a, b_i, amax2, x, buf)
+            ap_update(a, b_i, amax2, x, buf)
         rnorm = float(np.linalg.norm(b - A @ x))
         if run.record(rnorm, rnorm**2):
             return run.report(x, warnings=zero_rows * run.k)

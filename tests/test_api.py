@@ -119,6 +119,8 @@ SOLVER_PARAMS = ["patterns", "meas", "width", "height", "stop"]
     (solvers.backtracking_search, ["objective", "x", "p"]),
     (bench.run_sweep, ["spec"]),
     (solvers.cgd_solve, SOLVER_PARAMS),
+    (solvers.gd_optimal_step, ["Ap", "r"]),
+    (solvers.ap_update, ["a", "b_i", "amax2", "x", "buf"]),
 ])
 def test_signatures_have_no_test_only_options(fn, params):
     assert list(inspect.signature(fn).parameters) == params

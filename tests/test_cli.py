@@ -185,6 +185,23 @@ def test_reconstruct_rejects_bad_stop_criteria(tmp_path, capsys, flag, value, fi
     assert not recon.exists()
 
 
+def test_reconstruct_refuses_measurements_of_another_pixel_count(tmp_path, capsys):
+    """Patterns of 16 pixels with 8 readings of a 9-pixel scene: the counts
+    of readings agree, the pixel counts do not."""
+    pat, pat9 = tmp_path / "pat.spib", tmp_path / "pat9.spib"
+    scene, meas, recon = tmp_path / "scene.pgm", tmp_path / "meas.spib", tmp_path / "recon.pgm"
+    write_image(builtin_scene("bars", 3, 3), scene)
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
+    main(["gen-patterns", "--m", "8", "--width", "3", "--height", "3", "--out", str(pat9)])
+    main(["simulate", "--patterns", str(pat9), "--scene", str(scene), "--out", str(meas)])
+    capsys.readouterr()
+    assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),
+                 "--measurements", str(meas), "--out", str(recon)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: measurement bundle pixel count 9 != pattern pixel count 16\n")
+    assert not recon.exists()
+
+
 def test_metrics_identical_files(tmp_path, capsys):
     scene = tmp_path / "scene.pgm"
     write_image(builtin_scene("disk", 8, 8), scene)
@@ -352,7 +369,8 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
     ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1\nimage_sizes = 8x8\n"
      "noise_levels = 0\nrepeats = 99999999999999999999\n",
      "repeats 99999999999999999999 gives 99999999999999999999 cells"),
-], ids=["overflowing-ratio", "not-utf8", "too-many-repeats"])
+    ("scenes = blocks\nsolvers = dgi\nimage_sizes 8x8\n", "config line 3: expected key=value"),
+], ids=["overflowing-ratio", "not-utf8", "too-many-repeats", "no-equals"])
 def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
     cfg.write_bytes(config.encode() if isinstance(config, str) else config)

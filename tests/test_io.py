@@ -83,6 +83,20 @@ def test_pgm_truncated_payload(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("data, message, offset", [
+    (b"P5\n0 2\n255\n", "non-positive dimensions", 7),
+    (b"P2\n2 0\n255\n", "non-positive dimensions", 7),
+    (b"P2\n2 1\n255\n0 256\n", "pixel value 256 out of range", 13),
+])
+def test_pgm_header_and_pixel_values_are_refused_at_their_offset(tmp_path, data, message,
+                                                                  offset):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as info:
+        read_image(path)
+    assert info.value.offset == offset
+
+
 @pytest.mark.parametrize("data, offset", [
     (b"P5\n2 2\n255\n" + bytes(8), 15),       # the first byte past the 4-pixel raster
     (b"P2\n2 1\n255\n1 2 3 4\n", 15),         # the token "3"
@@ -388,6 +402,14 @@ def test_results_csv_roundtrip_non_timing_fields(tmp_path):
         assert int(p["seed"]) == row.seed
         if row.rmse is not None:
             assert float(p["rmse"]) == pytest.approx(row.rmse, rel=1e-8)
+
+
+def test_results_csv_with_another_header_is_refused(tmp_path):
+    path = tmp_path / "res.csv"
+    write_results_csv(rows3(), path)
+    path.write_text(path.read_text().replace("wall_time_s", "time_s", 1))
+    with pytest.raises(FormatError, match="unexpected CSV header"):
+        read_results_csv(path)
 
 
 def test_results_csv_empty_rejected(tmp_path):

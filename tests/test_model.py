@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from spi_recon.model import (
     generate_patterns,
     synthesize,
 )
+from spi_recon.scenes import builtin_scene
 
 
 def test_generate_patterns_zero_count_rejected():
@@ -182,6 +184,30 @@ def test_patterns_accept_negative_zero_and_no_rows():
 def test_image_data_length_must_match_its_size():
     with pytest.raises(InvalidArgumentError, match="data length 3 != 2x2"):
         Image(2, 2, np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 6), (2, 1, 3), (6, 1)])
+def test_image_data_must_be_flat_or_shaped_height_by_width(shape):
+    """A 3-wide, 2-high image takes data of shape (6,) or (2, 3); a (3, 2)
+    array was read as its transposed raster."""
+    data = np.arange(6.0)
+    assert np.array_equal(Image(3, 2, data.reshape(2, 3)).data, data)
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"data shape {shape} != (2, 3)")):
+        Image(3, 2, data.reshape(shape))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Image(0, 2, np.zeros(0)), "image dimensions must be positive"),
+    (lambda: Image.from_array(np.zeros(4)), "expected a 2D array"),
+    (lambda: NoiseModel(1e-3, 0), "pixel_count must be >= 1"),
+    (lambda: generate_patterns(4, 2, 2, "foo"), "unknown distribution 'foo'"),
+    (lambda: builtin_scene("nope", 8, 8), "unknown scene 'nope'; builtins"),
+    (lambda: builtin_scene("blocks", 1, 5), "scene size must be at least 2x2"),
+], ids=["image-width-0", "from-array-1d", "noise-no-pixels", "unknown-distribution",
+        "unknown-scene", "scene-1-wide"])
+def test_model_and_scene_arguments_are_refused(make, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        make()
 
 
 def test_synthesize_identity():

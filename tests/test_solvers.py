@@ -115,6 +115,14 @@ def test_pinv_underdetermined_rejected():
         pinv_solve(ps, meas, 4, 4)
 
 
+def test_pinv_rank_deficient_overdetermined_rejected():
+    """m >= n, but two equal columns leave A^T A singular."""
+    A = generate_patterns(32, 4, 4, seed=0).rows.copy()
+    A[:, 5] = A[:, 4]
+    with pytest.raises(SingularSystemError, match="condition estimate"):
+        pinv_solve(PatternSet(A), MeasurementSet(values=A @ np.ones(16)), 4, 4)
+
+
 def test_corr_hand_instance():
     ps, meas = three_pattern_instance()
     rep = corr_reconstruct(ps, meas, 2, 1)
@@ -222,7 +230,7 @@ def test_gd_gradient_linearity_in_b():
 
 def test_gd_optimal_step_zero_direction():
     ps = PatternSet(np.eye(2))
-    assert gd_optimal_step(ps, np.zeros(2), np.ones(2)) is None
+    assert gd_optimal_step(ps.rows @ np.zeros(2), np.ones(2)) is None
 
 
 def test_gd_optimal_step_scalar_instance():
@@ -232,7 +240,7 @@ def test_gd_optimal_step_scalar_instance():
     meas = MeasurementSet(values=b)
     p = gd_gradient(ps, x, meas)
     r = b - ps.rows @ x
-    step = gd_optimal_step(ps, p, r)
+    step = gd_optimal_step(ps.rows @ p, r)
     assert step == pytest.approx(0.125, abs=0)
     assert (x - step * p)[0] == pytest.approx(3.0, abs=1e-15)
 
@@ -246,7 +254,7 @@ def test_gd_optimal_step_grid_minimality():
     meas = MeasurementSet(values=b)
     p = gd_gradient(ps, x, meas)
     r = b - A @ x
-    step = gd_optimal_step(ps, p, r)
+    step = gd_optimal_step(ps.rows @ p, r)
     best = quad_objective(A, x - step * p, b)
     for factor in np.linspace(0.5, 1.5, 21):
         assert best <= quad_objective(A, x - step * factor * p, b) + 1e-12
@@ -347,6 +355,13 @@ def test_poisson_objective_domain_error():
     meas = MeasurementSet(values=np.array([1.0]))
     with pytest.raises(DomainError):
         poisson_objective(ps, np.array([-1.0, 0.0]), meas)
+
+
+def test_poisson_objective_refuses_a_negative_reading():
+    ps = PatternSet(np.array([[1.0, 1], [2, 1]]))
+    meas = MeasurementSet(values=np.array([6.0, -1e-3]))
+    with pytest.raises(InvalidArgumentError, match="Poisson measurements must be >= 0"):
+        poisson_objective(ps, np.array([1.0, 2.0]), meas)
 
 
 def test_poisson_gradient_zero_at_fit():
@@ -463,21 +478,30 @@ def test_poisson_solve_objective_monotone():
 # -------------------------------------------------------- alternating projection
 
 
+def ap_update_copy(a, b_i, x):
+    """ap_update applied to a copy of x, with amax2 = max(a)^2 as ap_solve
+    computes it; a must have max(a) > 0."""
+    a = np.asarray(a, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)
+    ap_update(a, b_i, float(a.max() ** 2), x, np.empty_like(x))
+    return x
+
+
 def test_ap_update_hand_instance():
-    x = ap_update(np.array([1.0, 1.0]), 4.0, np.array([1.0, 1.0]))
+    x = ap_update_copy(np.array([1.0, 1.0]), 4.0, np.array([1.0, 1.0]))
     assert np.array_equal(x, [2.0, 2.0])
 
 
 def test_ap_update_consistent_measurement_fixed_point():
     a = np.array([0.5, 1.5, 1.0])
     x = np.array([1.0, 2.0, 3.0])
-    x2 = ap_update(a, float(a @ x), x)
+    x2 = ap_update_copy(a, float(a @ x), x)
     assert np.array_equal(x2, x)
 
 
 def test_ap_update_zero_start_is_finite():
     a = np.array([1.0, 1.0])
-    x2 = ap_update(a, 1.0, np.zeros(2))
+    x2 = ap_update_copy(a, 1.0, np.zeros(2))
     assert np.all(np.isfinite(x2))
 
 
@@ -487,7 +511,7 @@ def test_ap_update_reduces_measurement_error():
         a = rng.random(9)
         x = rng.random(9)
         b_i = rng.random() * 5
-        x2 = ap_update(a, b_i, x)
+        x2 = ap_update_copy(a, b_i, x)
         assert abs(a @ x2 - b_i) <= abs(a @ x - b_i) + 1e-12
 
 
@@ -499,7 +523,7 @@ def test_ap_update_binary_pattern_exact_projection():
             a[0] = 1.0
         x = rng.random(9) + 0.1
         b_i = rng.random() * 3 + 0.5
-        x2 = ap_update(a, b_i, x)
+        x2 = ap_update_copy(a, b_i, x)
         assert a @ x2 == pytest.approx(b_i, rel=1e-9)
 
 
@@ -553,6 +577,36 @@ def test_ap_with_entries_whose_square_overflows_is_a_numerical_failure():
     meas = MeasurementSet(values=np.ones(32))
     with np.errstate(all="ignore"), pytest.raises(NumericalFailureError):
         ap_solve(ps, meas, 4, 4)
+
+
+def test_gd_and_ap_run_their_public_kernels(monkeypatch):
+    """gd_solve takes every step from solvers.gd_optimal_step and ap_solve
+    makes every row update through solvers.ap_update, so counting wrappers
+    on the module see one step per gd iteration and one update per nonzero
+    row per ap sweep, and leave every bit of the images as they were."""
+    rows = generate_patterns(24, 4, 4, seed=41).rows.copy()
+    rows[[3, 10]] = 0.0
+    ps = PatternSet(rows)
+    meas = synthesize(ps, builtin_scene("blocks", 4, 4))
+    budget = StopCriteria(residual_change_threshold=0.0, min_iterations=7,
+                          max_iterations_factor=0.0)
+    plain = [gd_solve(ps, meas, 4, 4, stop=budget), ap_solve(ps, meas, 4, 4, stop=budget)]
+    calls = {"gd_optimal_step": 0, "ap_update": 0}
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+    gd = gd_solve(ps, meas, 4, 4, stop=budget)
+    assert calls == {"gd_optimal_step": 7, "ap_update": 0} and gd.iterations == 7
+    ap = ap_solve(ps, meas, 4, 4, stop=budget)
+    assert calls["ap_update"] == 22 * 7 and ap.iterations == 7
+    for rep, ref in zip((gd, ap), plain):
+        assert rep.image.data.tobytes() == ref.image.data.tobytes()
 
 
 # --------------------------------------------------------- augmented Lagrangian
@@ -856,7 +910,7 @@ def test_counting_matrix_sees_both_directions():
     products = _count_products(ps)
     gd_gradient(ps, np.ones(16), MeasurementSet(values=np.ones(24)))
     assert (products.A, products.AT) == (1, 1)
-    ap_update(ps.rows[0], 1.0, np.ones(16))  # one row: a 1-D dot product
+    ap_update(ps.rows[0], 1.0, 1.0, np.ones(16), np.empty(16))  # a 1-D dot product
     assert (products.A, products.AT) == (1, 1)
 
 
