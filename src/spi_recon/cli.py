@@ -6,6 +6,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime/numerical failure.
 gen-patterns and simulate hold one row block of A at a time, cut by the
 one rule model._row_blocks, never all of A; reconstruct reads A whole.
 simulate's readings equal synthesize's at any BLAS thread count.
+
+simulate, the one step that reads the scene, records its width and height
+in the measurement bundle, and reconstruct takes the image shape from
+there; the solver refuses a shape that does not hold the patterns' pixels.
 """
 
 import argparse
@@ -73,14 +77,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _infer_shape(n: int):
-    """Bundles carry only the pixel count; recover a square (or near) shape."""
-    w = int(round(n**0.5))
-    while w > 1 and n % w:
-        w -= 1
-    return w, n // w
-
-
 def _run(args) -> int:
     if args.command == "gen-patterns":
         n, draw = _pattern_draw(args.m, args.width, args.height, args.dist, args.seed)
@@ -96,19 +92,14 @@ def _run(args) -> int:
              for block in _read_pattern_blocks(args.patterns)]))
         if noise.sigma > 0:
             meas = add_noise(meas, noise, seed=args.seed)
-        spio.write_measurements(meas, scene.data.size, args.out)
+        spio.write_measurements(meas, scene.width, scene.height, args.out)
     elif args.command == "reconstruct":
         solver = get_solver(args.solver)
         stop = StopCriteria(residual_change_threshold=args.threshold,
                             min_iterations=args.min_iter,
                             max_iterations_factor=args.max_iter_factor)
         patterns = spio.read_patterns(args.patterns)
-        meas, n = spio.read_measurements(args.measurements)
-        if n != patterns.n:
-            raise InvalidArgumentError(
-                f"measurement bundle pixel count {n} != pattern pixel count {patterns.n}"
-            )
-        width, height = _infer_shape(patterns.n)
+        meas, width, height = spio.read_measurements(args.measurements)
         report = solver(patterns, meas, width, height, stop=stop)
         spio.write_image(report.image, args.out)
         if args.trace:

@@ -8,16 +8,17 @@ multiple of its file size at most.  Data past the declared raster is
 refused too, at the offset of its first byte (P5) or token (P2); only
 whitespace and comments may follow a P2 raster.
 
-Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte
-(1 = patterns A, 2 = measurements b), u32 m, u32 n, u64 seed, then for
-measurement bundles one f64 sigma, so the header is 25 or 33 bytes,
-followed by the float64 payload (m*n values row-major for patterns, m
-values for measurements).  Each kind has its own writer and reader, and
-a reader refuses the other kind at the kind byte (offset 8).
+Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte, u32
+counts, u64 seed.  Patterns (kind 1): m, n and the seed, a 25-byte
+header, then m*n float64 values row-major.  Measurements (kind 3): m, the
+scene's width and height (n = width*height), the seed and one f64 sigma,
+a 37-byte header, then m float64 values.  Kind 2, the old measurements
+layout with n in place of the shape, is retired.  Each kind has its own
+writer and reader, and a reader refuses any other kind byte at offset 8.
 
-m and n must be at least 1: the writer refuses m or n outside [1, 2**32)
-(the header's u32 fields), and the reader reports m = 0 or n = 0 as a
-FormatError at the field's offset (m at 9, n at 13).  The writer refuses
+Every count must be at least 1: the writer refuses one outside [1, 2**32)
+(the header's u32 fields), and the reader reports a 0 as a FormatError at
+its offset (m at 9, n or width at 13, height at 17).  The writer refuses
 a seed outside [0, 2**64) rather than record a different one.  A bundle
 path must be a regular file.  The reader parses the fixed header, checks
 the payload length it declares against the file size before allocating
@@ -132,22 +133,25 @@ def write_image(img: Image, path) -> None:
 # -------------------------------------------------------------------- bundles
 
 
-# kind -> (kind byte, header layout)
-_BUNDLES = {"patterns": (1, struct.Struct("<8sBIIQ")),
-            "measurements": (2, struct.Struct("<8sBIIQd"))}
+# kind -> (kind byte, header layout, names of its u32 counts)
+_BUNDLES = {"patterns": (1, struct.Struct("<8sBIIQ"), ("m", "n")),
+            "measurements": (3, struct.Struct("<8sBIIIQd"), ("m", "width", "height"))}
+_KIND_NAMES = {1: "patterns", 3: "measurements", 2: "kind byte 2, the retired "
+               "measurements layout that records no image shape (re-run simulate)"}
 
 
-def _save_bundle(path, kind, m, n, seed, blocks, *sigma) -> None:
+def _save_bundle(path, kind, counts, seed, blocks, *sigma) -> None:
     """Write a bundle whose payload is the arrays ``blocks`` yields, in
     turn; sigma for measurements only.  If writing fails, the file is
     removed."""
-    if not (0 < m < 2**32 and 0 < n < 2**32):
-        raise InvalidArgumentError(f"a bundle needs 1 <= m, n < 2**32, got m={m}, n={n}")
+    code, header, names = _BUNDLES[kind]
+    if not all(0 < c < 2**32 for c in counts):
+        got = ", ".join(f"{name}={c}" for name, c in zip(names, counts))
+        raise InvalidArgumentError(f"a bundle needs 1 <= {', '.join(names)} < 2**32, got {got}")
     _check_seed(seed)
-    code, header = _BUNDLES[kind]
     with open(path, "wb") as f:
         try:
-            f.write(header.pack(MAGIC, code, m, n, seed, *sigma))
+            f.write(header.pack(MAGIC, code, *counts, seed, *sigma))
             for block in blocks:
                 f.write(memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B"))
         except BaseException:
@@ -157,32 +161,33 @@ def _save_bundle(path, kind, m, n, seed, blocks, *sigma) -> None:
 
 
 def _open_bundle(f, kind):
-    """(m, n, seed[, sigma]) from the header of the open bundle f, once
-    the payload length it declares matches the file size."""
-    code, header = _BUNDLES[kind]
+    """(m, n, seed) or (m, width, height, seed, sigma) from the header of the
+    open bundle f, once the payload length it declares matches the file size."""
+    code, header, names = _BUNDLES[kind]
     st = os.fstat(f.fileno())
     if not stat.S_ISREG(st.st_mode):
         raise FormatError("not a regular file", offset=0)
     head = f.read(header.size)
     if head[:8] != MAGIC:
         raise FormatError(f"bad magic {head[:8]!r}", offset=0)
+    if len(head) > 8 and head[8] != code:
+        found = _KIND_NAMES.get(head[8], f"kind byte {head[8]}")
+        raise FormatError(f"expected a {kind} bundle, got {found}", offset=8)
     if len(head) < header.size:
         raise FormatError("truncated header", offset=len(head))
-    _, found, m, n, seed, *sigma = header.unpack(head)
-    if found != code:
-        name = {c: k for k, (c, _) in _BUNDLES.items()}.get(found, f"kind byte {found}")
-        raise FormatError(f"expected a {kind} bundle, got {name}", offset=8)
-    for field, value, at in (("m", m, 9), ("n", n, 13)):
+    fields = header.unpack(head)[2:]
+    for i, (name, value) in enumerate(zip(names, fields)):
         if value == 0:
-            raise FormatError(f"{field} is 0: a bundle needs m >= 1 and n >= 1", offset=at)
-    expected = 8 * m * (n if kind == "patterns" else 1)
+            raise FormatError(f"{name} is 0: a bundle needs {', '.join(names)} >= 1",
+                              offset=9 + 4 * i)
+    expected = 8 * fields[0] * (fields[1] if kind == "patterns" else 1)
     actual = st.st_size - header.size
     if actual != expected:
         raise FormatError(
             f"payload length mismatch: expected {expected} bytes, got {actual}",
             offset=header.size,
         )
-    return m, n, seed, *sigma
+    return fields
 
 
 def _read_into(f, out) -> None:
@@ -195,14 +200,14 @@ def _read_into(f, out) -> None:
 
 
 def _load_bundle(path, kind):
-    """(payload, n, seed[, sigma]) of a bundle of the given kind, the payload
+    """(payload, n, seed) or (payload, width, height, seed, sigma), the payload
     read straight into its final shape: (m, n) for patterns, (m,) for
     measurements."""
     with open(path, "rb") as f:
-        m, n, seed, *sigma = _open_bundle(f, kind)
-        payload = np.empty((m, n) if kind == "patterns" else (m,), dtype="<f8")
+        m, *fields = _open_bundle(f, kind)
+        payload = np.empty((m, fields[0]) if kind == "patterns" else (m,), dtype="<f8")
         _read_into(f, payload)
-    return payload, n, seed, *sigma
+    return payload, *fields
 
 
 def _pattern_set(rows, seed, at) -> PatternSet:
@@ -216,7 +221,7 @@ def _pattern_set(rows, seed, at) -> PatternSet:
 
 
 def write_patterns(patterns: PatternSet, path) -> None:
-    _save_bundle(path, "patterns", patterns.m, patterns.n, patterns.seed, [patterns.rows])
+    _save_bundle(path, "patterns", (patterns.m, patterns.n), patterns.seed, [patterns.rows])
 
 
 def read_patterns(path) -> PatternSet:
@@ -235,7 +240,7 @@ def _write_pattern_blocks(path, m, n, seed, draw) -> None:
             draw(rows)
             yield rows
 
-    _save_bundle(path, "patterns", m, n, seed, blocks())
+    _save_bundle(path, "patterns", (m, n), seed, blocks())
 
 
 def _read_pattern_blocks(path):
@@ -251,14 +256,15 @@ def _read_pattern_blocks(path):
             yield _pattern_set(rows, seed, at)
 
 
-def write_measurements(meas: MeasurementSet, n: int, path) -> None:
-    _save_bundle(path, "measurements", meas.m, n, meas.noise_seed, [meas.values],
-                 meas.noise_sigma)
+def write_measurements(meas: MeasurementSet, width: int, height: int, path) -> None:
+    """Write meas with the width and height of the scene it measures."""
+    _save_bundle(path, "measurements", (meas.m, width, height), meas.noise_seed,
+                 [meas.values], meas.noise_sigma)
 
 
 def read_measurements(path):
-    """Returns (MeasurementSet, n)."""
-    values, n, seed, sigma = _load_bundle(path, "measurements")
+    """Returns (MeasurementSet, width, height)."""
+    values, width, height, seed, sigma = _load_bundle(path, "measurements")
     try:
         meas = MeasurementSet(values=values, noise_sigma=sigma, noise_seed=seed)
     except InvalidArgumentError as exc:  # at the first non-finite value, else at sigma
@@ -266,7 +272,7 @@ def read_measurements(path):
         start = _BUNDLES["measurements"][1].size  # sigma is the 8 bytes before it
         at = start + 8 * int(bad.argmax()) if bad.any() else start - 8
         raise FormatError(str(exc), offset=at) from None
-    return meas, n
+    return meas, width, height
 
 
 # ------------------------------------------------------------------------ CSV

@@ -370,24 +370,27 @@ def cgd_solve(
 
 
 def _neg_log_likelihood(ax: np.ndarray, b: np.ndarray) -> float:
-    """sum(ax - b log ax) for ax > 0; b_i = 0 entries contribute only ax_i."""
-    log_terms = np.where(b > 0, b * np.log(ax), 0.0)
-    return float(np.sum(ax - log_terms))
+    """sum(ax - b log ax), where b_i = 0 entries contribute only ax_i, on the
+    likelihood's domain: a_i.x > 0 where b_i > 0, a_i.x >= 0 where b_i = 0.
+    Outside it, a DomainError naming the first row outside."""
+    z = np.where(b > 0, ax, 1.0)  # log(1) = 0 where b_i = 0
+    if ax.min() < 0 or z.min() <= 0:
+        i = int(np.argmax((ax < 0) | (z <= 0)))
+        raise DomainError(f"a_i.x = {ax[i]:g} at row {i} is outside the Poisson "
+                          "likelihood's domain (a_i.x > 0 where b_i > 0, else >= 0)")
+    return float(np.sum(ax - b * np.log(z)))
 
 
 def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> float:
     """Negative Poisson log-likelihood: sum(a_i.x - b_i log(a_i.x)).
 
-    Requires a_i.x > 0 for every pattern; b_i = 0 entries contribute only
-    the linear term.
+    Requires a_i.x > 0 where b_i > 0 and a_i.x >= 0 where b_i = 0, whose
+    entries contribute only the linear term; DomainError otherwise.
     """
     b = meas.values
     if np.any(b < 0):
         raise InvalidArgumentError("Poisson measurements must be >= 0")
-    ax = patterns.rows @ x
-    if np.any(ax <= 0):
-        raise DomainError("a_i.x must be positive for the Poisson likelihood")
-    return _neg_log_likelihood(ax, b)
+    return _neg_log_likelihood(patterns.rows @ x, b)
 
 
 def _clamp_signed(v: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
@@ -446,24 +449,34 @@ def poisson_solve(
     """Poisson maximum-likelihood descent with backtracking step size.
 
     Negative measurements (possible after Gaussian noise) are clamped to
-    0 and counted in the report; x0 is a small positive constant so the
-    likelihood's Ax > 0 domain constraint holds at the start.
+    0 and counted in the report; x0 is a small positive constant, so x0 is
+    in the likelihood's domain (a_i.x > 0 where b_i > 0, a_i.x >= 0 where
+    b_i = 0) unless an all-zero row has b_i > 0, which no x satisfies and
+    which is refused up front with DomainError.
 
     Per iteration 1 A + 1 A^T, plus A x0 once: A^T for the gradient and
     A p for the search direction p.  Each Armijo trial evaluates the
-    likelihood at Ax + step * Ap in O(m); a trial with any a_i.x <= 0 is
+    likelihood at Ax + step * Ap in O(m); a trial outside the domain is
     rejected.  The accepted trial's Ax + step * Ap becomes the next Ax,
-    so Ax > 0 still holds, and it serves the next gradient, the residual
-    and the objective.
+    so Ax stays in the domain, and it serves the next gradient, the
+    residual and the objective.
     """
     run = _Run(patterns, meas, width, height, stop)
     A = patterns.rows
 
     clamped = int(np.count_nonzero(meas.values < 0))
     b = np.maximum(meas.values, 0.0)
+    dead = (b > 0) & ~A.any(axis=1)  # no x gives a_i.x > 0 on an all-zero row
+    if dead.any():
+        i = int(dead.argmax())
+        raise DomainError(f"pattern row {i} is all zero but its reading is {b[i]:g} > 0: "
+                          "no image is in the Poisson likelihood's domain")
 
     def objective(ax):
-        return np.inf if np.any(ax <= 0) else _neg_log_likelihood(ax, b)
+        try:
+            return _neg_log_likelihood(ax, b)
+        except DomainError:
+            return np.inf
 
     x = np.full(patterns.n, 1e-6)
     Ax = A @ x

@@ -284,13 +284,13 @@ def test_criterion_10_measurement_replay(capsys, tmp_path):
     meas = synthesize(patterns, truth)
     ppath, mpath = tmp_path / "pat.spib", tmp_path / "meas.spib"
     write_patterns(patterns, ppath)
-    write_measurements(meas, side * side, mpath)
+    write_measurements(meas, side, side, mpath)
     patterns2 = read_patterns(ppath)
-    meas2, n = read_measurements(mpath)
-    assert n == side * side
+    meas2, width, height = read_measurements(mpath)
+    assert (width, height) == (side, side)
     worst = 0.0
     for name in ("cgd", "cs-tv"):
-        rep = get_solver(name)(patterns2, meas2, side, side)
+        rep = get_solver(name)(patterns2, meas2, width, height)
         worst = max(worst, normalized_rmse(truth, rep.image))
     report(capsys, 10, worst < 0.05,
            f"replayed bundles reconstruct to rmse {worst:.2e} < 0.05 "

@@ -121,6 +121,7 @@ SOLVER_PARAMS = ["patterns", "meas", "width", "height", "stop"]
     (solvers.cgd_solve, SOLVER_PARAMS),
     (solvers.gd_optimal_step, ["Ap", "r"]),
     (solvers.ap_update, ["a", "b_i", "amax2", "x", "buf"]),
+    (io.write_measurements, ["meas", "width", "height", "path"]),
 ])
 def test_signatures_have_no_test_only_options(fn, params):
     assert list(inspect.signature(fn).parameters) == params

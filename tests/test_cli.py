@@ -40,14 +40,14 @@ def test_simulate_matches_library(tmp_path):
     write_image(builtin_scene("blocks", 8, 8), scene)
     assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
                  "--noise-level", "1e-3", "--seed", "11", "--out", str(out)]) == 0
-    meas, n = read_measurements(out)
+    meas, width, height = read_measurements(out)
     patterns = read_patterns(pat)
     direct = add_noise(
         synthesize(patterns, read_image(scene)),
         NoiseModel(level=1e-3, pixel_count=64),
         seed=11,
     )
-    assert n == 64
+    assert (width, height) == (8, 8)
     assert np.array_equal(meas.values, direct.values)
     assert meas.noise_sigma == direct.noise_sigma
 
@@ -102,7 +102,7 @@ def test_simulate_noise_level_zero_writes_clean_bundle(tmp_path):
     assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
                  "--noise-level", "0", "--seed", "9", "--out", str(outs[1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    meas, _ = read_measurements(outs[1])
+    meas, _, _ = read_measurements(outs[1])
     assert np.array_equal(meas.values, synthesize(read_patterns(pat), read_image(scene)).values)
 
 
@@ -148,7 +148,7 @@ def test_reconstruct_flags_forward_to_stop_criteria(tmp_path):
                  "--max-iter-factor", "0.25"]) == 0
     # byte-identical to the direct library call
     patterns = read_patterns(pat)
-    measurements, _ = read_measurements(meas)
+    measurements, _, _ = read_measurements(meas)
     stop = StopCriteria(residual_change_threshold=0.0, min_iterations=5,
                         max_iterations_factor=0.25)
     report = get_solver("gd")(patterns, measurements, 8, 8, stop=stop)
@@ -186,8 +186,9 @@ def test_reconstruct_rejects_bad_stop_criteria(tmp_path, capsys, flag, value, fi
 
 
 def test_reconstruct_refuses_measurements_of_another_pixel_count(tmp_path, capsys):
-    """Patterns of 16 pixels with 8 readings of a 9-pixel scene: the counts
-    of readings agree, the pixel counts do not."""
+    """Patterns of 16 pixels with 8 readings of a 3x3 scene: the counts of
+    readings agree, and the solver refuses the measurement bundle's shape
+    before any product."""
     pat, pat9 = tmp_path / "pat.spib", tmp_path / "pat9.spib"
     scene, meas, recon = tmp_path / "scene.pgm", tmp_path / "meas.spib", tmp_path / "recon.pgm"
     write_image(builtin_scene("bars", 3, 3), scene)
@@ -198,7 +199,42 @@ def test_reconstruct_refuses_measurements_of_another_pixel_count(tmp_path, capsy
     assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),
                  "--measurements", str(meas), "--out", str(recon)]) == 1
     assert capsys.readouterr().err == (
-        "usage error: measurement bundle pixel count 9 != pattern pixel count 16\n")
+        "usage error: image shape 3x3 does not hold the 16 pattern pixels\n")
+    assert not recon.exists()
+
+
+def test_a_non_square_scene_keeps_its_shape_through_the_cli(tmp_path, capsys):
+    """A 40x10 scene comes back 40x10: simulate records the scene's shape in
+    the measurement bundle and reconstruct takes it from there, where a
+    shape guessed from n = 400 was 20x20."""
+    pat, scene, meas = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
+    write_image(builtin_scene("bars", 40, 10), scene)
+    assert main(["gen-patterns", "--m", "400", "--width", "40", "--height", "10",
+                 "--out", str(pat)]) == 0
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--out", str(meas)]) == 0
+    assert read_measurements(meas)[1:] == (40, 10)
+    for solver in ("cs-tv", "cgd", "dgi"):
+        recon = tmp_path / f"{solver}.pgm"
+        assert main(["reconstruct", "--solver", solver, "--patterns", str(pat),
+                     "--measurements", str(meas), "--out", str(recon)]) == 0
+        image = read_image(recon)
+        assert (image.width, image.height) == (40, 10)
+        assert main(["metrics", "--truth", str(scene), "--estimate", str(recon)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_reconstruct_refuses_a_measurement_bundle_in_the_retired_layout(tmp_path, capsys):
+    """A kind-2 bundle recorded n and not the scene's shape: reconstruct exits
+    2 at the kind byte and asks for simulate to be run again."""
+    pat, meas, recon = tmp_path / "pat.spib", tmp_path / "meas.spib", tmp_path / "recon.pgm"
+    main(["gen-patterns", "--m", "8", "--width", "4", "--height", "4", "--out", str(pat)])
+    meas.write_bytes(MAGIC + struct.pack("<BIIQd", 2, 8, 16, 0, 0.0) + bytes(8 * 8))
+    assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),
+                 "--measurements", str(meas), "--out", str(recon)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: expected a measurements bundle, got kind byte 2")
+    assert "re-run simulate" in err and "(byte offset 8)" in err
     assert not recon.exists()
 
 
@@ -260,12 +296,14 @@ def test_out_of_range_seed_is_usage_error(tmp_path, capsys, seed):
     assert capsys.readouterr().err.count("usage error: seed must be in [0, 2**64)") == 3
 
 
-@pytest.mark.parametrize("kind", ["patterns", "measurements"])
-@pytest.mark.parametrize("field, offset", [("m", 9), ("n", 13)])
+@pytest.mark.parametrize("field, offset, kind", [
+    ("m", 9, "patterns"), ("n", 13, "patterns"),
+    ("m", 9, "measurements"), ("width", 13, "measurements"), ("height", 17, "measurements"),
+])
 def test_bundle_with_no_rows_or_no_pixels_is_runtime_error(tmp_path, capsys, kind,
                                                            field, offset):
-    """reconstruct on a bundle with m = 0 or n = 0 exits 2 naming the field,
-    with no traceback and no image written."""
+    """reconstruct on a bundle with a count of 0 (m, or n, width or height)
+    exits 2 naming the field, with no traceback and no image written."""
     paths = {"patterns": tmp_path / "pat.spib", "measurements": tmp_path / "meas.spib"}
     scene, out = tmp_path / "scene.pgm", tmp_path / "out.pgm"
     write_image(builtin_scene("blocks", 4, 4), scene)
@@ -273,11 +311,14 @@ def test_bundle_with_no_rows_or_no_pixels_is_runtime_error(tmp_path, capsys, kin
           "--out", str(paths["patterns"])])
     main(["simulate", "--patterns", str(paths["patterns"]), "--scene", str(scene),
           "--out", str(paths["measurements"])])
-    m, n = (0, 16) if field == "m" else (8, 0)
-    code, sigma, count = ((1, b"", m * n) if kind == "patterns"
-                          else (2, struct.pack("<d", 0.0), m))
-    paths[kind].write_bytes(MAGIC + struct.pack("<BIIQ", code, m, n, 0) + sigma
-                            + bytes(8 * count))
+    counts = {"patterns": {"m": 8, "n": 16},
+              "measurements": {"m": 8, "width": 4, "height": 4}}[kind]
+    counts[field] = 0
+    if kind == "patterns":
+        head, count = struct.pack("<BIIQ", 1, *counts.values(), 0), counts["m"] * counts["n"]
+    else:
+        head, count = struct.pack("<BIIIQd", 3, *counts.values(), 0, 0.0), counts["m"]
+    paths[kind].write_bytes(MAGIC + head + bytes(8 * count))
     for solver in ("corr", "dgi", "cgd"):
         assert main(["reconstruct", "--solver", solver,
                      "--patterns", str(paths["patterns"]),
@@ -305,7 +346,7 @@ def test_a_bad_payload_value_is_a_data_error(tmp_path, capsys, kind, index, valu
           "--out", str(paths["patterns"])])
     main(["simulate", "--patterns", str(paths["patterns"]), "--scene", str(scene),
           "--out", str(paths["measurements"])])
-    offset = {"patterns": 25, "measurements": 33}[kind] + 8 * index
+    offset = {"patterns": 25, "measurements": 37}[kind] + 8 * index
     data = bytearray(paths[kind].read_bytes())
     data[offset:offset + 8] = struct.pack("<d", value)
     paths[kind].write_bytes(data)

@@ -5,7 +5,9 @@ A grammar-driven fuzz of ``cli.main`` checks that no argv ends in a
 traceback."""
 
 import inspect
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 import spi_recon
 from spi_recon import bench, cli, errors
 from spi_recon.errors import Error, InvalidArgumentError, UnknownSolverError
-from spi_recon.io import write_image
+from spi_recon.io import MAGIC, write_image
+from spi_recon.model import Image
 from spi_recon.scenes import builtin_scene
 from spi_recon.solvers import solver_registry
 
@@ -72,11 +75,38 @@ BAD_INTS = st.sampled_from(["", "x", "1.5", "-1", "0", str(2**64), str(10**30)])
 BAD_FLOATS = st.sampled_from(["", "x", "-1", "nan", "inf", "1e308"])
 
 
+# the scenes of the valid problems: square, non-square, and one pixel wide
+SHAPES = {"8": (8, 8), "5x3": (5, 3), "1x7": (1, 7)}
+
+
+def _measurement_variants(good):
+    """name -> bytes of measurement bundles made from a valid one of an 8x8
+    scene: the retired kind-2 layout, a width or height of 0, cut in the
+    header or the payload, and shapes of another or the same pixel count."""
+    m, w, h, seed, sigma = struct.unpack("<IIIQd", good[9:37])
+    payload = good[37:]
+
+    def head(width=w, height=h):
+        return MAGIC + struct.pack("<BIIIQd", 3, m, width, height, seed, sigma)
+
+    return {
+        "meas_kind2": MAGIC + struct.pack("<BIIQd", 2, m, w * h, seed, sigma) + payload,
+        "meas_w0": head(width=0) + payload,
+        "meas_h0": head(height=0) + payload,
+        "meas_cut_head": good[:20],
+        "meas_cut_payload": good[:-8],
+        "meas_4x8": head(width=4) + payload,  # 32 pixels for patterns of 64
+        "meas_16x4": head(width=16, height=4) + payload,  # another shape of 64 pixels
+    }
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Small inputs, at most 8x8 pixels and m = 64, each good or bad."""
     d = tmp_path_factory.mktemp("fuzz")
     write_image(builtin_scene("blocks", 8, 8), d / "scene8.pgm")
+    write_image(builtin_scene("blocks", 5, 3), d / "scene5x3.pgm")
+    write_image(Image(1, 7, np.linspace(0.1, 0.9, 7)), d / "scene1x7.pgm")
     write_image(builtin_scene("blocks", 4, 4), d / "scene4.pgm")
     (d / "garbage").write_bytes(b"P5 not a file this library reads\n")
     (d / "config.cfg").write_text("scenes = blocks\nsolvers = corr, pinv\n"
@@ -85,11 +115,15 @@ def files(tmp_path_factory):
                                "image_sizes = 4x8\nnoise_levels = 0, 1e-3\nrepeats = 1\n"
                                "distribution = binary\n")
     (d / "latin1.cfg").write_bytes(b"scenes = caf\xe9\nsolvers = corr\n")
-    for name, m, size in [("pat8", 64, "8"), ("pat4", 16, "4")]:
-        assert cli.main(["gen-patterns", "--m", str(m), "--width", size, "--height", size,
-                         "--seed", "3", "--out", str(d / f"{name}.spib")]) == 0
-    assert cli.main(["simulate", "--patterns", str(d / "pat8.spib"), "--scene",
-                     str(d / "scene8.pgm"), "--out", str(d / "meas8.spib")]) == 0
+    for name, (w, h) in [("4", (4, 4)), *SHAPES.items()]:  # m = n, at most 64
+        assert cli.main(["gen-patterns", "--m", str(w * h), "--width", str(w),
+                         "--height", str(h), "--seed", "3",
+                         "--out", str(d / f"pat{name}.spib")]) == 0
+    for k in SHAPES:
+        assert cli.main(["simulate", "--patterns", str(d / f"pat{k}.spib"), "--scene",
+                         str(d / f"scene{k}.pgm"), "--out", str(d / f"meas{k}.spib")]) == 0
+    for name, data in _measurement_variants((d / "meas8.spib").read_bytes()).items():
+        (d / f"{name}.spib").write_bytes(data)
     return d
 
 
@@ -112,6 +146,10 @@ def _argv(d):
         return st.integers(lo, hi).map(str)
 
     bad_path = path("missing", "garbage", "scene4.pgm", "pat4.spib")
+    # valid bundles of every shape and each malformed one, drawn alike
+    measurements = path(*sorted(f.name for f in d.glob("meas*.spib")))
+    patterns = path(*(f"pat{k}.spib" for k in SHAPES))
+    scenes = path(*(f"scene{k}.pgm" for k in SHAPES))
     out = (path("out"), st.sampled_from([str(d), str(d / "missing" / "out")]))
     seed = (ints(0, 3), BAD_INTS)
     return st.one_of(
@@ -119,15 +157,15 @@ def _argv(d):
                  _flag("--width", ints(1, 8), BAD_INTS), _flag("--height", ints(1, 8), BAD_INTS),
                  _flag("--dist", st.sampled_from(["uniform01", "binary"]), st.just("foo")),
                  _flag("--seed", *seed), _flag("--out", *out)),
-        _command("simulate", _flag("--patterns", path("pat8.spib"), bad_path),
-                 _flag("--scene", path("scene8.pgm"), bad_path),
+        _command("simulate", _flag("--patterns", patterns, bad_path),
+                 _flag("--scene", scenes, bad_path),
                  _flag("--noise-level", st.sampled_from(["0", "1e-3"]), BAD_FLOATS),
                  _flag("--seed", *seed), _flag("--out", *out)),
         _command("reconstruct",
                  _flag("--solver", st.sampled_from([n for n, _ in solver_registry()]),
                        st.just("nope")),
-                 _flag("--patterns", path("pat8.spib"), bad_path),
-                 _flag("--measurements", path("meas8.spib"), bad_path),
+                 _flag("--patterns", patterns, bad_path),
+                 _flag("--measurements", measurements, bad_path),
                  _flag("--out", *out), _flag("--trace", *out),
                  _flag("--threshold", st.sampled_from(["0", "1e-2"]), BAD_FLOATS),
                  _flag("--min-iter", ints(0, 40), BAD_INTS),
@@ -135,8 +173,8 @@ def _argv(d):
         _command("benchmark", _flag("--config", path("config.cfg"),
                                     path("bad.cfg", "latin1.cfg", "missing", "garbage")),
                  _flag("--out", *out)),
-        _command("metrics", _flag("--truth", path("scene8.pgm"), bad_path),
-                 _flag("--estimate", path("scene8.pgm"), bad_path)),
+        _command("metrics", _flag("--truth", scenes, bad_path),
+                 _flag("--estimate", scenes, bad_path)),
         st.lists(st.sampled_from(["nope", "--m", "8", "-x", "simulate"]), max_size=3),
     )
 

@@ -131,9 +131,9 @@ def test_measurement_bundle_keeps_noise_metadata(tmp_path):
     meas = MeasurementSet(values=np.array([1.5, -0.25, 3.0]), noise_sigma=12.288,
                           noise_seed=77)
     path = tmp_path / "meas.spib"
-    write_measurements(meas, 4096, path)
-    back, n = read_measurements(path)
-    assert n == 4096
+    write_measurements(meas, 128, 32, path)
+    back, width, height = read_measurements(path)
+    assert (width, height) == (128, 32)
     assert np.array_equal(back.values, meas.values)
     assert back.noise_sigma == 12.288 and back.noise_seed == 77
 
@@ -172,35 +172,52 @@ def test_bundle_keeps_the_largest_seed(tmp_path):
 READERS = {"patterns": read_patterns, "measurements": read_measurements}
 
 
-def write_zero_bundle(kind, m, n, path):
-    """A bundle of m rows of n pixels, all zero, through the public writer."""
+# the u32 counts of each bundle kind, in header order from byte 9
+COUNTS = {"patterns": ("m", "n"), "measurements": ("m", "width", "height")}
+
+
+def raw_bundle(kind, counts):
+    """A bundle's bytes in the documented layout, whatever its counts, with
+    seed and sigma 0 and an all-zero payload of the length they declare."""
     if kind == "patterns":
-        write_patterns(PatternSet(np.zeros((m, n))), path)
+        return MAGIC + struct.pack("<BIIQ", 1, *counts, 0) + bytes(8 * counts[0] * counts[1])
+    return MAGIC + struct.pack("<BIIIQd", 3, *counts, 0, 0.0) + bytes(8 * counts[0])
+
+
+def write_zero_bundle(kind, counts, path):
+    """A bundle of all-zero values through the public writer."""
+    if kind == "patterns":
+        write_patterns(PatternSet(np.zeros(counts)), path)
     else:
-        write_measurements(MeasurementSet(values=np.zeros(m)), n, path)
+        write_measurements(MeasurementSet(values=np.zeros(counts[0])), *counts[1:], path)
 
 
-@pytest.mark.parametrize("kind, code", [("patterns", 1), ("measurements", 2)])
-@pytest.mark.parametrize("field, offset", [("m", 9), ("n", 13)])
-def test_bundle_with_no_rows_or_no_pixels_is_malformed(kind, code, field, offset,
+@pytest.mark.parametrize("field, offset, kind, code", [
+    ("m", 9, "patterns", 1), ("n", 13, "patterns", 1),
+    ("m", 9, "measurements", 3), ("width", 13, "measurements", 3),
+    ("height", 17, "measurements", 3),
+])
+def test_bundle_with_no_rows_or_no_pixels_is_malformed(field, offset, kind, code,
                                                        tmp_path):
-    """m = 0 or n = 0: the writer refuses it, and the reader reports the
-    field at its byte offset, even when the payload length agrees."""
-    m, n = (0, 4) if field == "m" else (3, 0)
+    """A count of 0 (m, or n, width or height): the writer refuses it, and
+    the reader reports the field at its byte offset, even when the payload
+    length agrees."""
+    counts = [0 if name == field else 3 for name in COUNTS[kind]]
     path = tmp_path / "empty.spib"
     with pytest.raises(InvalidArgumentError, match=f"{field}=0"):
-        write_zero_bundle(kind, m, n, path)
+        write_zero_bundle(kind, counts, path)
     assert not path.exists()
-    sigma = struct.pack("<d", 0.0) if kind == "measurements" else b""
-    count = m * n if kind == "patterns" else m
-    path.write_bytes(MAGIC + struct.pack("<BIIQ", code, m, n, 0) + sigma + bytes(8 * count))
+    data = raw_bundle(kind, counts)
+    assert data[8] == code
+    path.write_bytes(data)
     with pytest.raises(FormatError, match=f"{field} is 0") as info:
         READERS[kind](path)
     assert info.value.offset == offset
 
 
-# fixed header length of each bundle kind: magic, kind/m/n/seed, then sigma
-HEADER_BYTES = {"patterns": 25, "measurements": 33}
+# fixed header length of each bundle kind: magic, kind, m, n (patterns)
+# or width and height (measurements), seed, then sigma (measurements)
+HEADER_BYTES = {"patterns": 25, "measurements": 37}
 
 
 def bundle_bytes(kind, tmp_path):
@@ -209,7 +226,7 @@ def bundle_bytes(kind, tmp_path):
         write_patterns(generate_patterns(3, 2, 2, seed=5), path)
     else:
         write_measurements(MeasurementSet(values=[1.5, -0.25, 3.0], noise_sigma=0.5,
-                                          noise_seed=7), 4, path)
+                                          noise_seed=7), 4, 1, path)
     return path.read_bytes()
 
 
@@ -239,7 +256,7 @@ def test_bundle_cut_or_extended_anywhere_is_a_format_error(kind, tmp_path):
 
 def test_bundle_bytes_are_pinned(tmp_path):
     """The layout byte for byte: a patterns bundle with the largest seed and
-    a measurements bundle with its noise sigma."""
+    a measurements bundle of a 4x1 scene with its noise sigma."""
     path = tmp_path / "bundle.spib"
     write_patterns(PatternSet(np.arange(12.0).reshape(3, 4) / 8, seed=2**64 - 1), path)
     data = path.read_bytes()
@@ -247,11 +264,11 @@ def test_bundle_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "da686ca9d85e06c2417bc96157eddeb7b150d3eb8d4fb1ac83cdd64257529629")
     write_measurements(MeasurementSet(values=np.array([1.5, -0.25, 3.0]), noise_sigma=0.5,
-                                      noise_seed=7), 4, path)
+                                      noise_seed=7), 4, 1, path)
     data = path.read_bytes()
-    assert len(data) == 33 + 8 * 3
+    assert len(data) == 37 + 8 * 3
     assert hashlib.sha256(data).hexdigest() == (
-        "6ea56d51e7ddb03c19a30124caa32db1824930e210e3376f1cb4e60318c5b0e6")
+        "117c42e0162b25107b6feb071e53cce85e767fb386c757bde06acc227665f1c6")
 
 
 def traced_peak(fn):
@@ -305,15 +322,28 @@ def test_a_bundle_of_the_other_kind_is_refused_at_the_kind_byte(reader, kind, tm
     assert info.value.offset == 8
 
 
+def test_a_measurement_bundle_in_the_retired_layout_is_refused_at_the_kind_byte(tmp_path):
+    """Kind byte 2 recorded n in place of the scene's shape; its bytes are
+    those the old writer pinned.  Reading it would need the shape guessed."""
+    old = MAGIC + struct.pack("<BIIQd3d", 2, 3, 4, 7, 0.5, 1.5, -0.25, 3.0)
+    assert hashlib.sha256(old).hexdigest() == (
+        "6ea56d51e7ddb03c19a30124caa32db1824930e210e3376f1cb4e60318c5b0e6")
+    path = tmp_path / "old.spib"
+    path.write_bytes(old)
+    with pytest.raises(FormatError, match="kind byte 2.*re-run simulate") as info:
+        read_measurements(path)
+    assert info.value.offset == 8
+
+
 @pytest.mark.parametrize("sigma", [-0.5, np.nan])
 def test_a_negative_or_nan_noise_sigma_is_refused_at_its_offset(sigma, tmp_path):
     data = bytearray(bundle_bytes("measurements", tmp_path))
-    data[25:33] = struct.pack("<d", sigma)
+    data[29:37] = struct.pack("<d", sigma)
     path = tmp_path / "meas.spib"
     path.write_bytes(data)
     with pytest.raises(FormatError, match="noise_sigma") as info:
         read_measurements(path)
-    assert info.value.offset == 25
+    assert info.value.offset == 29
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -3,7 +3,8 @@
 Every input, whether valid, cut short or with one byte changed, either
 parses or raises FormatError (for bundles, with a byte offset), and
 reading it allocates at most a fixed multiple of its size.  Valid PGMs
-decode as a byte-at-a-time reading of the PGM grammar does.
+decode as a byte-at-a-time reading of the PGM grammar does, and a
+measurement bundle reads back exactly what was written.
 """
 
 import struct
@@ -15,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spi_recon.errors import FormatError
-from spi_recon.io import MAGIC, read_image, read_measurements, read_patterns
+from spi_recon.io import (MAGIC, read_image, read_measurements, read_patterns,
+                          write_measurements)
+from spi_recon.model import MeasurementSet
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -155,21 +158,24 @@ def test_a_hash_inside_a_token_is_part_of_the_token(file, tmp_path):
 
 # -------------------------------------------------------------------- bundles
 
-HEADER_BYTES = {"patterns": 25, "measurements": 33}
+HEADER_BYTES = {"patterns": 25, "measurements": 37}
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
 def bundle_files(draw, kind):
-    """A valid bundle of up to 4 x 4 values, in the documented layout."""
+    """A valid bundle of up to 4 x 4 values, in the documented layout:
+    patterns of m x n, or m measurements of a width x height scene."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    count = m * n if kind == "patterns" else m
-    values = st.floats(0, 1e300) if kind == "patterns" else FINITE
+    seed = draw(st.integers(0, 2**64 - 1))
+    if kind == "patterns":
+        head = struct.pack("<BIIQ", 1, m, n, seed)
+        values, count = st.floats(0, 1e300), m * n
+    else:
+        head = struct.pack("<BIIIQd", 3, m, n, draw(st.integers(1, 4)), seed,
+                           draw(st.floats(0, 1e6)))
+        values, count = FINITE, m
     payload = np.array(draw(st.lists(values, min_size=count, max_size=count)), "<f8")
-    head = struct.pack("<BIIQ", 1 if kind == "patterns" else 2, m, n,
-                       draw(st.integers(0, 2**64 - 1)))
-    if kind == "measurements":
-        head += struct.pack("<d", draw(st.floats(0, 1e6)))
     return MAGIC + head + payload.tobytes()
 
 
@@ -212,3 +218,22 @@ def test_a_refused_payload_value_is_reported_at_its_own_offset(kind, tmp_path):
             READERS[kind](path)
 
     check()
+
+
+@PROPERTY
+@given(m=st.integers(1, 6), width=st.integers(1, 2**32 - 1),
+       height=st.integers(1, 2**32 - 1), seed=st.integers(0, 2**64 - 1),
+       sigma=st.floats(0, 1e300), data=st.data())
+def test_a_measurement_bundle_round_trips_exactly(m, width, height, seed, sigma, data,
+                                                  tmp_path):
+    """write_measurements then read_measurements gives back every field and
+    every value bit for bit, at any u32 width and height."""
+    values = np.array(data.draw(st.lists(FINITE, min_size=m, max_size=m)))
+    path = tmp_path / "meas.spib"
+    write_measurements(MeasurementSet(values=values, noise_sigma=sigma, noise_seed=seed),
+                       width, height, path)
+    assert path.stat().st_size == HEADER_BYTES["measurements"] + 8 * m
+    back, w, h = read_measurements(path)
+    assert (back.m, w, h, back.noise_seed) == (m, width, height, seed)
+    assert back.values.tobytes() == values.tobytes()
+    assert struct.pack("<d", back.noise_sigma) == struct.pack("<d", sigma)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,42 @@ def test_corr_cgd_and_pinv_are_linear_in_b(name, min_ratio, data):
                  for b in (b1, b2, alpha * b1 + beta * b2))
     scale = abs(alpha) * np.linalg.norm(x1) + abs(beta) * np.linalg.norm(x2)
     np.testing.assert_allclose(x, alpha * x1 + beta * x2, rtol=0, atol=1e-9 * scale + 1e-15)
+
+
+@pytest.mark.parametrize("name, min_ratio, budget", [
+    ("corr", 0, None), ("dgi", 0, None), ("pinv", 1.5, None),
+    ("gd", 0, 40), ("cgd", 0, 3), ("cgd", 0, "exact"),
+])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_permuting_patterns_and_readings_together_keeps_the_image(name, min_ratio, budget,
+                                                                  data):
+    """Rows of A and entries of b permuted alike give the same image within
+    1e-9 of its norm, on up to 8 x 8 pixels and m up to 2n: a permuted sum
+    over rows rounds differently, and no more.  gd runs a fixed budget of
+    1 to 40 iterations.  cgd runs 1 to 3, or to its exact stop: past its
+    first steps, a permuted run at a fixed budget drifted by as much as 2%
+    of the image's norm, while at the exact stop both reach one solution.  pinv
+    gets m >= 1.5 n so that its system is well posed.  ap is left out (its
+    row order is its algorithm), and so are cs-dct and cs-tv, whose ALM
+    amplifies rounding."""
+    w, h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(max(1, int(np.ceil(min_ratio * w * h))), 2 * w * h))
+    ps = generate_patterns(m, w, h, seed=data.draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = ps.rows @ rng.random(w * h) + 0.01 * rng.standard_normal(m)
+    perm = rng.permutation(m)
+    if budget == "exact":
+        stop = EXACT
+    else:
+        k = data.draw(st.integers(1, budget or 1))
+        stop = StopCriteria(residual_change_threshold=0.0, min_iterations=k,
+                            max_iterations_factor=0.0)
+    solve = get_solver(name)
+    x = solve(ps, MeasurementSet(values=b), w, h, stop=stop).image.data
+    xp = solve(PatternSet(ps.rows[perm]), MeasurementSet(values=b[perm]), w, h,
+               stop=stop).image.data
+    np.testing.assert_allclose(xp, x, rtol=0, atol=1e-9 * np.linalg.norm(x) + 1e-15)
 
 
 def test_pinv_identity_system():
@@ -464,6 +501,53 @@ def test_poisson_solve_clamps_negative_measurements():
     meas = MeasurementSet(values=values)
     rep = poisson_solve(ps, meas, 2, 2)
     assert rep.warning_count == int(np.count_nonzero(values < 0))
+
+
+def zero_row_problem(reading):
+    """A consistent 32 x 16 problem whose row 3 of A is all zero, with b_3
+    replaced by the given reading."""
+    rows = generate_patterns(32, 4, 4, seed=5).rows.copy()
+    rows[3] = 0.0
+    ps = PatternSet(rows)
+    b = ps.rows @ (np.random.default_rng(6).random(16) + 0.1)
+    b[3] = reading
+    return ps, MeasurementSet(values=b)
+
+
+def test_poisson_solve_takes_an_all_zero_row_read_as_zero():
+    """a_3.x = 0 for every x, and b_3 = 0 keeps it in the domain, where
+    the row adds nothing to the likelihood; no log of 0 is taken."""
+    ps, meas = zero_row_problem(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = poisson_solve(ps, meas, 4, 4)
+    assert rep.iterations >= 30 and np.isfinite(rep.image.data).all()
+    assert all(np.isfinite(obj) for _, _, obj in rep.trace)
+
+
+@pytest.mark.parametrize("reading", [1.0, -1.0])
+def test_poisson_solve_refuses_an_all_zero_row_only_with_a_positive_reading(reading):
+    """With b_3 > 0 no x has a_3.x > 0, so the solve is refused before any
+    iteration, naming the row; a negative reading clamps to 0 and solves."""
+    ps, meas = zero_row_problem(reading)
+    if reading > 0:
+        with pytest.raises(DomainError, match="pattern row 3 is all zero"):
+            poisson_solve(ps, meas, 4, 4)
+    else:
+        assert poisson_solve(ps, meas, 4, 4).warning_count == 1
+
+
+def test_poisson_objective_domain_is_a_i_x_positive_where_b_i_is():
+    """a_i.x = 0 is in the domain where b_i = 0, with no warning, and out
+    of it where b_i > 0, naming the row."""
+    ps = PatternSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    x = np.array([2.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = poisson_objective(ps, x, MeasurementSet(values=np.array([3.0, 0.0])))
+    assert value == pytest.approx(2.0 - 3.0 * np.log(2.0), rel=1e-15)
+    with pytest.raises(DomainError, match="row 1"):
+        poisson_objective(ps, x, MeasurementSet(values=np.array([3.0, 1.0])))
 
 
 def test_poisson_solve_objective_monotone():

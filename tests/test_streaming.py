@@ -127,7 +127,7 @@ def test_simulate_writes_the_in_memory_bundle_bytes(tmp_path, monkeypatch, m, w,
     noise = NoiseModel(level=float(level), pixel_count=w * h)
     if noise.sigma > 0:
         meas = add_noise(meas, noise, seed=7)
-    write_measurements(meas, w * h, direct)
+    write_measurements(meas, w, h, direct)
     assert streamed.read_bytes() == direct.read_bytes()
 
 
@@ -142,7 +142,7 @@ assert cli.main(["gen-patterns", "--m", str(m), "--width", str(w), "--height", s
 assert cli.main(["simulate", "--patterns", str(tmp / "pat.spib"), "--scene",
                  str(tmp / "scene.pgm"), "--out", str(tmp / "cli.spib")]) == 0
 meas = model.synthesize(io.read_patterns(tmp / "pat.spib"), io.read_image(tmp / "scene.pgm"))
-io.write_measurements(meas, w * h, tmp / "lib.spib")
+io.write_measurements(meas, w, h, tmp / "lib.spib")
 for name in ("cli.spib", "lib.spib"):
     print(hashlib.sha256((tmp / name).read_bytes()).hexdigest())
 """
@@ -247,5 +247,5 @@ def test_gen_patterns_and_simulate_hold_one_block(tmp_path):
     assert traced_peak(lambda: gen(pat, 2048, 64, 64)) < 2 * 2**20
     assert pat.stat().st_size == HEADER + 8 * 2048 * 4096
     assert traced_peak(lambda: simulate(pat, scene, out)) < 2 * 2**20
-    meas, n = io.read_measurements(out)
-    assert meas.m == 2048 and n == 4096
+    meas, width, height = io.read_measurements(out)
+    assert meas.m == 2048 and (width, height) == (64, 64)
