@@ -5,13 +5,15 @@ of the base seed and the cell coordinates, so reruns produce identical
 results apart from wall time.  Pattern and noise seeds deliberately
 exclude the solver name and the noise level: all solvers see the same
 data in a cell, and raising the noise level only scales the same noise
-draw, keeping noise-level comparisons paired.
+draw (level 0 draws none), keeping noise-level comparisons paired.  A
+PGM scene keeps its own size, so the image-size axis does not multiply
+its cells.
 """
 
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import Error, InvalidArgumentError
 from .io import read_image
 from .metrics import normalized_rmse
-from .model import _DISTRIBUTIONS, NoiseModel, add_noise, generate_patterns, synthesize
+from .model import _DISTRIBUTIONS, NoiseModel, _check_int, add_noise, generate_patterns, synthesize
 from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
@@ -31,7 +33,6 @@ __all__ = [
     "run_cell",
     "run_sweep",
     "parse_sweep_config",
-    "desk_preset",
 ]
 
 
@@ -66,6 +67,7 @@ class SweepSpec:
             raise InvalidArgumentError(
                 f"unknown distribution {self.distribution!r}; valid: {', '.join(_DISTRIBUTIONS)}"
             )
+        _check_int(self.repeats, "repeats")
         if self.repeats < 1:
             raise InvalidArgumentError("repeats must be >= 1")
         cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
@@ -78,6 +80,8 @@ class SweepSpec:
             raise InvalidArgumentError("sampling ratios must be finite and positive")
         if not all(np.isfinite(v) and v >= 0 for v in self.noise_levels):
             raise InvalidArgumentError("noise levels must be finite and >= 0")
+        for side in (s for size in self.image_sizes for s in size):
+            _check_int(side, "an image size")
         if any(w < 2 or h < 2 for w, h in self.image_sizes):
             raise InvalidArgumentError("image sizes must be at least 2x2")
 
@@ -154,9 +158,7 @@ def run_cell(
     noise_seed = stable_seed(base_seed, "noise", scene, ratio, size, repeat)
 
     patterns = generate_patterns(m, width, height, distribution, seed=pattern_seed)
-    meas = synthesize(patterns, truth)
-    if noise.sigma > 0:
-        meas = add_noise(meas, noise, seed=noise_seed)
+    meas = add_noise(synthesize(patterns, truth), noise, seed=noise_seed)
     try:
         report = get_solver(solver)(patterns, meas, width, height, stop=stop)
         rmse = normalized_rmse(truth, report.image)
@@ -169,10 +171,11 @@ def run_cell(
 def run_sweep(spec: SweepSpec) -> list:
     """All cells x repeats, run one after another in grid order.
 
-    A ratio that gives a builtin scene no measurement count, or a noise
-    level whose sigma overflows at a builtin size, is refused before any
-    cell runs; a PGM scene keeps its own size, so its cells are checked
-    as they run.
+    A PGM scene keeps its own size, so it runs once per (solver, ratio,
+    level, repeat), at the first image size's place in the grid, and its
+    cells are checked as they run.  A ratio that gives a builtin scene no
+    measurement count, or a noise level whose sigma overflows at a
+    builtin size, is refused before any cell runs.
     """
     if not all(scene.endswith(".pgm") for scene in spec.scenes):
         for (w, h), ratio, level in product(spec.image_sizes, spec.sampling_ratios,
@@ -182,8 +185,10 @@ def run_sweep(spec: SweepSpec) -> list:
     return [
         run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
                  distribution=spec.distribution)
-        for scene, solver, ratio, (w, h), level in product(
-            spec.scenes, spec.solvers, spec.sampling_ratios, spec.image_sizes,
+        for scene in spec.scenes
+        for solver, ratio, (w, h), level in product(
+            spec.solvers, spec.sampling_ratios,
+            spec.image_sizes[:1] if scene.endswith(".pgm") else spec.image_sizes,
             spec.noise_levels)
         for rep in range(spec.repeats)  # product() would hold a tuple of every repeat
     ]
@@ -219,9 +224,9 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
     Keys mirror the SweepSpec fields; lists are comma-separated and
     sizes are "WxH" (or a single number for square).  '#' starts a
-    comment.
+    comment.  A key set twice is refused, naming both lines.
     """
-    kwargs = {}
+    kwargs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -231,6 +236,10 @@ def parse_sweep_config(text: str) -> SweepSpec:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InvalidArgumentError(f"config line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise InvalidArgumentError(
+                f"config line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         try:
             kwargs[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
@@ -238,8 +247,3 @@ def parse_sweep_config(text: str) -> SweepSpec:
     if "scenes" not in kwargs or "solvers" not in kwargs:
         raise InvalidArgumentError("config must set scenes and solvers")
     return SweepSpec(**kwargs)
-
-
-def desk_preset(spec: SweepSpec) -> SweepSpec:
-    """CI-budget variant: 32x32 only, 5 repeats; everything else unchanged."""
-    return replace(spec, image_sizes=[(32, 32)], repeats=5)

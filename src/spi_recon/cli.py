@@ -15,6 +15,7 @@ there; the solver refuses a shape that does not hold the patterns' pixels.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,16 +83,14 @@ def _run(args) -> int:
         n, draw = _pattern_draw(args.m, args.width, args.height, args.dist, args.seed)
         _write_pattern_blocks(args.out, args.m, n, args.seed, draw)
     elif args.command == "simulate":
-        _check_seed(args.seed)  # at zero noise too, where add_noise is not called
+        _check_seed(args.seed)  # add_noise checks it too, but only after the bundle is read
         scene = spio.read_image(args.scene)
         # the level is checked before the bundle is opened; synthesize refuses
         # patterns whose pixel count is not the scene's
         noise = NoiseModel(level=args.noise_level, pixel_count=scene.data.size)
-        meas = MeasurementSet(np.concatenate(
+        meas = add_noise(MeasurementSet(np.concatenate(
             [synthesize(block, scene).values
-             for block in _read_pattern_blocks(args.patterns)]))
-        if noise.sigma > 0:
-            meas = add_noise(meas, noise, seed=args.seed)
+             for block in _read_pattern_blocks(args.patterns)])), noise, seed=args.seed)
         spio.write_measurements(meas, scene.width, scene.height, args.out)
     elif args.command == "reconstruct":
         solver = get_solver(args.solver)
@@ -115,8 +114,8 @@ def _run(args) -> int:
         except UnicodeDecodeError as exc:
             raise InvalidArgumentError(f"config {args.config} is not UTF-8: {exc}") from None
         spec = bench.parse_sweep_config(text)
-        if args.desk:
-            spec = bench.desk_preset(spec)
+        if args.desk:  # the CI-budget variant: 32x32 only, 5 repeats
+            spec = replace(spec, image_sizes=[(32, 32)], repeats=5)
         rows = bench.run_sweep(spec)
         spio.write_results_csv(rows, args.out)
     elif args.command == "metrics":

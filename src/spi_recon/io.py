@@ -1,7 +1,6 @@
 """Persistence: PGM images, binary pattern/measurement bundles, result CSVs.
 
-Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5; an
-image with a non-finite value is refused before its file is opened.  A
+Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.  A
 P2 raster that declares more pixels than the rest of the file can hold is
 refused before anything is allocated, so reading a PGM allocates a fixed
 multiple of its file size at most.  Data past the declared raster is
@@ -121,9 +120,7 @@ def read_image(path) -> Image:
 
 def write_image(img: Image, path) -> None:
     """Write as binary (P5) PGM with maxval 255; values are clipped to [0, 1]
-    and rounded.  Non-finite values are refused before the file is opened."""
-    if not np.all(np.isfinite(img.data)):
-        raise InvalidArgumentError("image values must be finite")
+    and rounded (an Image holds only finite values)."""
     u8 = np.clip(np.rint(np.clip(img.data, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))

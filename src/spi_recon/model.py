@@ -16,6 +16,7 @@ synthesize and the CLI's block reader and writer, so the library and the
 CLI give the same A and b, bit for bit, at any BLAS thread count.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ def _intake(a) -> np.ndarray:
 
 @dataclass
 class Image:
-    """2D grayscale scene; pixel values nominally in [0, 1].
+    """2D grayscale scene; pixel values finite, nominally in [0, 1].
 
     ``data`` is row-major (top-left origin), flat or (height, width); held flat.
     """
@@ -76,6 +77,8 @@ class Image:
             raise InvalidArgumentError(f"data length {data.size} != {self.width}x{self.height}")
         if data.ndim != 1 and data.shape != (self.height, self.width):
             raise InvalidArgumentError(f"data shape {data.shape} != ({self.height}, {self.width})")
+        if not np.all(np.isfinite(data)):
+            raise InvalidArgumentError("image values must be finite")
         data.setflags(write=False)
         self.data = data.ravel()
 
@@ -171,6 +174,14 @@ class NoiseModel:
             )
 
 
+def _check_int(value, what: str) -> None:
+    """Refuse what operator.index refuses: floats (1.5, nan, inf) and the like."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise InvalidArgumentError(f"seed must be in [0, 2**64), got {seed}")
@@ -243,11 +254,12 @@ def add_noise(meas: MeasurementSet, noise: NoiseModel, seed: int = 0) -> Measure
 
     The perturbation is ``sigma * g`` with g a standard-normal draw from
     the seeded generator, so for a fixed seed the noise scales linearly
-    with sigma (useful for paired noise-level comparisons).
+    with sigma (useful for paired noise-level comparisons).  At sigma 0
+    the seed is checked and ``meas`` itself is returned.
     """
     _check_seed(seed)
     if noise.sigma == 0.0:
-        return MeasurementSet(values=meas.values, noise_sigma=0.0, noise_seed=seed)
+        return meas
     g = _rng(seed).standard_normal(meas.m)
     return MeasurementSet(
         values=meas.values + noise.sigma * g,

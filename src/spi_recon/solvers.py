@@ -22,8 +22,8 @@ recomputing it.  Per iteration:
 
 - gd: 1 A + 1 A^T (A p for the step, A^T for the gradient; Ax -= step * Ap)
 - cgd: 1 A + 1 A^T (b - Ax is tracked by recurrence for the stop test)
-- poisson: 1 A + 1 A^T, plus 1 A once (each Armijo trial is O(m):
-  Ax + step * Ap, and the accepted trial becomes the next Ax)
+- poisson: 1 A + 1 A^T, plus 1 A once (each Armijo trial is O(m): the
+  likelihood at Ax + step * Ap; the accepted trial gives the next Ax and objective)
 - ap: m row updates plus 1 A for the residual; each row is one dot product
   and four n-length ufunc passes, with no allocation
 - cs-dct/cs-tv: 1 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner
@@ -47,7 +47,7 @@ from .errors import (
     UnknownSolverError,
     DomainError,
 )
-from .model import Image, MeasurementSet, PatternSet
+from .model import Image, MeasurementSet, PatternSet, _check_int
 from .transforms import LinearOperator, dct_operator, gradient_operator, soft_threshold
 
 __all__ = [
@@ -94,6 +94,7 @@ class StopCriteria:
                 "residual_change_threshold must be finite and >= 0, "
                 f"got {self.residual_change_threshold}"
             )
+        _check_int(self.min_iterations, "min_iterations")  # nan or inf would never stop
         if self.min_iterations < 0:
             raise InvalidArgumentError(
                 f"min_iterations must be >= 0, got {self.min_iterations}"
@@ -372,12 +373,10 @@ def cgd_solve(
 def _neg_log_likelihood(ax: np.ndarray, b: np.ndarray) -> float:
     """sum(ax - b log ax), where b_i = 0 entries contribute only ax_i, on the
     likelihood's domain: a_i.x > 0 where b_i > 0, a_i.x >= 0 where b_i = 0.
-    Outside it, a DomainError naming the first row outside."""
+    Outside it, inf."""
     z = np.where(b > 0, ax, 1.0)  # log(1) = 0 where b_i = 0
     if ax.min() < 0 or z.min() <= 0:
-        i = int(np.argmax((ax < 0) | (z <= 0)))
-        raise DomainError(f"a_i.x = {ax[i]:g} at row {i} is outside the Poisson "
-                          "likelihood's domain (a_i.x > 0 where b_i > 0, else >= 0)")
+        return np.inf
     return float(np.sum(ax - b * np.log(z)))
 
 
@@ -390,13 +389,20 @@ def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet)
     b = meas.values
     if np.any(b < 0):
         raise InvalidArgumentError("Poisson measurements must be >= 0")
-    return _neg_log_likelihood(patterns.rows @ x, b)
+    ax = patterns.rows @ x
+    outside = (ax < 0) | ((b > 0) & (ax <= 0))
+    value = _neg_log_likelihood(ax, b)
+    if value == np.inf and outside.any():
+        i = int(outside.argmax())
+        raise DomainError(f"a_i.x = {ax[i]:g} at row {i} is outside the Poisson "
+                          "likelihood's domain (a_i.x > 0 where b_i > 0, else >= 0)")
+    return value
 
 
-def _clamp_signed(v: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
-    """Clamp magnitudes below eps to eps, keeping sign (0 treated as +)."""
+def _clamp_signed(v: np.ndarray) -> np.ndarray:
+    """Clamp magnitudes below EPS_DIV to EPS_DIV, keeping sign (0 treated as +)."""
     sign = np.where(v < 0, -1.0, 1.0)
-    return sign * np.maximum(np.abs(v), eps)
+    return sign * np.maximum(np.abs(v), EPS_DIV)
 
 
 def _poisson_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,13 +417,14 @@ def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) 
     return _poisson_grad(A, A @ x, meas.values)
 
 
-def _armijo(trial: Callable[[float], float], f0: float, pp: float) -> tuple[float, int]:
+def _armijo(trial: Callable[[float], float], f0: float, pp: float) -> tuple[float, int, float]:
     """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp,
-    and the number of trials it took."""
+    the number of trials it took and trial(step)."""
     step = 1.0
     for trials in range(1, MAX_SHRINKS + 2):
-        if trial(step) <= f0 - ARMIJO_ALPHA * step * pp:
-            return step, trials
+        value = trial(step)
+        if value <= f0 - ARMIJO_ALPHA * step * pp:
+            return step, trials, value
         step *= ARMIJO_BETA
     raise LineSearchFailureError(
         f"no acceptable step after {MAX_SHRINKS} shrinks: "
@@ -456,10 +463,9 @@ def poisson_solve(
 
     Per iteration 1 A + 1 A^T, plus A x0 once: A^T for the gradient and
     A p for the search direction p.  Each Armijo trial evaluates the
-    likelihood at Ax + step * Ap in O(m); a trial outside the domain is
-    rejected.  The accepted trial's Ax + step * Ap becomes the next Ax,
-    so Ax stays in the domain, and it serves the next gradient, the
-    residual and the objective.
+    likelihood, inf outside the domain, at Ax + step * Ap in O(m).  The
+    accepted trial's Ax + step * Ap becomes the next Ax, in the domain,
+    and its likelihood the next objective: one evaluation per trial.
     """
     run = _Run(patterns, meas, width, height, stop)
     A = patterns.rows
@@ -472,26 +478,19 @@ def poisson_solve(
         raise DomainError(f"pattern row {i} is all zero but its reading is {b[i]:g} > 0: "
                           "no image is in the Poisson likelihood's domain")
 
-    def objective(ax):
-        try:
-            return _neg_log_likelihood(ax, b)
-        except DomainError:
-            return np.inf
-
     x = np.full(patterns.n, 1e-6)
     Ax = A @ x
-    obj = objective(Ax)
+    obj = _neg_log_likelihood(Ax, b)
     trials = 0
     while True:
         direction = -_poisson_grad(A, Ax, b)
         Ap = A @ direction
-        step, tried = _armijo(lambda t: objective(Ax + t * Ap), obj,
-                              float(direction @ direction))
+        step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj,
+                                   float(direction @ direction))
         trials += tried
         x = x + step * direction
         Ax = Ax + step * Ap
         rnorm = float(np.linalg.norm(b - Ax))
-        obj = objective(Ax)
         if run.record(rnorm, obj):
             return run.report(x, warnings=clamped, linesearch_trials=trials)
 
@@ -575,11 +574,11 @@ def _alm_solve(
         return mu * prior.apply_transpose(Pv) + mu * (A.T @ Av)
 
     x = np.zeros(patterns.n)
-    y1 = np.zeros(prior.out_dim)
+    Px, Ax = prior.apply(x), A @ x
+    y1 = np.zeros_like(Px)
     y2 = np.zeros(patterns.m)
     mu = 1.0
     cg_steps = 0
-    Px, Ax = prior.apply(x), A @ x
     while True:
         c = soft_threshold(Px + y1 / mu, 1.0 / mu)
         rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))

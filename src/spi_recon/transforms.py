@@ -51,8 +51,6 @@ class LinearOperator:
 
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
-    in_dim: int
-    out_dim: int
 
 
 def _dct_twiddles(n: int) -> np.ndarray:
@@ -190,7 +188,7 @@ def dct_operator(width: int, height: int) -> LinearOperator:
         coef = np.asarray(v, dtype=np.float64).reshape(height, width)
         return rows.dct3(cols.dct3(coef, fct).T.copy()).T.ravel()
 
-    return LinearOperator(apply=fwd, apply_transpose=inv, in_dim=n, out_dim=n)
+    return LinearOperator(apply=fwd, apply_transpose=inv)
 
 
 def gradient_operator(width: int, height: int) -> LinearOperator:
@@ -224,7 +222,7 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
         out[1:, :] += dv[:-1, :]
         return out.ravel()
 
-    return LinearOperator(apply=fwd, apply_transpose=adj, in_dim=n, out_dim=2 * n)
+    return LinearOperator(apply=fwd, apply_transpose=adj)
 
 
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:

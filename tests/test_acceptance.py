@@ -55,19 +55,32 @@ def report(capsys, num, passed, detail):
     assert passed, detail
 
 
-def cell_rmse(scene, solver, ratio, repeat, noise=0.0, size=32, stop=None):
-    row = run_cell(scene, solver, ratio, size, size, noise, repeat,
-                   base_seed=BASE_SEED, stop=stop)
-    if row.status != "ok":
-        return np.inf
-    return row.rmse
+@pytest.fixture(scope="module")
+def cells():
+    """Each cell's rmse, keyed by cell_rmse's arguments: every cell is
+    deterministic, so criteria that share a cell run it once."""
+    return {}
 
 
-def test_criterion_01_tv_half_sampling(capsys):
+def cell_rmse(cells, scene, solver, ratio, repeat, noise=0.0, size=32, full_budget=False,
+              fresh=False):
+    """The cell's rmse, or inf if it failed.  full_budget stands for the
+    FULL_BUDGET stop (a StopCriteria is unhashable).  A criterion that
+    times itself passes fresh=True, so it runs its cells whatever ran
+    before it."""
+    key = (scene, solver, ratio, repeat, noise, size, full_budget)
+    if fresh or key not in cells:
+        row = run_cell(scene, solver, ratio, size, size, noise, repeat, base_seed=BASE_SEED,
+                       stop=FULL_BUDGET if full_budget else None)
+        cells[key] = row.rmse if row.status == "ok" else np.inf
+    return cells[key]
+
+
+def test_criterion_01_tv_half_sampling(capsys, cells):
     t0 = time.perf_counter()
     means = {}
     for scene in ("blocks", "bars", "disk", "smooth"):
-        vals = [cell_rmse(scene, "cs-tv", 0.5, rep) for rep in range(SEEDS)]
+        vals = [cell_rmse(cells, scene, "cs-tv", 0.5, rep, fresh=True) for rep in range(SEEDS)]
         means[scene] = float(np.mean(vals))
     elapsed = time.perf_counter() - t0
     worst = max(means, key=means.get)
@@ -77,13 +90,14 @@ def test_criterion_01_tv_half_sampling(capsys):
            f"{means[worst]:.4f} < 0.05 over {SEEDS} seeds ({elapsed:.0f}s)")
 
 
-def test_criterion_02_ratio_one_quality(capsys):
+def test_criterion_02_ratio_one_quality(capsys, cells):
     t0 = time.perf_counter()
     worst = {}
     for solver in ("pinv", "cs-dct", "cs-tv"):
-        worst[solver] = max(cell_rmse("blocks", solver, 1.0, rep)
+        worst[solver] = max(cell_rmse(cells, "blocks", solver, 1.0, rep, fresh=True)
                             for rep in range(SEEDS))
-    worst["cgd"] = max(cell_rmse("blocks", "cgd", 1.0, rep, stop=FULL_BUDGET)
+    worst["cgd"] = max(cell_rmse(cells, "blocks", "cgd", 1.0, rep, full_budget=True,
+                                 fresh=True)
                        for rep in range(SEEDS))
     elapsed = time.perf_counter() - t0
     bad = max(worst, key=worst.get)
@@ -93,12 +107,12 @@ def test_criterion_02_ratio_one_quality(capsys):
            f"{worst[bad]:.2e} ({elapsed:.0f}s)")
 
 
-def test_criterion_03_ratio_monotonicity(capsys):
+def test_criterion_03_ratio_monotonicity(capsys, cells):
     gaps = {}
     for name, _ in solver_registry():
-        low = np.mean([cell_rmse("blocks", name, 0.2, rep)
+        low = np.mean([cell_rmse(cells, "blocks", name, 0.2, rep)
                        for rep in range(SEEDS)])
-        high = np.mean([cell_rmse("blocks", name, 1.0, rep)
+        high = np.mean([cell_rmse(cells, "blocks", name, 1.0, rep)
                         for rep in range(SEEDS)])
         gaps[name] = (high, low)
     bad = [n for n, (high, low) in gaps.items() if not high < low]
@@ -107,15 +121,15 @@ def test_criterion_03_ratio_monotonicity(capsys):
            f"{len(gaps)} solvers" + (f"; violated by {bad}" if bad else ""))
 
 
-def test_criterion_04_noise_degradation(capsys):
+def test_criterion_04_noise_degradation(capsys, cells):
     levels = (0.0, 1e-4, 1e-3)
     bad = []
     for name, _ in solver_registry():
         # the Poisson solver needs its full budget for a stable comparison
-        stop = FULL_BUDGET if name == "poisson" else None
+        full_budget = name == "poisson"
         seeds = 3 if name == "poisson" else SEEDS
-        means = [np.mean([cell_rmse("blocks", name, 1.0, rep, noise=lv,
-                                    stop=stop)
+        means = [np.mean([cell_rmse(cells, "blocks", name, 1.0, rep, noise=lv,
+                                    full_budget=full_budget)
                           for rep in range(seeds)])
                  for lv in levels]
         if not all(b >= a - 1e-12 for a, b in zip(means, means[1:])):

@@ -62,7 +62,6 @@ def test_bench_public_names():
         "run_cell",
         "run_sweep",
         "parse_sweep_config",
-        "desk_preset",
     ]
     assert not hasattr(spi_recon, "summarize")
 
@@ -140,7 +139,7 @@ def test_every_solver_has_the_one_signature():
 
 def test_linear_operator_fields():
     assert [f.name for f in dataclasses.fields(transforms.LinearOperator)] == [
-        "apply", "apply_transpose", "in_dim", "out_dim"]
+        "apply", "apply_transpose"]
 
 
 IMPORT_HYGIENE = """

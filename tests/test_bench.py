@@ -7,14 +7,14 @@ import pytest
 from spi_recon import bench, cli
 from spi_recon.bench import (
     SweepSpec,
-    desk_preset,
     parse_sweep_config,
     run_cell,
     run_sweep,
     stable_seed,
 )
 from spi_recon.errors import InvalidArgumentError, UnknownSolverError
-from spi_recon.io import read_results_csv
+from spi_recon.io import read_results_csv, write_image
+from spi_recon.scenes import builtin_scene
 
 
 def small_spec(**overrides):
@@ -113,6 +113,28 @@ def test_unreadable_pgm_scene_gives_failed_rows(tmp_path):
     assert [r.status for r in rows[4:]] == ["ok", "ok"]
 
 
+def test_a_pgm_scene_runs_once_per_cell_of_the_other_axes(tmp_path):
+    """A PGM keeps its own size, so the image sizes do not repeat its cells;
+    a builtin scene still runs at each size, in grid order."""
+    path = tmp_path / "scene.pgm"
+    write_image(builtin_scene("bars", 12, 10), path)
+    spec = small_spec(scenes=[str(path), "blocks"], solvers=["dgi", "cgd"],
+                      image_sizes=[(8, 8), (16, 16), (32, 32)], repeats=2)
+    rows = run_sweep(spec)
+    assert [(r.scene, r.solver, r.size, r.repeat) for r in rows] == (
+        [(str(path), solver, "12x10", rep) for solver in ("dgi", "cgd") for rep in range(2)]
+        + [("blocks", solver, f"{s}x{s}", rep)
+           for solver in ("dgi", "cgd") for s in (8, 16, 32) for rep in range(2)])
+    assert all(r.status == "ok" for r in rows)
+
+
+def test_parse_sweep_config_refuses_a_repeated_key():
+    """The second of two solvers lines silently won."""
+    with pytest.raises(InvalidArgumentError,
+                       match="config line 4: solvers is already set on line 2"):
+        parse_sweep_config("scenes = blocks\nsolvers = dgi\n# a comment\nsolvers = cgd\n")
+
+
 def test_noise_seed_shared_across_levels():
     # same cell at two noise levels sees proportionally scaled noise
     a = run_cell("blocks", "dgi", 1.0, 8, 8, 1e-4, 0, base_seed=9)
@@ -129,6 +151,11 @@ def test_spec_validation():
         small_spec(sampling_ratios=[0.0])
     with pytest.raises(InvalidArgumentError):
         small_spec(image_sizes=[(1, 8)])
+    # run_sweep died on these with a bare TypeError
+    with pytest.raises(InvalidArgumentError, match="an image size must be an integer, got 8.5"):
+        small_spec(image_sizes=[(8.5, 8)])
+    with pytest.raises(InvalidArgumentError, match="repeats must be an integer, got 1.5"):
+        small_spec(repeats=1.5)
 
 
 def test_spec_refuses_unknown_solver_and_builtin_scene_names():
@@ -222,11 +249,18 @@ def test_parse_sweep_config_requires_scenes_and_solvers():
         parse_sweep_config("solvers=dgi\n")
 
 
-def test_desk_preset_overrides():
-    spec = desk_preset(small_spec(repeats=20, image_sizes=[(64, 64)]))
-    assert spec.image_sizes == [(32, 32)]
-    assert spec.repeats == 5
-    assert spec == small_spec(repeats=5, image_sizes=[(32, 32)])
+def test_desk_preset_overrides(tmp_path, monkeypatch):
+    """benchmark --desk runs the config's spec at 32x32 with 5 repeats and
+    leaves every other field as the config sets it."""
+    specs, row = [], run_cell("blocks", "dgi", 0.5, 8, 8, 0.0, 0)
+    monkeypatch.setattr(bench, "run_sweep", lambda spec: specs.append(spec) or [row])
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    cfg.write_text("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.5\n"
+                   "image_sizes = 64x64\nnoise_levels = 0\nrepeats = 20\nbase_seed = 77\n")
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out), "--desk"]) == 0
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    assert specs == [small_spec(repeats=5, image_sizes=[(32, 32)]),
+                     small_spec(repeats=20, image_sizes=[(64, 64)])]
 
 
 def test_ratio_trend_smoke():

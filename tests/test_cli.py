@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -104,6 +105,24 @@ def test_simulate_noise_level_zero_writes_clean_bundle(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     meas, _, _ = read_measurements(outs[1])
     assert np.array_equal(meas.values, synthesize(read_patterns(pat), read_image(scene)).values)
+
+
+@pytest.mark.parametrize("level, digest", [
+    ("0", "9ad992f62c797a116ad0cd9ca1db86e7793973ea2ef2e9be551a8a1da9e84beb"),
+    ("1e-3", "6186d505603252655d29e1894c49259847e65278306bf41fe38642fa47ab2967"),
+])
+def test_simulate_bundle_bytes_are_pinned(tmp_path, level, digest):
+    """The measurement bundle of a 5x3 scene at seed 5, byte for byte: at
+    level 0 add_noise returns the clean readings with noise seed 0, not 5."""
+    pat, scene, out = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
+    write_image(builtin_scene("disk", 5, 3), scene)
+    assert main(["gen-patterns", "--m", "12", "--width", "5", "--height", "3",
+                 "--seed", "3", "--out", str(pat)]) == 0
+    assert hashlib.sha256(pat.read_bytes()).hexdigest() == (
+        "c26dcd56e716c64afce47d515211b2aeed622177bfc476de88d8f2be1525c93c")
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--noise-level", level, "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_reconstruct_end_to_end(tmp_path, capsys):

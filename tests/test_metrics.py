@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ def test_zero_mean_truth_rejected():
     est = img([0.0, 0.0], 2, 1)
     with pytest.raises(InvalidArgumentError):
         normalized_rmse(truth, est)
+
+
+@pytest.mark.parametrize("values", [[-0.5, 0.1], [-1.0, -1.0]])
+def test_a_truth_of_negative_mean_is_refused(values):
+    """sqrt(mse / mean) was nan, with a RuntimeWarning, for a negative mean."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="not > 0"):
+            normalized_rmse(img(values, 2, 1), img([0.0, 0.0], 2, 1))
 
 
 def test_dimension_mismatch_rejected():

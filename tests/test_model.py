@@ -199,12 +199,14 @@ def test_image_data_must_be_flat_or_shaped_height_by_width(shape):
 @pytest.mark.parametrize("make, message", [
     (lambda: Image(0, 2, np.zeros(0)), "image dimensions must be positive"),
     (lambda: Image.from_array(np.zeros(4)), "expected a 2D array"),
+    (lambda: Image(2, 1, [np.nan, 0.0]), "image values must be finite"),
+    (lambda: Image(2, 1, [0.0, -np.inf]), "image values must be finite"),
     (lambda: NoiseModel(1e-3, 0), "pixel_count must be >= 1"),
     (lambda: generate_patterns(4, 2, 2, "foo"), "unknown distribution 'foo'"),
     (lambda: builtin_scene("nope", 8, 8), "unknown scene 'nope'; builtins"),
     (lambda: builtin_scene("blocks", 1, 5), "scene size must be at least 2x2"),
-], ids=["image-width-0", "from-array-1d", "noise-no-pixels", "unknown-distribution",
-        "unknown-scene", "scene-1-wide"])
+], ids=["image-width-0", "from-array-1d", "image-nan", "image-inf", "noise-no-pixels",
+        "unknown-distribution", "unknown-scene", "scene-1-wide"])
 def test_model_and_scene_arguments_are_refused(make, message):
     with pytest.raises(InvalidArgumentError, match=message):
         make()
@@ -272,6 +274,17 @@ def test_add_noise_sigma_zero_identity():
     meas = MeasurementSet(values=np.array([1.0, 2.0, 3.0]))
     out = add_noise(meas, NoiseModel(level=0.0, pixel_count=100), seed=5)
     assert np.array_equal(out.values, meas.values)
+
+
+def test_add_noise_at_sigma_zero_returns_meas_itself():
+    """Zero noise draws nothing and keeps the readings' own provenance, so
+    the returned set is meas; the seed is still checked."""
+    meas = MeasurementSet(values=np.array([1.0, 2.0, 3.0]), noise_seed=4)
+    zero = NoiseModel(level=0.0, pixel_count=100)
+    out = add_noise(meas, zero, seed=5)
+    assert out is meas and out.noise_seed == 4 and out.noise_sigma == 0.0
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        add_noise(meas, zero, seed=-1)
 
 
 def test_add_noise_deterministic_and_recorded():

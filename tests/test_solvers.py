@@ -550,6 +550,37 @@ def test_poisson_objective_domain_is_a_i_x_positive_where_b_i_is():
         poisson_objective(ps, x, MeasurementSet(values=np.array([3.0, 1.0])))
 
 
+def test_poisson_solve_evaluates_the_likelihood_once_per_trial(monkeypatch):
+    """One likelihood at x0 and one per Armijo trial: the accepted trial's
+    value is the next objective, never evaluated again at the same point.
+    Counting leaves the image and the trace unchanged."""
+    ps = generate_patterns(24, 4, 4, seed=41)
+    meas = synthesize(ps, builtin_scene("blocks", 4, 4))
+    budget = StopCriteria(residual_change_threshold=0.0, min_iterations=7,
+                          max_iterations_factor=0.0)
+    plain = poisson_solve(ps, meas, 4, 4, stop=budget)
+    likelihood, calls = solvers._neg_log_likelihood, []
+
+    def counted(ax, b):
+        calls.append(1)
+        return likelihood(ax, b)
+
+    monkeypatch.setattr(solvers, "_neg_log_likelihood", counted)
+    rep = poisson_solve(ps, meas, 4, 4, stop=budget)
+    assert np.array_equal(rep.image.data, plain.image.data) and rep.trace == plain.trace
+    assert rep.iterations == 7 and rep.linesearch_trials > rep.iterations
+    assert len(calls) == 1 + rep.linesearch_trials
+
+
+def test_the_likelihood_is_inf_outside_its_domain():
+    """Outside the domain the private likelihood raises nothing; only
+    poisson_objective turns its inf into a DomainError."""
+    b = np.array([3.0, 1.0])
+    assert solvers._neg_log_likelihood(np.array([2.0, 0.0]), b) == np.inf
+    assert solvers._neg_log_likelihood(np.array([-1.0, 1.0]), b) == np.inf
+    assert solvers._neg_log_likelihood(np.array([2.0, -1.0]), np.array([3.0, 0.0])) == np.inf
+
+
 def test_poisson_solve_objective_monotone():
     ps = generate_patterns(20, 3, 3, seed=24)
     truth = np.random.default_rng(25).random(9) + 0.1
@@ -891,10 +922,19 @@ def test_reports_are_deterministic():
     {"min_iterations": -5},
     {"max_iterations_factor": -1.0},
     {"max_iterations_factor": float("nan")},
+    # nan and inf passed the >= 0 check and made max_iterations nan or inf, so
+    # _Run.record never stopped; 1.5 was taken as it stood
+    {"min_iterations": float("nan")},
+    {"min_iterations": float("inf")},
+    {"min_iterations": 1.5},
 ])
 def test_stop_criteria_rejects_bad_values(kwargs):
     with pytest.raises(InvalidArgumentError, match=next(iter(kwargs))):
         StopCriteria(**kwargs)
+
+
+def test_stop_criteria_takes_any_integer_min_iterations():
+    assert StopCriteria(min_iterations=np.int64(3)).max_iterations(1) == 3
 
 
 def test_stop_criteria_accepts_zero_budget_fields():
@@ -1096,8 +1136,7 @@ def test_alm_cg_on_an_indefinite_system_is_a_numerical_failure():
     shared CG refuses its first step."""
     ps = PatternSet(generate_patterns(24, 4, 4, seed=41).rows * 1e-3)
     meas = synthesize(ps, builtin_scene("blocks", 4, 4))
-    prior = LinearOperator(apply=lambda v: np.array(v), apply_transpose=lambda v: -v,
-                           in_dim=16, out_dim=16)
+    prior = LinearOperator(apply=lambda v: np.array(v), apply_transpose=lambda v: -v)
     with pytest.raises(NumericalFailureError, match="CG step 1: G is not positive definite"):
         solvers._alm_solve(ps, meas, prior, 4, 4)
 
