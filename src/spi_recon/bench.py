@@ -22,7 +22,8 @@ import numpy as np
 from .errors import Error, InvalidArgumentError
 from .io import read_image
 from .metrics import normalized_rmse
-from .model import _DISTRIBUTIONS, NoiseModel, _check_int, add_noise, generate_patterns, synthesize
+from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_real, add_noise,
+                    generate_patterns, synthesize)
 from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
@@ -67,9 +68,7 @@ class SweepSpec:
             raise InvalidArgumentError(
                 f"unknown distribution {self.distribution!r}; valid: {', '.join(_DISTRIBUTIONS)}"
             )
-        _check_int(self.repeats, "repeats")
-        if self.repeats < 1:
-            raise InvalidArgumentError("repeats must be >= 1")
+        self.repeats = _check_int(self.repeats, "repeats", 1)
         cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
                                     self.image_sizes, self.noise_levels))) * self.repeats
         if cells > sys.maxsize:  # more rows than a list can hold
@@ -78,12 +77,12 @@ class SweepSpec:
             )
         if not all(np.isfinite(r) and r > 0 for r in self.sampling_ratios):
             raise InvalidArgumentError("sampling ratios must be finite and positive")
-        if not all(np.isfinite(v) and v >= 0 for v in self.noise_levels):
-            raise InvalidArgumentError("noise levels must be finite and >= 0")
+        for level in self.noise_levels:
+            _check_real(level, "a noise level")
+        if not all(isinstance(s, (tuple, list)) and len(s) == 2 for s in self.image_sizes):
+            raise InvalidArgumentError("an image size must be a (width, height) pair")
         for side in (s for size in self.image_sizes for s in size):
-            _check_int(side, "an image size")
-        if any(w < 2 or h < 2 for w, h in self.image_sizes):
-            raise InvalidArgumentError("image sizes must be at least 2x2")
+            _check_int(side, "an image size", 2)
 
 
 @dataclass

@@ -15,7 +15,7 @@ a 37-byte header, then m float64 values.  Kind 2, the old measurements
 layout with n in place of the shape, is retired.  Each kind has its own
 writer and reader, and a reader refuses any other kind byte at offset 8.
 
-Every count must be at least 1: the writer refuses one outside [1, 2**32)
+Every count must be an int >= 1: the writer refuses one outside [1, 2**32)
 (the header's u32 fields), and the reader reports a 0 as a FormatError at
 its offset (m at 9, n or width at 13, height at 17).  The writer refuses
 a seed outside [0, 2**64) rather than record a different one.  A bundle
@@ -43,7 +43,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
-from .model import Image, MeasurementSet, PatternSet, _check_seed, _row_blocks
+from .model import Image, MeasurementSet, PatternSet, _check_int, _check_seed, _row_blocks
 
 __all__ = [
     "read_image",
@@ -121,7 +121,7 @@ def read_image(path) -> Image:
 def write_image(img: Image, path) -> None:
     """Write as binary (P5) PGM with maxval 255; values are clipped to [0, 1]
     and rounded (an Image holds only finite values)."""
-    u8 = np.clip(np.rint(np.clip(img.data, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
+    u8 = np.rint(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
         f.write(u8.tobytes())
@@ -142,7 +142,7 @@ def _save_bundle(path, kind, counts, seed, blocks, *sigma) -> None:
     turn; sigma for measurements only.  If writing fails, the file is
     removed."""
     code, header, names = _BUNDLES[kind]
-    if not all(0 < c < 2**32 for c in counts):
+    if not all(0 < _check_int(c, name) < 2**32 for name, c in zip(names, counts)):
         got = ", ".join(f"{name}={c}" for name, c in zip(names, counts))
         raise InvalidArgumentError(f"a bundle needs 1 <= {', '.join(names)} < 2**32, got {got}")
     _check_seed(seed)

@@ -9,13 +9,19 @@ reproduces streams bit-identically on any platform.
 Image, PatternSet and MeasurementSet take over a C-contiguous float64 array
 that owns its memory: once it passes their checks it is made read-only in
 place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
-before the hand-over stay writable).  Any other input is copied.
+before the hand-over stay writable).  Any other input is copied; data
+that float64 cannot hold (complex, text, objects) is refused.
+
+Every count, size and seed argument passes _check_int and every sigma or
+level passes _check_real, the library's one argument rule; the other
+modules call the two as well.
 
 One rule, _row_blocks, cuts A into row blocks for generate_patterns' draw,
 synthesize and the CLI's block reader and writer, so the library and the
 CLI give the same A and b, bit for bit, at any BLAS thread count.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -51,8 +57,14 @@ def _row_blocks(m: int, n: int):
 
 
 def _intake(a) -> np.ndarray:
-    """``a`` itself if the intake rule takes it over, else a copy."""
-    a = np.asarray(a)
+    """``a`` itself if the intake rule takes it over, else a float64 copy.
+    Data that float64 cannot hold, complex, text or objects, is refused."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged nesting
+        raise InvalidArgumentError(f"data is not an array: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"data must be real numbers, got dtype {a.dtype}")
     if a.flags.owndata and a.flags.c_contiguous and a.dtype == np.float64:
         return a
     return np.array(a, dtype=np.float64, order="C")
@@ -70,8 +82,8 @@ class Image:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidArgumentError("image dimensions must be positive")
+        self.width = _check_int(self.width, "image width", 1)
+        self.height = _check_int(self.height, "image height", 1)
         data = _intake(self.data)
         if data.size != self.width * self.height:
             raise InvalidArgumentError(f"data length {data.size} != {self.width}x{self.height}")
@@ -139,8 +151,7 @@ class MeasurementSet:
         values = _intake(self.values)
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("measurements must be finite")
-        if not self.noise_sigma >= 0:  # false for NaN
-            raise InvalidArgumentError("noise_sigma must be >= 0")
+        self.noise_sigma = _check_real(self.noise_sigma, "noise_sigma")
         values.setflags(write=False)
         self.values = values.ravel()
 
@@ -163,10 +174,8 @@ class NoiseModel:
     sigma: float = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.level) and self.level >= 0):
-            raise InvalidArgumentError(f"noise level must be finite and >= 0, got {self.level}")
-        if self.pixel_count < 1:
-            raise InvalidArgumentError("pixel_count must be >= 1")
+        self.level = _check_real(self.level, "noise level")
+        self.pixel_count = _check_int(self.pixel_count, "pixel_count", 1)
         self.sigma = self.level * self.pixel_count
         if not np.isfinite(self.sigma):
             raise InvalidArgumentError(
@@ -174,16 +183,32 @@ class NoiseModel:
             )
 
 
-def _check_int(value, what: str) -> None:
-    """Refuse what operator.index refuses: floats (1.5, nan, inf) and the like."""
+def _check_int(value, what: str, least=None) -> int:
+    """``operator.index(value)``, the one check of a count, size or seed: 1.5,
+    nan, inf, a string or None is refused, and so is a value below least."""
     try:
-        operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _check_real(value, what: str) -> float:
+    """``float(value)``, the one check of a sigma, level, threshold or factor: a
+    finite real >= 0.  A float, so that its product with a count overflows to inf."""
+    try:
+        ok = math.isfinite(value) and value >= 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"{what} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
+    if not 0 <= _check_int(seed, "seed") < 2**64:
         raise InvalidArgumentError(f"seed must be in [0, 2**64), got {seed}")
 
 
@@ -202,11 +227,8 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     draw bit for bit if each but the last holds an even number of entries:
     a binary draw drops an unused 32-bit half of PCG64's output at its end.
     """
-    if m < 1:
-        raise InvalidArgumentError("need at least one pattern")
-    if width < 1 or height < 1:
-        raise InvalidArgumentError("pattern dimensions must be positive")
-    n = width * height
+    m = _check_int(m, "pattern count m", 1)
+    n = _check_int(width, "pattern width", 1) * _check_int(height, "pattern height", 1)
     if m * n * 8 > np.iinfo(np.intp).max:
         raise InvalidArgumentError(f"a {m} x {n} pattern matrix is too large to address")
     if distribution not in _DISTRIBUTIONS:

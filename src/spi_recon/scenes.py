@@ -7,7 +7,7 @@ at any requested size with values in [0, 1], deterministically.
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import Image
+from .model import Image, _check_int
 
 __all__ = ["builtin_scene", "BUILTIN_SCENES"]
 
@@ -65,6 +65,5 @@ def builtin_scene(name: str, width: int, height: int) -> Image:
         raise InvalidArgumentError(
             f"unknown scene {name!r}; builtins: {sorted(BUILTIN_SCENES)}"
         ) from None
-    if width < 2 or height < 2:
-        raise InvalidArgumentError("scene size must be at least 2x2")
-    return Image.from_array(fn(width, height))
+    return Image.from_array(fn(_check_int(width, "scene width", 2),
+                               _check_int(height, "scene height", 2)))

@@ -47,7 +47,7 @@ from .errors import (
     UnknownSolverError,
     DomainError,
 )
-from .model import Image, MeasurementSet, PatternSet, _check_int
+from .model import Image, MeasurementSet, PatternSet, _check_int, _check_real
 from .transforms import LinearOperator, dct_operator, gradient_operator, soft_threshold
 
 __all__ = [
@@ -88,23 +88,9 @@ class StopCriteria:
     max_iterations_factor: float = 3.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.residual_change_threshold)
-                and self.residual_change_threshold >= 0):
-            raise InvalidArgumentError(
-                "residual_change_threshold must be finite and >= 0, "
-                f"got {self.residual_change_threshold}"
-            )
-        _check_int(self.min_iterations, "min_iterations")  # nan or inf would never stop
-        if self.min_iterations < 0:
-            raise InvalidArgumentError(
-                f"min_iterations must be >= 0, got {self.min_iterations}"
-            )
-        if not (np.isfinite(self.max_iterations_factor)
-                and self.max_iterations_factor >= 0):
-            raise InvalidArgumentError(
-                "max_iterations_factor must be finite and >= 0, "
-                f"got {self.max_iterations_factor}"
-            )
+        for name in ("residual_change_threshold", "max_iterations_factor"):
+            setattr(self, name, _check_real(getattr(self, name), name))
+        self.min_iterations = _check_int(self.min_iterations, "min_iterations", 0)
 
     def max_iterations(self, n: int) -> int:
         cap = self.max_iterations_factor * n
@@ -149,7 +135,7 @@ class _Run:
             )
         if patterns.m == 0:
             raise InvalidArgumentError("no measurements (m = 0): nothing to reconstruct from")
-        if width < 1 or height < 1 or width * height != patterns.n:
+        if _check_int(width, "width", 1) * _check_int(height, "height", 1) != patterns.n:
             raise InvalidArgumentError(
                 f"image shape {width}x{height} does not hold the {patterns.n} pattern pixels"
             )

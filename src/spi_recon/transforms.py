@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .model import _check_int, _check_real
 
 __all__ = [
     "LinearOperator",
@@ -173,8 +173,7 @@ def dct_operator(width: int, height: int) -> LinearOperator:
     apply_transpose is the exact inverse (the basis is orthonormal).  Both
     are bit-identical to scipy.fft.dctn/idctn(type=2, norm="ortho").
     """
-    if width < 1 or height < 1:
-        raise InvalidArgumentError("dct dimensions must be positive")
+    width, height = _check_int(width, "dct width", 1), _check_int(height, "dct height", 1)
     n = width * height
     # pocketfft's orthonormal factor 1/sqrt(prod 2N), rounded from long double
     fct = float(1 / np.sqrt(np.longdouble(4 * n)))
@@ -197,8 +196,7 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
     Output length is 2*width*height; the last difference along each row and
     column is 0 by the replicate (Neumann) convention.
     """
-    if width < 2 or height < 2:
-        raise InvalidArgumentError("gradient needs at least 2 pixels per axis")
+    width, height = _check_int(width, "gradient width", 2), _check_int(height, "gradient height", 2)
     n = width * height
 
     def fwd(v):
@@ -228,9 +226,9 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """Shrink magnitudes by tau and zero everything within [-tau, tau].
 
-    This is the proximal operator of tau * l1.
+    This is the proximal operator of tau * l1.  tau must be a finite real
+    >= 0: a nan tau would make every output NaN.
     """
-    if tau < 0:
-        raise InvalidArgumentError("threshold must be >= 0")
+    _check_real(tau, "threshold")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)

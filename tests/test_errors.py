@@ -75,8 +75,9 @@ BAD_INTS = st.sampled_from(["", "x", "1.5", "-1", "0", str(2**64), str(10**30)])
 BAD_FLOATS = st.sampled_from(["", "x", "-1", "nan", "inf", "1e308"])
 
 
-# the scenes of the valid problems: square, non-square, and one pixel wide
-SHAPES = {"8": (8, 8), "5x3": (5, 3), "1x7": (1, 7)}
+# the scenes of the valid problems: square, non-square, one pixel wide and
+# one with more pixels than any bundle made from another
+SHAPES = {"8": (8, 8), "5x3": (5, 3), "1x7": (1, 7), "16": (16, 16)}
 
 
 def _measurement_variants(good):
@@ -102,20 +103,24 @@ def _measurement_variants(good):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Small inputs, at most 8x8 pixels and m = 64, each good or bad."""
+    """Small inputs, at most 16x16 pixels and m = 256, each good or bad."""
     d = tmp_path_factory.mktemp("fuzz")
     write_image(builtin_scene("blocks", 8, 8), d / "scene8.pgm")
     write_image(builtin_scene("blocks", 5, 3), d / "scene5x3.pgm")
     write_image(Image(1, 7, np.linspace(0.1, 0.9, 7)), d / "scene1x7.pgm")
     write_image(builtin_scene("blocks", 4, 4), d / "scene4.pgm")
+    write_image(builtin_scene("disk", 16, 16), d / "scene16.pgm")
     (d / "garbage").write_bytes(b"P5 not a file this library reads\n")
     (d / "config.cfg").write_text("scenes = blocks\nsolvers = corr, pinv\n"
                                   "sampling_ratios = 0.5, 1\nimage_sizes = 8\nrepeats = 1\n")
+    # cheap enough for --desk's 32x32 and 5 repeats
+    (d / "desk.cfg").write_text("scenes = blocks\nsolvers = corr, dgi\nsampling_ratios = 0.2\n"
+                                "image_sizes = 8\nnoise_levels = 1e-3\nrepeats = 1\n")
     (d / "bad.cfg").write_text("scenes = blocks, missing.pgm\nsolvers = dgi\n"
                                "image_sizes = 4x8\nnoise_levels = 0, 1e-3\nrepeats = 1\n"
                                "distribution = binary\n")
     (d / "latin1.cfg").write_bytes(b"scenes = caf\xe9\nsolvers = corr\n")
-    for name, (w, h) in [("4", (4, 4)), *SHAPES.items()]:  # m = n, at most 64
+    for name, (w, h) in [("4", (4, 4)), *SHAPES.items()]:  # m = n, at most 256
         assert cli.main(["gen-patterns", "--m", str(w * h), "--width", str(w),
                          "--height", str(h), "--seed", "3",
                          "--out", str(d / f"pat{name}.spib")]) == 0
@@ -170,9 +175,12 @@ def _argv(d):
                  _flag("--threshold", st.sampled_from(["0", "1e-2"]), BAD_FLOATS),
                  _flag("--min-iter", ints(0, 40), BAD_INTS),
                  _flag("--max-iter-factor", st.sampled_from(["0", "1", "3"]), BAD_FLOATS)),
-        _command("benchmark", _flag("--config", path("config.cfg"),
+        _command("benchmark", _flag("--config", path("config.cfg", "desk.cfg"),
                                     path("bad.cfg", "latin1.cfg", "missing", "garbage")),
                  _flag("--out", *out)),
+        _command("benchmark", _flag("--config", path("desk.cfg"),
+                                    path("latin1.cfg", "missing", "garbage")),
+                 _flag("--out", *out), st.just(["--desk"])),
         _command("metrics", _flag("--truth", scenes, bad_path),
                  _flag("--estimate", scenes, bad_path)),
         st.lists(st.sampled_from(["nope", "--m", "8", "-x", "simulate"]), max_size=3),

@@ -51,6 +51,17 @@ def test_write_image_refuses_non_finite_values(tmp_path, value):
     assert not path.exists()
 
 
+def test_write_image_bytes_at_the_ends_of_the_range_are_pinned(tmp_path):
+    """0, 1, -0.0, the floats next to 0 and 1, the rounding ties at 0.5 and
+    254.5 and values outside [0, 1]; the bytes were recorded when
+    write_image clipped twice, to [0, 1] and then to [0, 255]."""
+    values = [0.0, 1.0, -0.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+              0.5 / 255, 254.5 / 255, 1.5 / 255, -1.0, 2.0]
+    write_image(Image(5, 2, np.array(values)), tmp_path / "ends.pgm")
+    assert (tmp_path / "ends.pgm").read_bytes() == (
+        b"P5\n5 2\n255\n" + bytes([0, 255, 0, 0, 255, 0, 254, 2, 0, 255]))
+
+
 def test_pgm_ascii_binary_equivalent(tmp_path):
     img = random_image(3)
     p2, p5 = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -181,6 +181,29 @@ def test_patterns_accept_negative_zero_and_no_rows():
     assert (empty.m, empty.n) == (0, 4)
 
 
+REAL_NUMBERS = "data must be real numbers, got dtype "
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PatternSet(np.array([[1 + 5j, 2]])), REAL_NUMBERS + "complex128"),
+    (lambda: Image(2, 1, np.array([0.5, 0j])), REAL_NUMBERS + "complex128"),
+    (lambda: MeasurementSet(np.array(["a", "b"])), REAL_NUMBERS + "<U1"),
+    (lambda: MeasurementSet(np.array(["1", "2"])), REAL_NUMBERS + "<U1"),
+    (lambda: MeasurementSet([1.0, None]), REAL_NUMBERS + "object"),
+    (lambda: PatternSet([[1.0, 2.0], [3.0]]), "data is not an array"),
+], ids=["complex-patterns", "complex-image", "text", "numeric-text", "object", "ragged"])
+def test_intake_refuses_what_float64_cannot_hold(make, message):
+    """A complex matrix lost its imaginary part with only a ComplexWarning,
+    and text died in numpy with a bare ValueError."""
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        make()
+
+
+def test_intake_takes_booleans_and_integers():
+    assert np.array_equal(PatternSet(np.array([[True, False]])).rows, [[1.0, 0.0]])
+    assert MeasurementSet(np.arange(3, dtype=np.uint8)).values.dtype == np.float64
+
+
 def test_image_data_length_must_match_its_size():
     with pytest.raises(InvalidArgumentError, match="data length 3 != 2x2"):
         Image(2, 2, np.zeros(3))
@@ -197,14 +220,14 @@ def test_image_data_must_be_flat_or_shaped_height_by_width(shape):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: Image(0, 2, np.zeros(0)), "image dimensions must be positive"),
+    (lambda: Image(0, 2, np.zeros(0)), "image width must be >= 1, got 0"),
     (lambda: Image.from_array(np.zeros(4)), "expected a 2D array"),
     (lambda: Image(2, 1, [np.nan, 0.0]), "image values must be finite"),
     (lambda: Image(2, 1, [0.0, -np.inf]), "image values must be finite"),
     (lambda: NoiseModel(1e-3, 0), "pixel_count must be >= 1"),
     (lambda: generate_patterns(4, 2, 2, "foo"), "unknown distribution 'foo'"),
     (lambda: builtin_scene("nope", 8, 8), "unknown scene 'nope'; builtins"),
-    (lambda: builtin_scene("blocks", 1, 5), "scene size must be at least 2x2"),
+    (lambda: builtin_scene("blocks", 1, 5), "scene width must be >= 2, got 1"),
 ], ids=["image-width-0", "from-array-1d", "image-nan", "image-inf", "noise-no-pixels",
         "unknown-distribution", "unknown-scene", "scene-1-wide"])
 def test_model_and_scene_arguments_are_refused(make, message):
