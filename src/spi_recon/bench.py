@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-import numpy as np
-
 from .errors import Error, InvalidArgumentError
 from .io import read_image
 from .metrics import normalized_rmse
-from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_real, add_noise,
-                    generate_patterns, synthesize)
+from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_real, _check_scaled,
+                    add_noise, generate_patterns, synthesize)
 from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
@@ -75,7 +73,7 @@ class SweepSpec:
             raise InvalidArgumentError(
                 f"repeats {self.repeats} gives {cells} cells, more than a sweep can hold"
             )
-        if not all(np.isfinite(r) and r > 0 for r in self.sampling_ratios):
+        if not all(_check_real(r, "a sampling ratio") > 0 for r in self.sampling_ratios):
             raise InvalidArgumentError("sampling ratios must be finite and positive")
         for level in self.noise_levels:
             _check_real(level, "a noise level")
@@ -109,9 +107,7 @@ def stable_seed(*parts) -> int:
 
 def _pattern_count(ratio: float, n: int) -> int:
     """The m of a cell of n pixels sampled at ratio."""
-    if not np.isfinite(ratio * n):  # int() of an infinite count raises OverflowError
-        raise InvalidArgumentError(f"ratio {ratio} x {n} pixels overflows the measurement count")
-    m = int(round(ratio * n))
+    m = int(round(_check_scaled(ratio, n, "ratio", "the measurement count")))
     if m < 1:
         raise InvalidArgumentError(f"ratio {ratio} gives zero measurements")
     return m

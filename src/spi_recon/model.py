@@ -12,9 +12,9 @@ place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
 before the hand-over stay writable).  Any other input is copied; data
 that float64 cannot hold (complex, text, objects) is refused.
 
-Every count, size and seed argument passes _check_int and every sigma or
-level passes _check_real, the library's one argument rule; the other
-modules call the two as well.
+Every count, size and seed passes _check_int, every sigma or level
+_check_real, and every product of a level, ratio or factor with a pixel
+count _check_scaled: the one argument rule, which other modules call too.
 
 One rule, _row_blocks, cuts A into row blocks for generate_patterns' draw,
 synthesize and the CLI's block reader and writer, so the library and the
@@ -176,11 +176,7 @@ class NoiseModel:
     def __post_init__(self):
         self.level = _check_real(self.level, "noise level")
         self.pixel_count = _check_int(self.pixel_count, "pixel_count", 1)
-        self.sigma = self.level * self.pixel_count
-        if not np.isfinite(self.sigma):
-            raise InvalidArgumentError(
-                f"noise level {self.level} x {self.pixel_count} pixels overflows sigma"
-            )
+        self.sigma = _check_scaled(self.level, self.pixel_count, "noise level", "sigma")
 
 
 def _check_int(value, what: str, least=None) -> int:
@@ -197,7 +193,7 @@ def _check_int(value, what: str, least=None) -> int:
 
 def _check_real(value, what: str) -> float:
     """``float(value)``, the one check of a sigma, level, threshold or factor: a
-    finite real >= 0.  A float, so that its product with a count overflows to inf."""
+    finite real >= 0.  Its product with a pixel count is _check_scaled's."""
     try:
         ok = math.isfinite(value) and value >= 0
     except (TypeError, OverflowError):
@@ -205,6 +201,17 @@ def _check_real(value, what: str) -> float:
     if not ok:
         raise InvalidArgumentError(f"{what} must be finite and >= 0, got {value!r}")
     return float(value)
+
+
+def _check_scaled(value, pixels: int, what: str, result: str) -> float:
+    """``_check_real(value, what) * pixels``, the one product of a level, ratio
+    or factor with a pixel count: refused if not finite, or pixels is past float range."""
+    try:
+        if math.isfinite(scaled := _check_real(value, what) * pixels):
+            return scaled
+    except OverflowError:  # an int too large for a float
+        pass
+    raise InvalidArgumentError(f"{what} {value} x {pixels} pixels overflows {result}")
 
 
 def _check_seed(seed: int) -> None:

@@ -47,7 +47,7 @@ from .errors import (
     UnknownSolverError,
     DomainError,
 )
-from .model import Image, MeasurementSet, PatternSet, _check_int, _check_real
+from .model import Image, MeasurementSet, PatternSet, _check_int, _check_real, _check_scaled
 from .transforms import LinearOperator, dct_operator, gradient_operator, soft_threshold
 
 __all__ = [
@@ -93,12 +93,8 @@ class StopCriteria:
         self.min_iterations = _check_int(self.min_iterations, "min_iterations", 0)
 
     def max_iterations(self, n: int) -> int:
-        cap = self.max_iterations_factor * n
-        if not np.isfinite(cap):  # int() of an infinite cap raises OverflowError
-            raise InvalidArgumentError(
-                f"max_iterations_factor {self.max_iterations_factor} x {n} pixels "
-                "overflows the iteration cap"
-            )
+        cap = _check_scaled(self.max_iterations_factor, n, "max_iterations_factor",
+                            "the iteration cap")
         return max(self.min_iterations, int(round(cap)), 1)
 
 
@@ -493,7 +489,7 @@ def ap_update(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
     amax2 joins a float64 scalar, so if it underflows to 0 the step is
     inf, not ZeroDivisionError.  ap_solve skips and counts all-zero rows.
     """
-    ax = float(a @ x)
+    ax = a.dot(x)
     denom = ax if abs(ax) >= EPS_DIV else (EPS_DIV if ax >= 0 else -EPS_DIV)
     np.multiply(a, a, out=buf)
     buf *= x

@@ -1,9 +1,11 @@
 """The argument rule: every count, size and seed is an integer, checked by
 ``model._check_int``, and every sigma, level, threshold and factor is a
-finite real >= 0, checked by ``model._check_real``.  Each site refuses an
-argument that breaks the rule with InvalidArgumentError, never with a bare
-TypeError, OverflowError or struct.error, and never takes it to give a
-silently wrong result.  numpy integers are taken as plain ints."""
+finite real >= 0, checked by ``model._check_real``, whose product with a
+pixel count is a finite float, checked by ``model._check_scaled``.  Each
+site refuses an argument that breaks the rule with InvalidArgumentError,
+never with a bare TypeError, OverflowError or struct.error, and never
+takes it to give a silently wrong result.  numpy integers are taken as
+plain ints."""
 
 import os
 import struct
@@ -11,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from spi_recon.bench import SweepSpec
+from spi_recon.bench import SweepSpec, run_cell, run_sweep
 from spi_recon.errors import FormatError, InvalidArgumentError
 from spi_recon.io import read_measurements, write_image, write_measurements
 from spi_recon.model import (Image, MeasurementSet, NoiseModel, add_noise, generate_patterns,
@@ -137,3 +139,27 @@ def test_a_vast_integer_real_overflows_into_a_refusal():
         NoiseModel(10**300, 10**10)
     with pytest.raises(InvalidArgumentError, match="overflows the iteration cap"):
         StopCriteria(max_iterations_factor=10**300).max_iterations(10**10)
+
+
+@pytest.mark.parametrize("ratio", NOT_REALS + ["a", 0, 0.0], ids=_label)
+@pytest.mark.parametrize("call", [
+    lambda r: SweepSpec(["blocks"], ["dgi"], sampling_ratios=[0.5, r]),
+    lambda r: run_cell("blocks", "dgi", r, 8, 8, 0.0, 0),
+], ids=["spec", "cell"])
+def test_a_sampling_ratio_outside_the_rule_is_refused(call, ratio):
+    """'a', None, 10**400 and 1j died in np.isfinite, ``> 0`` or ``ratio * n``
+    with a bare TypeError."""
+    with pytest.raises(InvalidArgumentError, match="ratio"):
+        call(ratio)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NoiseModel(1e-3, 10**400),
+    lambda: NoiseModel(0.0, 10**400),
+    lambda: StopCriteria().max_iterations(10**400),
+    lambda: run_sweep(SweepSpec(["blocks"], ["dgi"], image_sizes=[(10**200, 10**200)])),
+], ids=["noise-level", "zero-noise-level", "iteration-cap", "sweep-size"])
+def test_a_pixel_count_past_float_range_is_refused(call):
+    """A real times an int past float range raised a bare OverflowError."""
+    with pytest.raises(InvalidArgumentError, match=r"x 10+ pixels overflows"):
+        call()

@@ -430,7 +430,10 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
      "noise_levels = 0\nrepeats = 99999999999999999999\n",
      "repeats 99999999999999999999 gives 99999999999999999999 cells"),
     ("scenes = blocks\nsolvers = dgi\nimage_sizes 8x8\n", "config line 3: expected key=value"),
-], ids=["overflowing-ratio", "not-utf8", "too-many-repeats", "no-equals"])
+    # n is an int past float range, so ratio * n raised a bare OverflowError
+    (f"scenes = blocks\nsolvers = dgi\nimage_sizes = {'9' * 200}x{'9' * 200}\n",
+     "pixels overflows the measurement count"),
+], ids=["overflowing-ratio", "not-utf8", "too-many-repeats", "no-equals", "vast-image-size"])
 def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
     cfg.write_bytes(config.encode() if isinstance(config, str) else config)

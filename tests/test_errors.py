@@ -75,6 +75,11 @@ BAD_INTS = st.sampled_from(["", "x", "1.5", "-1", "0", str(2**64), str(10**30)])
 BAD_FLOATS = st.sampled_from(["", "x", "-1", "nan", "inf", "1e308"])
 
 
+# one vast value each on an axis of a cheap grid, which --desk would run
+CHEAP = {"image_sizes": "8", "sampling_ratios": "0.2", "noise_levels": "0"}
+VAST = {"image_sizes": f"{'9' * 200}x{'9' * 200}", "sampling_ratios": "1e308",
+        "noise_levels": "0, 1e308"}
+
 # the scenes of the valid problems: square, non-square, one pixel wide and
 # one with more pixels than any bundle made from another
 SHAPES = {"8": (8, 8), "5x3": (5, 3), "1x7": (1, 7), "16": (16, 16)}
@@ -120,6 +125,10 @@ def files(tmp_path_factory):
                                "image_sizes = 4x8\nnoise_levels = 0, 1e-3\nrepeats = 1\n"
                                "distribution = binary\n")
     (d / "latin1.cfg").write_bytes(b"scenes = caf\xe9\nsolvers = corr\n")
+    # a vast image size, sampling ratio or noise level: each scaled count overflows
+    for key in VAST:
+        grid = "".join(f"{k} = {VAST[k] if k == key else v}\n" for k, v in CHEAP.items())
+        (d / f"vast_{key}.cfg").write_text(f"scenes = blocks\nsolvers = dgi\n{grid}repeats = 1\n")
     for name, (w, h) in [("4", (4, 4)), *SHAPES.items()]:  # m = n, at most 256
         assert cli.main(["gen-patterns", "--m", str(w * h), "--width", str(w),
                          "--height", str(h), "--seed", "3",
@@ -156,6 +165,7 @@ def _argv(d):
     patterns = path(*(f"pat{k}.spib" for k in SHAPES))
     scenes = path(*(f"scene{k}.pgm" for k in SHAPES))
     out = (path("out"), st.sampled_from([str(d), str(d / "missing" / "out")]))
+    vast = [f"vast_{key}.cfg" for key in VAST]
     seed = (ints(0, 3), BAD_INTS)
     return st.one_of(
         _command("gen-patterns", _flag("--m", ints(1, 128), BAD_INTS),
@@ -178,8 +188,10 @@ def _argv(d):
         _command("benchmark", _flag("--config", path("config.cfg", "desk.cfg"),
                                     path("bad.cfg", "latin1.cfg", "missing", "garbage")),
                  _flag("--out", *out)),
+        _command("benchmark", _flag("--config", path(*vast), path("missing")),
+                 _flag("--out", *out)),
         _command("benchmark", _flag("--config", path("desk.cfg"),
-                                    path("latin1.cfg", "missing", "garbage")),
+                                    path("latin1.cfg", "missing", "garbage", *vast)),
                  _flag("--out", *out), st.just(["--desk"])),
         _command("metrics", _flag("--truth", scenes, bad_path),
                  _flag("--estimate", scenes, bad_path)),
