@@ -13,8 +13,9 @@ before the hand-over stay writable).  Any other input is copied; data
 that float64 cannot hold (complex, text, objects) is refused.
 
 Every count, size and seed passes _check_int, every sigma or level
-_check_real, and every product of a level, ratio or factor with a pixel
-count _check_scaled: the one argument rule, which other modules call too.
+_check_real, every product of a level, ratio or factor with a pixel count
+_check_scaled, and every scene or pattern matrix's shape _check_addressable:
+the one argument rule, which other modules call too.
 
 One rule, _row_blocks, cuts A into row blocks for generate_patterns' draw,
 synthesize and the CLI's block reader and writer, so the library and the
@@ -214,6 +215,12 @@ def _check_scaled(value, pixels: int, what: str, result: str) -> float:
     raise InvalidArgumentError(f"{what} {value} x {pixels} pixels overflows {result}")
 
 
+def _check_addressable(rows: int, cols: int, what: str) -> None:
+    """Refuse a rows x cols float64 array whose bytes no index can reach."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"a {rows} x {cols} {what} is too large to address")
+
+
 def _check_seed(seed: int) -> None:
     if not 0 <= _check_int(seed, "seed") < 2**64:
         raise InvalidArgumentError(f"seed must be in [0, 2**64), got {seed}")
@@ -236,8 +243,7 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     """
     m = _check_int(m, "pattern count m", 1)
     n = _check_int(width, "pattern width", 1) * _check_int(height, "pattern height", 1)
-    if m * n * 8 > np.iinfo(np.intp).max:
-        raise InvalidArgumentError(f"a {m} x {n} pattern matrix is too large to address")
+    _check_addressable(m, n, "pattern matrix")
     if distribution not in _DISTRIBUTIONS:
         raise InvalidArgumentError(f"unknown distribution {distribution!r}")
     rng = _rng(seed)

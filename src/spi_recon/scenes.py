@@ -7,7 +7,7 @@ at any requested size with values in [0, 1], deterministically.
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import Image, _check_int
+from .model import Image, _check_addressable, _check_int
 
 __all__ = ["builtin_scene", "BUILTIN_SCENES"]
 
@@ -65,5 +65,6 @@ def builtin_scene(name: str, width: int, height: int) -> Image:
         raise InvalidArgumentError(
             f"unknown scene {name!r}; builtins: {sorted(BUILTIN_SCENES)}"
         ) from None
-    return Image.from_array(fn(_check_int(width, "scene width", 2),
-                               _check_int(height, "scene height", 2)))
+    width, height = _check_int(width, "scene width", 2), _check_int(height, "scene height", 2)
+    _check_addressable(height, width, "scene")
+    return Image.from_array(fn(width, height))

@@ -22,8 +22,8 @@ recomputing it.  Per iteration:
 
 - gd: 1 A + 1 A^T (A p for the step, A^T for the gradient; Ax -= step * Ap)
 - cgd: 1 A + 1 A^T (b - Ax is tracked by recurrence for the stop test)
-- poisson: 1 A + 1 A^T, plus 1 A once (each Armijo trial is O(m): the
-  likelihood at Ax + step * Ap; the accepted trial gives the next Ax and objective)
+- poisson: 1 A + 1 A^T, plus 1 A once at x0, checked by the objective's rule (each
+  Armijo trial is the O(m) likelihood at Ax + step * Ap; the accepted one gives the next Ax)
 - ap: m row updates plus 1 A for the residual; each row is one dot product
   and four n-length ufunc passes, with no allocation
 - cs-dct/cs-tv: 1 A + 2 A^T per outer iteration, plus 1 A + 1 A^T per inner
@@ -362,6 +362,17 @@ def _neg_log_likelihood(ax: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(ax - b * np.log(z)))
 
 
+def _objective(ax: np.ndarray, b: np.ndarray) -> float:
+    """_neg_log_likelihood(ax, b), raising DomainError that names the first
+    row outside the domain when that is why it is inf."""
+    value = _neg_log_likelihood(ax, b)
+    if value == np.inf and (outside := (ax < 0) | ((b > 0) & (ax <= 0))).any():
+        i = int(outside.argmax())
+        raise DomainError(f"a_i.x = {ax[i]:g} at row {i} is outside the Poisson "
+                          "likelihood's domain (a_i.x > 0 where b_i > 0, else >= 0)")
+    return value
+
+
 def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> float:
     """Negative Poisson log-likelihood: sum(a_i.x - b_i log(a_i.x)).
 
@@ -371,14 +382,7 @@ def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet)
     b = meas.values
     if np.any(b < 0):
         raise InvalidArgumentError("Poisson measurements must be >= 0")
-    ax = patterns.rows @ x
-    outside = (ax < 0) | ((b > 0) & (ax <= 0))
-    value = _neg_log_likelihood(ax, b)
-    if value == np.inf and outside.any():
-        i = int(outside.argmax())
-        raise DomainError(f"a_i.x = {ax[i]:g} at row {i} is outside the Poisson "
-                          "likelihood's domain (a_i.x > 0 where b_i > 0, else >= 0)")
-    return value
+    return _objective(patterns.rows @ x, b)
 
 
 def _clamp_signed(v: np.ndarray) -> np.ndarray:
@@ -438,10 +442,10 @@ def poisson_solve(
     """Poisson maximum-likelihood descent with backtracking step size.
 
     Negative measurements (possible after Gaussian noise) are clamped to
-    0 and counted in the report; x0 is a small positive constant, so x0 is
-    in the likelihood's domain (a_i.x > 0 where b_i > 0, a_i.x >= 0 where
-    b_i = 0) unless an all-zero row has b_i > 0, which no x satisfies and
-    which is refused up front with DomainError.
+    0 and counted in the report.  x0 is a small positive constant, checked
+    with poisson_objective's rule: a row outside the likelihood's domain at
+    x0 (a_i.x > 0 where b_i > 0, a_i.x >= 0 where b_i = 0), such as an
+    all-zero row with b_i > 0, is refused up front with its DomainError.
 
     Per iteration 1 A + 1 A^T, plus A x0 once: A^T for the gradient and
     A p for the search direction p.  Each Armijo trial evaluates the
@@ -454,15 +458,9 @@ def poisson_solve(
 
     clamped = int(np.count_nonzero(meas.values < 0))
     b = np.maximum(meas.values, 0.0)
-    dead = (b > 0) & ~A.any(axis=1)  # no x gives a_i.x > 0 on an all-zero row
-    if dead.any():
-        i = int(dead.argmax())
-        raise DomainError(f"pattern row {i} is all zero but its reading is {b[i]:g} > 0: "
-                          "no image is in the Poisson likelihood's domain")
-
     x = np.full(patterns.n, 1e-6)
     Ax = A @ x
-    obj = _neg_log_likelihood(Ax, b)
+    obj = _objective(Ax, b)
     trials = 0
     while True:
         direction = -_poisson_grad(A, Ax, b)

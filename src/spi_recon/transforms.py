@@ -197,20 +197,16 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
     column is 0 by the replicate (Neumann) convention.
     """
     width, height = _check_int(width, "gradient width", 2), _check_int(height, "gradient height", 2)
-    n = width * height
 
     def fwd(v):
         img = np.asarray(v, dtype=np.float64).reshape(height, width)
-        dh = np.zeros_like(img)
-        dv = np.zeros_like(img)
-        dh[:, :-1] = img[:, 1:] - img[:, :-1]
-        dv[:-1, :] = img[1:, :] - img[:-1, :]
-        return np.concatenate([dh.ravel(), dv.ravel()])
+        d = np.zeros((2, height, width))  # dh then dv
+        np.subtract(img[:, 1:], img[:, :-1], out=d[0, :, :-1])
+        np.subtract(img[1:, :], img[:-1, :], out=d[1, :-1, :])
+        return d.ravel()
 
     def adj(u):
-        u = np.asarray(u, dtype=np.float64).ravel()
-        dh = u[:n].reshape(height, width)
-        dv = u[n:].reshape(height, width)
+        dh, dv = np.asarray(u, dtype=np.float64).reshape(2, height, width)
         out = np.zeros((height, width))
         # adjoint of dh[:, :-1] = img[:, 1:] - img[:, :-1]
         out[:, :-1] -= dh[:, :-1]

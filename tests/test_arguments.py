@@ -1,11 +1,12 @@
 """The argument rule: every count, size and seed is an integer, checked by
 ``model._check_int``, and every sigma, level, threshold and factor is a
 finite real >= 0, checked by ``model._check_real``, whose product with a
-pixel count is a finite float, checked by ``model._check_scaled``.  Each
-site refuses an argument that breaks the rule with InvalidArgumentError,
-never with a bare TypeError, OverflowError or struct.error, and never
-takes it to give a silently wrong result.  numpy integers are taken as
-plain ints."""
+pixel count is a finite float, checked by ``model._check_scaled``; a scene
+or pattern matrix must be addressable, checked by
+``model._check_addressable``.  Each site refuses an argument that breaks
+the rule with InvalidArgumentError, never with a bare TypeError,
+OverflowError, ValueError or struct.error, and never takes it to give a
+silently wrong result.  numpy integers are taken as plain ints."""
 
 import os
 import struct
@@ -162,4 +163,16 @@ def test_a_sampling_ratio_outside_the_rule_is_refused(call, ratio):
 def test_a_pixel_count_past_float_range_is_refused(call):
     """A real times an int past float range raised a bare OverflowError."""
     with pytest.raises(InvalidArgumentError, match=r"x 10+ pixels overflows"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: builtin_scene("blocks", 10**200, 10**200),
+    lambda: builtin_scene("disk", 2**30, 2**30),  # 2**63 bytes, one past intp
+    lambda: run_cell("blocks", "dgi", 0.5, 10**200, 10**200, 0.0, 0),
+], ids=["scene", "scene-one-byte-past", "cell"])
+def test_a_scene_no_index_can_reach_is_refused(call):
+    """numpy refused such a scene with a bare ValueError ("Maximum allowed
+    dimension exceeded"); it shares the pattern matrix's address check."""
+    with pytest.raises(InvalidArgumentError, match="scene is too large to address"):
         call()

@@ -15,9 +15,12 @@ from spi_recon.io import (
     read_patterns,
     read_results_csv,
     write_image,
+    write_measurements,
+    write_patterns,
 )
 from spi_recon.metrics import normalized_rmse
-from spi_recon.model import NoiseModel, add_noise, generate_patterns, synthesize
+from spi_recon.model import (MeasurementSet, NoiseModel, PatternSet, add_noise,
+                             generate_patterns, synthesize)
 from spi_recon.scenes import builtin_scene
 from spi_recon.solvers import StopCriteria, get_solver
 
@@ -255,6 +258,26 @@ def test_reconstruct_refuses_a_measurement_bundle_in_the_retired_layout(tmp_path
     assert err.startswith("runtime error: expected a measurements bundle, got kind byte 2")
     assert "re-run simulate" in err and "(byte offset 8)" in err
     assert not recon.exists()
+
+
+def test_reconstruct_poisson_refuses_an_all_zero_row_read_as_positive(tmp_path, capsys):
+    """No image gives a_3.x > 0 when pattern row 3 is all zero, so a positive
+    reading 3 leaves the start point outside the Poisson likelihood's domain:
+    reconstruct exits 2 with one runtime error line that names the row."""
+    pat, meas, recon = tmp_path / "pat.spib", tmp_path / "meas.spib", tmp_path / "recon.pgm"
+    rows = generate_patterns(32, 4, 4, seed=5).rows.copy()
+    rows[3] = 0.0
+    patterns = PatternSet(rows, seed=5)
+    values = patterns.rows @ np.full(16, 0.5)
+    values[3] = 1.0
+    write_patterns(patterns, pat)
+    write_measurements(MeasurementSet(values), 4, 4, meas)
+    assert main(["reconstruct", "--solver", "poisson", "--patterns", str(pat),
+                 "--measurements", str(meas), "--out", str(recon)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1
+    assert "at row 3 is outside the Poisson likelihood's domain" in err
+    assert "Traceback" not in err and not recon.exists()
 
 
 def test_metrics_identical_files(tmp_path, capsys):

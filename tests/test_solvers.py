@@ -531,10 +531,21 @@ def test_poisson_solve_refuses_an_all_zero_row_only_with_a_positive_reading(read
     iteration, naming the row; a negative reading clamps to 0 and solves."""
     ps, meas = zero_row_problem(reading)
     if reading > 0:
-        with pytest.raises(DomainError, match="pattern row 3 is all zero"):
+        with pytest.raises(DomainError, match=r"a_i\.x = 0 at row 3 is outside the Poisson"):
             poisson_solve(ps, meas, 4, 4)
     else:
         assert poisson_solve(ps, meas, 4, 4).warning_count == 1
+
+
+def test_poisson_solve_refuses_a_row_whose_start_product_underflows():
+    """Row 3 is not all zero, but its subnormal entries give a_3.x0 = 0 with
+    b_3 > 0: the start point is outside the domain, so the solve is refused
+    by the objective's rule, and never run from an infinite objective."""
+    ps, meas = zero_row_problem(1.0)
+    rows = ps.rows.copy()
+    rows[3] = 1e-320
+    with pytest.raises(DomainError, match=r"a_i\.x = 0 at row 3 is outside the Poisson"):
+        poisson_solve(PatternSet(rows), meas, 4, 4)
 
 
 def test_poisson_objective_domain_is_a_i_x_positive_where_b_i_is():
@@ -573,8 +584,9 @@ def test_poisson_solve_evaluates_the_likelihood_once_per_trial(monkeypatch):
 
 
 def test_the_likelihood_is_inf_outside_its_domain():
-    """Outside the domain the private likelihood raises nothing; only
-    poisson_objective turns its inf into a DomainError."""
+    """Outside the domain the private likelihood raises nothing; only the
+    objective's rule, behind poisson_objective and poisson_solve's start
+    point, turns its inf into a DomainError."""
     b = np.array([3.0, 1.0])
     assert solvers._neg_log_likelihood(np.array([2.0, 0.0]), b) == np.inf
     assert solvers._neg_log_likelihood(np.array([-1.0, 1.0]), b) == np.inf
