@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import Error, InvalidArgumentError
-from .io import read_image
+from .io import SweepRow, read_image
 from .metrics import normalized_rmse
 from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_real, _check_scaled,
                     add_noise, generate_patterns, synthesize)
@@ -83,21 +83,6 @@ class SweepSpec:
             _check_int(side, "an image size", 2)
 
 
-@dataclass
-class SweepRow:
-    scene: str
-    solver: str
-    ratio: float
-    size: str  # "WxH"
-    noise_level: float
-    repeat: int
-    rmse: Optional[float]
-    iterations: int
-    wall_time_s: float
-    seed: int
-    status: str  # "ok" or "failed:<reason>"
-
-
 def stable_seed(*parts) -> int:
     """Deterministic 63-bit seed from arbitrary hashable parts."""
     text = "\x1f".join(str(p) for p in parts)
@@ -129,11 +114,12 @@ def run_cell(
 
     The row's time is the solver's own wall_time, which leaves out pattern
     generation and measurement synthesis.  A scene file that cannot be
-    read, or a solve that raises a library Error, gives a "failed:" row;
-    any other exception propagates.
+    read, a cell whose arrays cannot be allocated (a MemoryError, whose
+    message names the allocation) or a solve that raises a library Error
+    gives a "failed:" row; any other exception propagates.
     """
     def failed(exc, seed):
-        reason = str(exc).replace("\n", " ")
+        reason = (str(exc) or type(exc).__name__).replace("\n", " ")
         return SweepRow(scene, solver, ratio, f"{width}x{height}", noise_level, repeat,
                         None, 0, 0.0, seed, f"failed:{reason}")
 
@@ -152,14 +138,17 @@ def run_cell(
     pattern_seed = stable_seed(base_seed, "patterns", scene, ratio, size, repeat)
     noise_seed = stable_seed(base_seed, "noise", scene, ratio, size, repeat)
 
-    patterns = generate_patterns(m, width, height, distribution, seed=pattern_seed)
-    meas = add_noise(synthesize(patterns, truth), noise, seed=noise_seed)
+    try:
+        patterns = generate_patterns(m, width, height, distribution, seed=pattern_seed)
+        meas = add_noise(synthesize(patterns, truth), noise, seed=noise_seed)
+    except MemoryError as exc:
+        return failed(exc, pattern_seed)
     try:
         report = get_solver(solver)(patterns, meas, width, height, stop=stop)
         rmse = normalized_rmse(truth, report.image)
         return SweepRow(scene, solver, ratio, size, noise_level, repeat,
                         rmse, report.iterations, report.wall_time, pattern_seed, "ok")
-    except Error as exc:
+    except (Error, MemoryError) as exc:
         return failed(exc, pattern_seed)  # failed cells are recorded, never fatal
 
 

@@ -102,11 +102,15 @@ def _run(args) -> int:
         report = solver(patterns, meas, width, height, stop=stop)
         spio.write_image(report.image, args.out)
         if args.trace:
-            with open(args.trace, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["iteration", "residual_norm", "objective"])
-                for k, rnorm, obj in report.trace:
-                    w.writerow([k, f"{rnorm:.9g}", f"{obj:.9g}"])
+            try:
+                with spio._output(args.trace, "w", newline="") as f:
+                    w = csv.writer(f)
+                    w.writerow(["iteration", "residual_norm", "objective"])
+                    for k, rnorm, obj in report.trace:
+                        w.writerow([k, f"{rnorm:.9g}", f"{obj:.9g}"])
+            except BaseException:  # a failed reconstruct leaves no image either
+                spio._discard(args.out)
+                raise
     elif args.command == "benchmark":
         try:
             with open(args.config, encoding="utf-8") as f:

@@ -7,6 +7,10 @@ multiple of its file size at most.  Data past the declared raster is
 refused too, at the offset of its first byte (P5) or token (P2); only
 whitespace and comments may follow a P2 raster.
 
+Every writer here (PGM, bundle, CSV) goes through ``_output``: one that
+fails part way, or whose file cannot be closed, removes the file it was
+writing, if that is a regular file.
+
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte, u32
 counts, u64 seed.  Patterns (kind 1): m, n and the seed, a 25-byte
 header, then m*n float64 values row-major.  Measurements (kind 3): m, the
@@ -21,17 +25,19 @@ its offset (m at 9, n or width at 13, height at 17).  The writer refuses
 a seed outside [0, 2**64) rather than record a different one.  A bundle
 path must be a regular file.  The reader parses the fixed header, checks
 the payload length it declares against the file size before allocating
-anything, and then reads the payload straight into the array it returns,
-in its final shape, so reading holds one copy of the payload; the writer
-writes the array's own buffer.  A payload value the model refuses is a
-FormatError at that value's offset.  A writer that fails part way
-removes the file it was writing.
+anything, and then reads the payload straight into the arrays it returns,
+so reading holds one copy of the payload; the writer writes the array's
+own buffer.  A payload value the model refuses is a FormatError at that
+value's offset.
 
-The CLI streams pattern bundles one row block of model._row_blocks at a
-time.  ``_write_pattern_blocks`` draws each block into one reused buffer
-and writes it before drawing the next; its bytes equal write_patterns' of
-the whole matrix.  ``_read_pattern_blocks`` yields a PatternSet per block,
-checked as read_patterns checks the whole, at the same byte offsets.
+Pattern bundles have one writer and one reader, each taking A in row
+blocks.  ``_write_pattern_blocks`` draws each block of model._row_blocks
+into one reused buffer and writes it before drawing the next; its bytes
+equal write_patterns' of the whole matrix.  ``_read_pattern_blocks``
+yields a PatternSet per block of the cut it is given: model._row_blocks
+for the CLI's simulate, and one block of all m rows for read_patterns.
+
+The results CSV has one column per SweepRow field, in field order.
 """
 
 import csv
@@ -39,6 +45,9 @@ import os
 import re
 import stat
 import struct
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -57,6 +66,25 @@ __all__ = [
 ]
 
 MAGIC = b"SPIBNDL1"
+
+
+def _discard(path) -> None:
+    """Remove path if it names a regular file, never a device or a pipe."""
+    if os.path.isfile(path):
+        os.remove(path)
+
+
+@contextmanager
+def _output(path, mode="wb", **kwargs):
+    """open(path, mode) for a with block that writes it; if the block or the
+    close raises, the file is discarded before the error propagates."""
+    f = open(path, mode, **kwargs)
+    try:
+        with f:
+            yield f
+    except BaseException:
+        _discard(path)
+        raise
 
 
 # ------------------------------------------------------------------------ PGM
@@ -122,7 +150,7 @@ def write_image(img: Image, path) -> None:
     """Write as binary (P5) PGM with maxval 255; values are clipped to [0, 1]
     and rounded (an Image holds only finite values)."""
     u8 = np.rint(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
+    with _output(path) as f:
         f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
         f.write(u8.tobytes())
 
@@ -133,8 +161,9 @@ def write_image(img: Image, path) -> None:
 # kind -> (kind byte, header layout, names of its u32 counts)
 _BUNDLES = {"patterns": (1, struct.Struct("<8sBIIQ"), ("m", "n")),
             "measurements": (3, struct.Struct("<8sBIIIQd"), ("m", "width", "height"))}
-_KIND_NAMES = {1: "patterns", 3: "measurements", 2: "kind byte 2, the retired "
-               "measurements layout that records no image shape (re-run simulate)"}
+_KIND_NAMES = {code: kind for kind, (code, *_) in _BUNDLES.items()} | {
+    2: "kind byte 2, the retired measurements layout that records no image shape "
+       "(re-run simulate)"}
 
 
 def _save_bundle(path, kind, counts, seed, blocks, *sigma) -> None:
@@ -146,15 +175,10 @@ def _save_bundle(path, kind, counts, seed, blocks, *sigma) -> None:
         got = ", ".join(f"{name}={c}" for name, c in zip(names, counts))
         raise InvalidArgumentError(f"a bundle needs 1 <= {', '.join(names)} < 2**32, got {got}")
     _check_seed(seed)
-    with open(path, "wb") as f:
-        try:
-            f.write(header.pack(MAGIC, code, *counts, seed, *sigma))
-            for block in blocks:
-                f.write(memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B"))
-        except BaseException:
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                os.remove(path)
-            raise
+    with _output(path) as f:
+        f.write(header.pack(MAGIC, code, *counts, seed, *sigma))
+        for block in blocks:
+            f.write(memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B"))
 
 
 def _open_bundle(f, kind):
@@ -196,34 +220,13 @@ def _read_into(f, out) -> None:
                           offset=at + got)
 
 
-def _load_bundle(path, kind):
-    """(payload, n, seed) or (payload, width, height, seed, sigma), the payload
-    read straight into its final shape: (m, n) for patterns, (m,) for
-    measurements."""
-    with open(path, "rb") as f:
-        m, *fields = _open_bundle(f, kind)
-        payload = np.empty((m, fields[0]) if kind == "patterns" else (m,), dtype="<f8")
-        _read_into(f, payload)
-    return payload, *fields
-
-
-def _pattern_set(rows, seed, at) -> PatternSet:
-    """PatternSet(rows, seed) of rows read from byte offset at; a refused
-    entry is a FormatError at its own offset."""
-    try:
-        return PatternSet(rows, seed=seed)
-    except InvalidArgumentError as exc:  # at the first negative or non-finite entry
-        bad = ~(rows >= 0) | (rows == np.inf)
-        raise FormatError(str(exc), offset=at + 8 * int(bad.argmax())) from None
-
-
 def write_patterns(patterns: PatternSet, path) -> None:
     _save_bundle(path, "patterns", (patterns.m, patterns.n), patterns.seed, [patterns.rows])
 
 
 def read_patterns(path) -> PatternSet:
-    rows, _, seed = _load_bundle(path, "patterns")
-    return _pattern_set(rows, seed, _BUNDLES["patterns"][1].size)
+    (patterns,) = _read_pattern_blocks(path, lambda m, n: [slice(0, m)])  # one block: all of A
+    return patterns
 
 
 def _write_pattern_blocks(path, m, n, seed, draw) -> None:
@@ -240,17 +243,22 @@ def _write_pattern_blocks(path, m, n, seed, draw) -> None:
     _save_bundle(path, "patterns", (m, n), seed, blocks())
 
 
-def _read_pattern_blocks(path):
-    """Yield the bundle's rows as one PatternSet per block of
-    model._row_blocks, in order, each checked as it is read.  Each block is
-    read into its own array, which its PatternSet takes over."""
+def _read_pattern_blocks(path, cut=_row_blocks):
+    """Yield the bundle's rows as one PatternSet per slice of cut(m, n), in
+    order, each read into its own array, which its PatternSet takes over.
+    An entry PatternSet refuses is a FormatError at its own offset."""
     with open(path, "rb") as f:
         m, n, seed = _open_bundle(f, "patterns")
-        for block in _row_blocks(m, n):
+        for block in cut(m, n):
             rows = np.empty((block.stop - block.start, n), dtype="<f8")
             at = f.tell()
             _read_into(f, rows)
-            yield _pattern_set(rows, seed, at)
+            try:
+                patterns = PatternSet(rows, seed=seed)
+            except InvalidArgumentError as exc:  # at the first negative or non-finite entry
+                bad = ~(rows >= 0) | (rows == np.inf)
+                raise FormatError(str(exc), offset=at + 8 * int(bad.argmax())) from None
+            yield patterns
 
 
 def write_measurements(meas: MeasurementSet, width: int, height: int, path) -> None:
@@ -261,7 +269,10 @@ def write_measurements(meas: MeasurementSet, width: int, height: int, path) -> N
 
 def read_measurements(path):
     """Returns (MeasurementSet, width, height)."""
-    values, width, height, seed, sigma = _load_bundle(path, "measurements")
+    with open(path, "rb") as f:
+        m, width, height, seed, sigma = _open_bundle(f, "measurements")
+        values = np.empty(m, dtype="<f8")
+        _read_into(f, values)
     try:
         meas = MeasurementSet(values=values, noise_sigma=sigma, noise_seed=seed)
     except InvalidArgumentError as exc:  # at the first non-finite value, else at sigma
@@ -274,10 +285,25 @@ def read_measurements(path):
 
 # ------------------------------------------------------------------------ CSV
 
-CSV_COLUMNS = [
-    "scene", "solver", "ratio", "size", "noise_level", "repeat",
-    "rmse", "iterations", "wall_time_s", "seed", "status",
-]
+
+@dataclass
+class SweepRow:
+    """One benchmark cell's result; its fields, in order, are the CSV's columns."""
+
+    scene: str
+    solver: str
+    ratio: float
+    size: str  # "WxH"
+    noise_level: float
+    repeat: int
+    rmse: Optional[float]
+    iterations: int
+    wall_time_s: float
+    seed: int
+    status: str  # "ok" or "failed:<reason>"
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def _fmt(v) -> str:
@@ -289,16 +315,12 @@ def _fmt(v) -> str:
 
 
 def write_results_csv(rows, path) -> None:
-    """One line per sweep row, one cell per CSV_COLUMNS field; None (the
-    rmse of a failed cell) is an empty cell.
-
-    ``rows`` is an iterable of objects exposing the CSV_COLUMNS fields
-    (see bench.SweepRow).
-    """
+    """One line per SweepRow of ``rows``, one cell per field; None (the rmse
+    of a failed cell) is an empty cell."""
     rows = list(rows)
     if not rows:
         raise InvalidArgumentError("no rows to write")
-    with open(path, "w", newline="") as f:
+    with _output(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
         for r in rows:

@@ -177,9 +177,16 @@ class _Run:
         )
 
 
+# every solve runs with numpy's floating-point warnings off: its finiteness
+# checks find an overflow at any BLAS thread count (one inside a threaded
+# product sets no flag in the calling thread) and raise NumericalFailureError
+_quiet = np.errstate(all="ignore")
+
+
 # ---------------------------------------------------------------- non-iterative
 
 
+@_quiet
 def pinv_solve(
     patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
     stop: Optional[StopCriteria] = None,
@@ -200,6 +207,7 @@ def pinv_solve(
     return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
+@_quiet
 def corr_reconstruct(
     patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
     stop: Optional[StopCriteria] = None,
@@ -211,6 +219,7 @@ def corr_reconstruct(
     return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
 
 
+@_quiet
 def dgi_reconstruct(
     patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
     stop: Optional[StopCriteria] = None,
@@ -251,6 +260,7 @@ def gd_optimal_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
     return -float(Ap @ r) / denom
 
 
+@_quiet
 def gd_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -306,6 +316,7 @@ def _cg(normal, x, r):
         p = r + (rr / rr_old) * p
 
 
+@_quiet
 def cgd_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -432,6 +443,7 @@ def backtracking_search(
     return _armijo(lambda step: objective(x + step * p), f0, float(p @ p))[0]
 
 
+@_quiet
 def poisson_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -465,8 +477,11 @@ def poisson_solve(
     while True:
         direction = -_poisson_grad(A, Ax, b)
         Ap = A @ direction
-        step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj,
-                                   float(direction @ direction))
+        pp = float(direction @ direction)
+        if not np.isfinite(pp):  # no step could pass the Armijo test
+            raise NumericalFailureError("the gradient's squared norm overflowed",
+                                        iteration=run.k + 1)
+        step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj, pp)
         trials += tried
         x = x + step * direction
         Ax = Ax + step * Ap
@@ -495,6 +510,7 @@ def ap_update(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
     x -= buf
 
 
+@_quiet
 def ap_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -528,6 +544,7 @@ def ap_solve(
 # --------------------------------------------------------- augmented Lagrangian
 
 
+@_quiet
 def _alm_solve(
     patterns: PatternSet,
     meas: MeasurementSet,

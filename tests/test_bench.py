@@ -113,6 +113,34 @@ def test_unreadable_pgm_scene_gives_failed_rows(tmp_path):
     assert [r.status for r in rows[4:]] == ["ok", "ok"]
 
 
+ALLOCATION = "Unable to allocate 24.4 GiB for an array with shape (128000, 25600)"
+
+
+@pytest.mark.parametrize("exc, status", [
+    (MemoryError(ALLOCATION), f"failed:{ALLOCATION}"),
+    (MemoryError(), "failed:MemoryError"),
+])
+def test_a_cell_that_cannot_be_allocated_is_a_failed_row(tmp_path, monkeypatch, exc, status):
+    """A at 160x160 and ratio 5 is 24.4 GiB: its MemoryError killed the sweep
+    and lost the finished 8x8 row.  The allocation fails here by a stand-in,
+    since whether 24.4 GiB fails at once depends on the machine."""
+    generate = bench.generate_patterns
+
+    def generate_within_memory(m, width, height, *args, **kwargs):
+        if width * height > 100:
+            raise exc
+        return generate(m, width, height, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "generate_patterns", generate_within_memory)
+    config, out = tmp_path / "sweep.cfg", tmp_path / "res.csv"
+    config.write_text("solvers = dgi\nscenes = blocks\nsampling_ratios = 5\n"
+                      "image_sizes = 8x8, 160x160\nnoise_levels = 0\nrepeats = 1\n")
+    assert cli.main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_results_csv(out)
+    assert [(r["size"], r["status"]) for r in rows] == [("8x8", "ok"), ("160x160", status)]
+    assert rows[1]["rmse"] == "" and rows[1]["seed"] != "0"
+
+
 def test_a_pgm_scene_runs_once_per_cell_of_the_other_axes(tmp_path):
     """A PGM keeps its own size, so the image sizes do not repeat its cells;
     a builtin scene still runs at each size, in grid order."""

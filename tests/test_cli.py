@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import struct
 import tracemalloc
@@ -278,6 +279,74 @@ def test_reconstruct_poisson_refuses_an_all_zero_row_read_as_positive(tmp_path, 
     assert err.startswith("runtime error: ") and err.count("\n") == 1
     assert "at row 3 is outside the Poisson likelihood's domain" in err
     assert "Traceback" not in err and not recon.exists()
+
+
+OVERFLOW = """
+import contextlib, io, sys, warnings
+from pathlib import Path
+from spi_recon import cli, scenes, solvers
+from spi_recon import io as spio
+warnings.simplefilter("always")  # a warning that escapes is printed every time
+tmp = Path(sys.argv[1])
+spio.write_image(scenes.builtin_scene("blocks", 10, 10), tmp / "scene.pgm")
+assert cli.main(["gen-patterns", "--m", "100", "--width", "10", "--height", "10",
+                 "--out", str(tmp / "pat.spib")]) == 0
+assert cli.main(["simulate", "--patterns", str(tmp / "pat.spib"), "--scene",
+                 str(tmp / "scene.pgm"), "--noise-level", "1e298",
+                 "--out", str(tmp / "meas.spib")]) == 0
+patterns = spio.read_patterns(tmp / "pat.spib")
+meas, width, height = spio.read_measurements(tmp / "meas.spib")
+for name, solve in solvers.solver_registry():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["reconstruct", "--solver", name, "--patterns", str(tmp / "pat.spib"),
+                         "--measurements", str(tmp / "meas.spib"),
+                         "--out", str(tmp / "recon.pgm")])
+        try:
+            solve(patterns, meas, width, height)
+            raised = None
+        except Exception as exc:
+            raised = type(exc).__name__
+    print(repr((name, code, err.getvalue(), raised)))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_readings_whose_squares_overflow_fail_every_solver_quietly(tmp_path, run_python,
+                                                                  threads):
+    """Readings near 1e300, from --noise-level 1e298 at 10 x 10: each solve
+    raises NumericalFailureError, and reconstruct exits 2 with one runtime
+    error line and no numpy warning.  m * n = 10^4 is past where a
+    two-thread BLAS splits a product, whose overflow sets no flag in the
+    calling thread."""
+    out = run_python(OVERFLOW, tmp_path, threads=threads)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    results = {name: rest for name, *rest in map(ast.literal_eval, out.stdout.splitlines())}
+    assert len(results) == 9
+    for name, (code, err, raised) in results.items():
+        assert code == 2 and err.startswith("runtime error: ") and err.count("\n") == 1, (
+            name, err)
+        assert raised == "NumericalFailureError", (name, raised)
+    assert "overflowed" in results["poisson"][1]
+    assert not (tmp_path / "recon.pgm").exists()
+
+
+def test_a_reconstruct_whose_trace_cannot_be_written_leaves_no_image(tmp_path, capsys):
+    """--trace naming a directory failed after the image was written, and
+    left it behind."""
+    pat, scene, meas = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
+    recon = tmp_path / "recon.pgm"
+    write_image(builtin_scene("blocks", 4, 4), scene)
+    assert main(["gen-patterns", "--m", "16", "--width", "4", "--height", "4",
+                 "--out", str(pat)]) == 0
+    assert main(["simulate", "--patterns", str(pat), "--scene", str(scene),
+                 "--out", str(meas)]) == 0
+    assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),
+                 "--measurements", str(meas), "--out", str(recon),
+                 "--trace", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Is a directory" in err
+    assert not recon.exists() and tmp_path.is_dir()
 
 
 def test_metrics_identical_files(tmp_path, capsys):

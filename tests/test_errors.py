@@ -106,6 +106,19 @@ def _measurement_variants(good):
     }
 
 
+# finite readings whose squares overflow: 1e160 alternating in sign, and 1e300
+# near the float64 limit
+OVERFLOWS = {"1e160": lambda i: (-1) ** i * 1e160, "1e300": lambda i: 1e300}
+
+
+def _overflowing(good):
+    """suffix -> bytes of a measurement bundle with the header of the valid
+    bundle good and the readings OVERFLOWS[suffix] gives."""
+    m = struct.unpack("<I", good[9:13])[0]
+    return {suffix: good[:37] + struct.pack(f"<{m}d", *map(reading, range(m)))
+            for suffix, reading in OVERFLOWS.items()}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Small inputs, at most 16x16 pixels and m = 256, each good or bad."""
@@ -138,6 +151,9 @@ def files(tmp_path_factory):
                          str(d / f"scene{k}.pgm"), "--out", str(d / f"meas{k}.spib")]) == 0
     for name, data in _measurement_variants((d / "meas8.spib").read_bytes()).items():
         (d / f"{name}.spib").write_bytes(data)
+    for k in SHAPES:
+        for suffix, data in _overflowing((d / f"meas{k}.spib").read_bytes()).items():
+            (d / f"meas{k}_{suffix}.spib").write_bytes(data)
     return d
 
 
@@ -167,6 +183,15 @@ def _argv(d):
     out = (path("out"), st.sampled_from([str(d), str(d / "missing" / "out")]))
     vast = [f"vast_{key}.cfg" for key in VAST]
     seed = (ints(0, 3), BAD_INTS)
+    solvers = st.sampled_from([n for n, _ in solver_registry()])
+
+    def overflowing(k):  # the patterns of shape k and its readings that overflow
+        return _command("reconstruct", _flag("--solver", solvers, st.just("nope")),
+                        st.just(["--patterns", str(d / f"pat{k}.spib")]),
+                        _flag("--measurements", path(*(f"meas{k}_{s}.spib" for s in OVERFLOWS)),
+                              bad_path),
+                        _flag("--out", *out))
+
     return st.one_of(
         _command("gen-patterns", _flag("--m", ints(1, 128), BAD_INTS),
                  _flag("--width", ints(1, 8), BAD_INTS), _flag("--height", ints(1, 8), BAD_INTS),
@@ -176,9 +201,7 @@ def _argv(d):
                  _flag("--scene", scenes, bad_path),
                  _flag("--noise-level", st.sampled_from(["0", "1e-3"]), BAD_FLOATS),
                  _flag("--seed", *seed), _flag("--out", *out)),
-        _command("reconstruct",
-                 _flag("--solver", st.sampled_from([n for n, _ in solver_registry()]),
-                       st.just("nope")),
+        _command("reconstruct", _flag("--solver", solvers, st.just("nope")),
                  _flag("--patterns", patterns, bad_path),
                  _flag("--measurements", measurements, bad_path),
                  _flag("--out", *out), _flag("--trace", *out),
@@ -193,6 +216,7 @@ def _argv(d):
         _command("benchmark", _flag("--config", path("desk.cfg"),
                                     path("latin1.cfg", "missing", "garbage", *vast)),
                  _flag("--out", *out), st.just(["--desk"])),
+        st.sampled_from(sorted(SHAPES)).flatmap(overflowing),
         _command("metrics", _flag("--truth", scenes, bad_path),
                  _flag("--estimate", scenes, bad_path)),
         st.lists(st.sampled_from(["nope", "--m", "8", "-x", "simulate"]), max_size=3),

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spi_recon import cli, io, model
@@ -21,6 +21,7 @@ from spi_recon.errors import FormatError
 from spi_recon.io import write_image, write_measurements, write_patterns
 from spi_recon.model import (
     NoiseModel,
+    PatternSet,
     _pattern_draw,
     add_noise,
     generate_patterns,
@@ -190,6 +191,32 @@ def test_a_bad_entry_in_a_later_block_is_refused_at_its_offset(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and f"(byte offset {offset})" in err
     assert not out.exists()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(1, 40), n=st.integers(1, 20), data=st.data())
+def test_the_whole_read_is_the_block_read_in_one_block(tmp_path, small_blocks, m, n, data):
+    """read_patterns reads through _read_pattern_blocks: the same bytes,
+    and a bad entry refused at the same offset, whether A comes as one
+    block or as several."""
+    path = tmp_path / "pat.spib"
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    write_patterns(PatternSet(np.random.default_rng(seed).random((m, n))), path)
+    whole = io.read_patterns(path).rows.tobytes()
+    assert b"".join(b.rows.tobytes() for b in io._read_pattern_blocks(path)) == whole
+    assert whole == path.read_bytes()[HEADER:]
+
+    index = data.draw(st.integers(0, m * n - 1), label="index")
+    value = data.draw(st.sampled_from([-1.0, np.nan, np.inf, -np.inf]), label="value")
+    bad = bytearray(path.read_bytes())
+    bad[HEADER + 8 * index:HEADER + 8 * index + 8] = struct.pack("<d", value)
+    path.write_bytes(bad)
+    with pytest.raises(FormatError) as in_one:
+        io.read_patterns(path)
+    with pytest.raises(FormatError) as in_blocks:
+        list(io._read_pattern_blocks(path))
+    assert in_one.value.offset == in_blocks.value.offset == HEADER + 8 * index
 
 
 def test_a_bundle_that_shrinks_while_it_is_read_is_refused_at_its_end(tmp_path,
