@@ -116,10 +116,11 @@ def run_cell(
     generation and measurement synthesis.  A scene file that cannot be
     read, a cell whose arrays cannot be allocated (a MemoryError, whose
     message names the allocation) or a solve that raises a library Error
-    gives a "failed:" row; any other exception propagates.
+    gives a "failed:<Type>: <message>" row ("failed:<Type>" for an empty
+    message); any other exception propagates.
     """
     def failed(exc, seed):
-        reason = (str(exc) or type(exc).__name__).replace("\n", " ")
+        reason = ": ".join(filter(None, (type(exc).__name__, str(exc)))).replace("\n", " ")
         return SweepRow(scene, solver, ratio, f"{width}x{height}", noise_level, repeat,
                         None, 0, 0.0, seed, f"failed:{reason}")
 

@@ -9,7 +9,9 @@ simulate's readings equal synthesize's at any BLAS thread count.
 
 simulate, the one step that reads the scene, records its width and height
 in the measurement bundle, and reconstruct takes the image shape from
-there; the solver refuses a shape that does not hold the patterns' pixels.
+there.  reconstruct reads the measurement bundle first and checks it
+against the pattern header by the solvers' rule, solvers._check_counts,
+before it reads A's payload.  benchmark opens --out before the first cell.
 """
 
 import argparse
@@ -28,7 +30,7 @@ from .metrics import normalized_rmse
 # other model and solver names that perfbench/layertrace.py wraps on cli
 from .model import (_DISTRIBUTIONS, MeasurementSet, NoiseModel, _check_seed, _pattern_draw,
                     add_noise, generate_patterns, synthesize)  # noqa: F401
-from .solvers import StopCriteria, get_solver
+from .solvers import StopCriteria, _check_counts, get_solver
 
 __all__ = ["main"]
 
@@ -97,8 +99,11 @@ def _run(args) -> int:
         stop = StopCriteria(residual_change_threshold=args.threshold,
                             min_iterations=args.min_iter,
                             max_iterations_factor=args.max_iter_factor)
-        patterns = spio.read_patterns(args.patterns)
         meas, width, height = spio.read_measurements(args.measurements)
+        with open(args.patterns, "rb") as f:  # the counts, checked before A's payload is read
+            m, n, _ = spio._open_bundle(f, "patterns")
+        _check_counts(m, n, meas.m, width, height)
+        patterns = spio.read_patterns(args.patterns)
         report = solver(patterns, meas, width, height, stop=stop)
         spio.write_image(report.image, args.out)
         if args.trace:
@@ -120,8 +125,8 @@ def _run(args) -> int:
         spec = bench.parse_sweep_config(text)
         if args.desk:  # the CI-budget variant: 32x32 only, 5 repeats
             spec = replace(spec, image_sizes=[(32, 32)], repeats=5)
-        rows = bench.run_sweep(spec)
-        spio.write_results_csv(rows, args.out)
+        with spio._output(args.out):  # an --out that cannot be written fails before any cell
+            spio.write_results_csv(bench.run_sweep(spec), args.out)
     elif args.command == "metrics":
         truth = spio.read_image(args.truth)
         estimate = spio.read_image(args.estimate)

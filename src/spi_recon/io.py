@@ -300,7 +300,7 @@ class SweepRow:
     iterations: int
     wall_time_s: float
     seed: int
-    status: str  # "ok" or "failed:<reason>"
+    status: str  # "ok" or "failed:<Type>: <message>"
 
 
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]

@@ -9,12 +9,15 @@ with a DCT or gradient prior (cs-dct/cs-tv).
 
 Every solver has one call shape, solver(patterns, meas, width, height,
 stop=None); the direct solvers (pinv, corr, dgi) accept and ignore stop.
-All iterative solvers share one stopping protocol, held in one place,
-_Run: stop when the change of the measurement residual norm ||b - Ax||
-between consecutive iterations falls below a threshold (default 1e-2),
-with a minimum of 30 iterations and a cap of 3x the pixel count.  _Run
-also owns the dimension and image-shape checks, made before any
-product, the timing, the trace, the finiteness check and the report.
+Every solve runs under one protocol, held in one place, _Run: the count
+and image-shape checks (_check_counts), made before any product, numpy's
+floating-point warnings off, the timing, the norm of each residual, the
+trace, the finiteness check and the report.  An iterative solve stops
+when the change of the measurement residual norm ||b - Ax|| between
+consecutive iterations falls below a threshold (default 1e-2), with a
+minimum of 30 iterations and a cap of 3x the pixel count.  pinv, corr,
+dgi, ap and cs-dct/cs-tv hand _Run a residual computed afresh from x;
+gd, cgd and poisson hand it the b - Ax they carry forward by recurrence.
 
 Products with the m x n pattern matrix A dominate every solve, so each
 loop carries Ax (and A times its search direction) forward instead of
@@ -117,24 +120,29 @@ class SolverReport:
     inner_cg_steps: int = 0
 
 
+def _check_counts(m: int, n: int, meas_m: int, width: int, height: int) -> None:
+    """The one rule that m readings, an m x n pattern matrix and a width x
+    height image make a problem: equal m >= 1, and width * height = n."""
+    if meas_m != m:
+        raise InvalidArgumentError(f"measurement count {meas_m} != pattern count {m}")
+    if m == 0:
+        raise InvalidArgumentError("no measurements (m = 0): nothing to reconstruct from")
+    if _check_int(width, "width", 1) * _check_int(height, "height", 1) != n:
+        raise InvalidArgumentError(f"image shape {width}x{height} does not hold the "
+                                   f"{n} pattern pixels")
+
+
 class _Run:
-    """One solve's stop protocol: checks that there are measurements, that
-    they agree with the patterns and that the image shape holds the
-    patterns' pixels, all before any product; times the solve, records
-    the trace and decides when to stop."""
+    """One solve's protocol: ``with _Run(patterns, meas, width, height, stop)
+    as run:`` checks the counts before any product, runs the solve with
+    numpy's warnings off (record's and report's finiteness checks find an
+    overflow at any BLAS thread count), times it, takes the norm of each
+    residual it is handed, records the trace and decides when to stop.
+    Each run enters its own np.errstate, which is not re-entrant."""
 
     def __init__(self, patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
                  stop: Optional[StopCriteria] = None):
-        if meas.m != patterns.m:
-            raise InvalidArgumentError(
-                f"measurement count {meas.m} != pattern count {patterns.m}"
-            )
-        if patterns.m == 0:
-            raise InvalidArgumentError("no measurements (m = 0): nothing to reconstruct from")
-        if _check_int(width, "width", 1) * _check_int(height, "height", 1) != patterns.n:
-            raise InvalidArgumentError(
-                f"image shape {width}x{height} does not hold the {patterns.n} pattern pixels"
-            )
+        _check_counts(patterns.m, patterns.n, meas.m, width, height)
         self.width, self.height = width, height
         self.stop = stop or StopCriteria()
         self.max_iter = self.stop.max_iterations(patterns.n)
@@ -143,10 +151,20 @@ class _Run:
         self.trace = []
         self.terminated_by = None
 
-    def record(self, rnorm: float, obj: float) -> bool:
-        """Logs iteration k; True once the residual-change / min / max rule
-        says stop."""
+    def __enter__(self):
+        self._quiet = np.errstate(all="ignore")
+        self._quiet.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        self._quiet.__exit__(*exc)
+
+    def record(self, residual, obj=None) -> bool:
+        """Logs iteration k with the norm of residual and obj, by default its
+        square; True once the residual-change / min / max rule says stop."""
         self.k += 1
+        rnorm = float(np.linalg.norm(residual))
+        obj = rnorm**2 if obj is None else obj
         if not (np.isfinite(rnorm) and np.isfinite(obj)):
             raise NumericalFailureError("residual diverged", iteration=self.k)
         change = abs(rnorm - self.trace[-1][1]) if self.trace else np.inf
@@ -157,11 +175,12 @@ class _Run:
             self.terminated_by = "max_iterations"
         return self.terminated_by is not None
 
-    def report(self, x, rnorm=None, warnings=0, **counts) -> SolverReport:
-        """A given rnorm marks an exact solve; with no iteration recorded,
-        its trace is the single entry (0, rnorm, rnorm^2).  A non-finite
-        rnorm is an overflow, never an exact solve."""
-        if rnorm is not None:
+    def report(self, x, residual=None, warnings=0, **counts) -> SolverReport:
+        """A given residual marks an exact solve; with no iteration recorded,
+        its trace is the single entry (0, rnorm, rnorm^2) of its norm.  A
+        non-finite norm is an overflow, never an exact solve."""
+        if residual is not None:
+            rnorm = float(np.linalg.norm(residual))
             if not np.isfinite(rnorm):
                 raise NumericalFailureError("residual diverged", iteration=self.k)
             self.terminated_by = "exact"
@@ -177,61 +196,52 @@ class _Run:
         )
 
 
-# every solve runs with numpy's floating-point warnings off: its finiteness
-# checks find an overflow at any BLAS thread count (one inside a threaded
-# product sets no flag in the calling thread) and raise NumericalFailureError
-_quiet = np.errstate(all="ignore")
-
-
 # ---------------------------------------------------------------- non-iterative
 
 
-@_quiet
 def pinv_solve(
     patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Dense least squares x = (A^T A)^{-1} A^T b; requires m >= n full rank."""
-    run = _Run(patterns, meas, width, height, stop)
-    A, b = patterns.rows, meas.values
-    if patterns.m < patterns.n:
-        raise SingularSystemError(
-            f"m={patterns.m} < n={patterns.n}: normal equations are rank-deficient"
-        )
-    x, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
-    cond_normal = np.inf if s[-1] <= 0 else (s[0] / s[-1]) ** 2
-    if rank < patterns.n or cond_normal > 1e12:
-        raise SingularSystemError(
-            f"A^T A condition estimate {cond_normal:.2e} exceeds 1e12"
-        )
-    return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b = patterns.rows, meas.values
+        if patterns.m < patterns.n:
+            raise SingularSystemError(
+                f"m={patterns.m} < n={patterns.n}: normal equations are rank-deficient"
+            )
+        x, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
+        cond_normal = np.inf if s[-1] <= 0 else (s[0] / s[-1]) ** 2
+        if rank < patterns.n or cond_normal > 1e12:
+            raise SingularSystemError(
+                f"A^T A condition estimate {cond_normal:.2e} exceeds 1e12"
+            )
+        return run.report(x, residual=b - A @ x)
 
 
-@_quiet
 def corr_reconstruct(
     patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Conventional correlation: x = {b_i a_i} - {b_i}{a_i}."""
-    run = _Run(patterns, meas, width, height, stop)
-    A, b = patterns.rows, meas.values
-    x = (b @ A) / patterns.m - b.mean() * A.mean(axis=0)
-    return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b = patterns.rows, meas.values
+        x = (b @ A) / patterns.m - b.mean() * A.mean(axis=0)
+        return run.report(x, residual=b - A @ x)
 
 
-@_quiet
 def dgi_reconstruct(
     patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
     stop: Optional[StopCriteria] = None,
 ) -> SolverReport:
     """Differential correlation: x = {b_i a_i} - ({b_i}/{s_i}) {s_i a_i}."""
-    run = _Run(patterns, meas, width, height, stop)
-    A, b, s = patterns.rows, meas.values, patterns.intensities
-    s_mean = s.mean()
-    if s_mean == 0:
-        raise InvalidArgumentError("all patterns are zero: mean intensity is 0")
-    x = (b @ A) / patterns.m - (b.mean() / s_mean) * ((s @ A) / patterns.m)
-    return run.report(x, rnorm=float(np.linalg.norm(b - A @ x)))
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b, s = patterns.rows, meas.values, patterns.intensities
+        s_mean = s.mean()
+        if s_mean == 0:
+            raise InvalidArgumentError("all patterns are zero: mean intensity is 0")
+        x = (b @ A) / patterns.m - (b.mean() / s_mean) * ((s @ A) / patterns.m)
+        return run.report(x, residual=b - A @ x)
 
 
 # ------------------------------------------------------------- gradient descent
@@ -260,7 +270,6 @@ def gd_optimal_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
     return -float(Ap @ r) / denom
 
 
-@_quiet
 def gd_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -274,20 +283,19 @@ def gd_solve(
     step.  Ax is carried forward as Ax -= step * Ap, never recomputed;
     the next gradient, the step and the residual all read it.
     """
-    run = _Run(patterns, meas, width, height, stop)
-    A, b = patterns.rows, meas.values
-    x = np.zeros(patterns.n)
-    Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
-    while True:
-        p = _gd_grad(A, Ax, b)
-        Ap = A @ p
-        step = gd_optimal_step(Ap, b - Ax)
-        if step is not None:
-            x -= step * p
-            Ax -= step * Ap
-        rnorm = float(np.linalg.norm(b - Ax))
-        if run.record(rnorm, rnorm**2):
-            return run.report(x)
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b = patterns.rows, meas.values
+        x = np.zeros(patterns.n)
+        Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
+        while True:
+            p = _gd_grad(A, Ax, b)
+            Ap = A @ p
+            step = gd_optimal_step(Ap, b - Ax)
+            if step is not None:
+                x -= step * p
+                Ax -= step * Ap
+            if run.record(b - Ax):
+                return run.report(x)
 
 
 def _cg(normal, x, r):
@@ -316,7 +324,6 @@ def _cg(normal, x, r):
         p = r + (rr / rr_old) * p
 
 
-@_quiet
 def cgd_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -334,30 +341,29 @@ def cgd_solve(
     drops below CGD_EXACT_RTOL * max(1, ||A^T b||), bypassing the minimum
     iteration count.  The CG loop is _cg, shared with _alm_solve.
     """
-    run = _Run(patterns, meas, width, height, stop)
-    A, b = patterns.rows, meas.values
-    bp = A.T @ b
-    bp_norm = float(np.linalg.norm(bp))
-    if not np.isfinite(bp_norm):  # an infinite exact_tol would pass before any step
-        raise NumericalFailureError("norm of A^T b overflowed", iteration=0)
-    exact_tol = CGD_EXACT_RTOL * max(1.0, bp_norm)
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b = patterns.rows, meas.values
+        bp = A.T @ b
+        bp_norm = float(np.linalg.norm(bp))
+        if not np.isfinite(bp_norm):  # an infinite exact_tol would pass before any step
+            raise NumericalFailureError("norm of A^T b overflowed", iteration=0)
+        exact_tol = CGD_EXACT_RTOL * max(1.0, bp_norm)
 
-    Ap = None
+        Ap = None
 
-    def normal(p):
-        nonlocal Ap
-        Ap = A @ p
-        return A.T @ Ap
+        def normal(p):
+            nonlocal Ap
+            Ap = A @ p
+            return A.T @ Ap
 
-    res = b.copy()  # measurement residual b - Ax
-    for x, rr, alpha in _cg(normal, np.zeros(patterns.n), bp):
-        if alpha is not None:
-            res -= alpha * Ap
-            rnorm = float(np.linalg.norm(res))
-            if run.record(rnorm, rnorm**2):
-                return run.report(x)
-        if np.sqrt(rr) <= exact_tol:
-            return run.report(x, rnorm=float(np.linalg.norm(res)))
+        res = b.copy()  # measurement residual b - Ax
+        for x, rr, alpha in _cg(normal, np.zeros(patterns.n), bp):
+            if alpha is not None:
+                res -= alpha * Ap
+                if run.record(res):
+                    return run.report(x)
+            if np.sqrt(rr) <= exact_tol:
+                return run.report(x, residual=res)
 
 
 # ------------------------------------------------------ Poisson max. likelihood
@@ -443,7 +449,6 @@ def backtracking_search(
     return _armijo(lambda step: objective(x + step * p), f0, float(p @ p))[0]
 
 
-@_quiet
 def poisson_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -465,29 +470,28 @@ def poisson_solve(
     accepted trial's Ax + step * Ap becomes the next Ax, in the domain,
     and its likelihood the next objective: one evaluation per trial.
     """
-    run = _Run(patterns, meas, width, height, stop)
-    A = patterns.rows
+    with _Run(patterns, meas, width, height, stop) as run:
+        A = patterns.rows
 
-    clamped = int(np.count_nonzero(meas.values < 0))
-    b = np.maximum(meas.values, 0.0)
-    x = np.full(patterns.n, 1e-6)
-    Ax = A @ x
-    obj = _objective(Ax, b)
-    trials = 0
-    while True:
-        direction = -_poisson_grad(A, Ax, b)
-        Ap = A @ direction
-        pp = float(direction @ direction)
-        if not np.isfinite(pp):  # no step could pass the Armijo test
-            raise NumericalFailureError("the gradient's squared norm overflowed",
-                                        iteration=run.k + 1)
-        step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj, pp)
-        trials += tried
-        x = x + step * direction
-        Ax = Ax + step * Ap
-        rnorm = float(np.linalg.norm(b - Ax))
-        if run.record(rnorm, obj):
-            return run.report(x, warnings=clamped, linesearch_trials=trials)
+        clamped = int(np.count_nonzero(meas.values < 0))
+        b = np.maximum(meas.values, 0.0)
+        x = np.full(patterns.n, 1e-6)
+        Ax = A @ x
+        obj = _objective(Ax, b)
+        trials = 0
+        while True:
+            direction = -_poisson_grad(A, Ax, b)
+            Ap = A @ direction
+            pp = float(direction @ direction)
+            if not np.isfinite(pp):  # no step could pass the Armijo test
+                raise NumericalFailureError("the gradient's squared norm overflowed",
+                                            iteration=run.k + 1)
+            step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj, pp)
+            trials += tried
+            x = x + step * direction
+            Ax = Ax + step * Ap
+            if run.record(b - Ax, obj):
+                return run.report(x, warnings=clamped, linesearch_trials=trials)
 
 
 # -------------------------------------------------------- alternating projection
@@ -510,7 +514,6 @@ def ap_update(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
     x -= buf
 
 
-@_quiet
 def ap_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -525,26 +528,24 @@ def ap_solve(
     iteration m row dot products and m row corrections of four ufunc
     passes each, plus 1 A for the residual.
     """
-    run = _Run(patterns, meas, width, height, stop)
-    A, b, n = patterns.rows, meas.values, patterns.n
-    amax = A.max(axis=1, initial=0.0)
-    rows = [(a, float(b_i), float(am**2))  # a float64 square: inf, not OverflowError
-            for a, b_i, am in zip(A, b, amax) if am > 0.0]
-    zero_rows = patterns.m - len(rows)  # entries are >= 0: max 0 iff all 0
-    x = np.full(n, 1e-6)
-    buf = np.empty(n)
-    while True:
-        for a, b_i, amax2 in rows:
-            ap_update(a, b_i, amax2, x, buf)
-        rnorm = float(np.linalg.norm(b - A @ x))
-        if run.record(rnorm, rnorm**2):
-            return run.report(x, warnings=zero_rows * run.k)
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b, n = patterns.rows, meas.values, patterns.n
+        amax = A.max(axis=1, initial=0.0)
+        rows = [(a, float(b_i), float(am**2))  # a float64 square: inf, not OverflowError
+                for a, b_i, am in zip(A, b, amax) if am > 0.0]
+        zero_rows = patterns.m - len(rows)  # entries are >= 0: max 0 iff all 0
+        x = np.full(n, 1e-6)
+        buf = np.empty(n)
+        while True:
+            for a, b_i, amax2 in rows:
+                ap_update(a, b_i, amax2, x, buf)
+            if run.record(b - A @ x):
+                return run.report(x, warnings=zero_rows * run.k)
 
 
 # --------------------------------------------------------- augmented Lagrangian
 
 
-@_quiet
 def _alm_solve(
     patterns: PatternSet,
     meas: MeasurementSet,
@@ -564,37 +565,37 @@ def _alm_solve(
     DCT prior for sparse representation, the gradient prior for total
     variation.
     """
-    run = _Run(patterns, meas, width, height, stop)
-    A, b = patterns.rows, meas.values
+    with _Run(patterns, meas, width, height, stop) as run:
+        A, b = patterns.rows, meas.values
 
-    def system(Pv, Av):  # mu (P^T P + A^T A) v, from P v and A v
-        return mu * prior.apply_transpose(Pv) + mu * (A.T @ Av)
+        def system(Pv, Av):  # mu (P^T P + A^T A) v, from P v and A v
+            return mu * prior.apply_transpose(Pv) + mu * (A.T @ Av)
 
-    x = np.zeros(patterns.n)
-    Px, Ax = prior.apply(x), A @ x
-    y1 = np.zeros_like(Px)
-    y2 = np.zeros(patterns.m)
-    mu = 1.0
-    cg_steps = 0
-    while True:
-        c = soft_threshold(Px + y1 / mu, 1.0 / mu)
-        rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
-        tol = max((1e-8 * float(np.linalg.norm(rhs))) ** 2, 1e-300)
-        cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
-        for steps, (x, rr, _) in enumerate(cg):
-            if rr <= tol:
-                break
-            if steps == 500:
-                raise NumericalFailureError(
-                    "inner CG did not converge within 500 iterations", iteration=run.k + 1
-                )
-        cg_steps += steps
+        x = np.zeros(patterns.n)
         Px, Ax = prior.apply(x), A @ x
-        y1 = y1 + mu * (Px - c)
-        y2 = y2 + mu * (Ax - b)
-        mu = min(ALM_RHO * mu, ALM_MU_MAX)
-        if run.record(float(np.linalg.norm(Ax - b)), float(np.abs(Px).sum())):
-            return run.report(x, inner_cg_steps=cg_steps)
+        y1 = np.zeros_like(Px)
+        y2 = np.zeros(patterns.m)
+        mu = 1.0
+        cg_steps = 0
+        while True:
+            c = soft_threshold(Px + y1 / mu, 1.0 / mu)
+            rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
+            tol = max((1e-8 * float(np.linalg.norm(rhs))) ** 2, 1e-300)
+            cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
+            for steps, (x, rr, _) in enumerate(cg):
+                if rr <= tol:
+                    break
+                if steps == 500:
+                    raise NumericalFailureError(
+                        "inner CG did not converge within 500 iterations", iteration=run.k + 1
+                    )
+            cg_steps += steps
+            Px, Ax = prior.apply(x), A @ x
+            y1 = y1 + mu * (Px - c)
+            y2 = y2 + mu * (Ax - b)
+            mu = min(ALM_RHO * mu, ALM_MU_MAX)
+            if run.record(Ax - b, float(np.abs(Px).sum())):
+                return run.report(x, inner_cg_steps=cg_steps)
 
 
 # ---------------------------------------------------------------------- registry

@@ -66,6 +66,13 @@ def test_run_cell_solver_failure_is_recorded():
     assert row.rmse is None
 
 
+def test_a_failed_row_names_the_exception_type():
+    """sweep-32's pinv cell at ratio 0.2; the row used to hold only the message."""
+    row = run_cell("blocks", "pinv", 0.2, 32, 32, 0.0, 0)
+    assert row.status == ("failed:SingularSystemError: "
+                          "m=205 < n=1024: normal equations are rank-deficient")
+
+
 def test_run_sweep_row_count():
     rows = run_sweep(small_spec())
     assert len(rows) == 3
@@ -117,7 +124,7 @@ ALLOCATION = "Unable to allocate 24.4 GiB for an array with shape (128000, 25600
 
 
 @pytest.mark.parametrize("exc, status", [
-    (MemoryError(ALLOCATION), f"failed:{ALLOCATION}"),
+    (MemoryError(ALLOCATION), f"failed:MemoryError: {ALLOCATION}"),
     (MemoryError(), "failed:MemoryError"),
 ])
 def test_a_cell_that_cannot_be_allocated_is_a_failed_row(tmp_path, monkeypatch, exc, status):
@@ -210,7 +217,8 @@ def test_spec_refuses_an_unknown_distribution_before_the_first_cell(tmp_path, ca
 
 def test_run_cell_unknown_solver_reason_is_the_plain_message():
     row = run_cell("blocks", "nope", 0.5, 8, 8, 0.0, 0)
-    assert row.status.startswith("failed:unknown solver 'nope'; valid names: pinv, ")
+    assert row.status.startswith(
+        "failed:UnknownSolverError: unknown solver 'nope'; valid names: pinv, ")
 
 
 def test_parse_sweep_config_roundtrip():

@@ -226,6 +226,32 @@ def test_reconstruct_refuses_measurements_of_another_pixel_count(tmp_path, capsy
     assert not recon.exists()
 
 
+@pytest.mark.parametrize("m, width, height, message", [
+    (4, 4, 4, "measurement count 4 != pattern count 8"),
+    (8, 3, 3, "image shape 3x3 does not hold the 16 pattern pixels"),
+])
+def test_reconstruct_refuses_bundles_that_do_not_match_before_reading_a(
+        tmp_path, capsys, monkeypatch, m, width, height, message):
+    """The measurement bundle is read first and checked against the pattern
+    header, so a mismatch reads none of A's payload; before, all of A was
+    read and only then refused."""
+    pat, meas, recon = tmp_path / "pat.spib", tmp_path / "meas.spib", tmp_path / "recon.pgm"
+    write_patterns(generate_patterns(8, 4, 4, seed=3), pat)
+    write_measurements(MeasurementSet(values=np.ones(m)), width, height, meas)
+    read, read_into = [], cli.spio._read_into
+
+    def counting_read_into(f, out):
+        read.append((f.name, out.nbytes))
+        read_into(f, out)
+
+    monkeypatch.setattr(cli.spio, "_read_into", counting_read_into)
+    assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),
+                 "--measurements", str(meas), "--out", str(recon)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sum(nbytes for name, nbytes in read if name == str(pat)) == 0
+    assert read == [(str(meas), 8 * m)] and not recon.exists()
+
+
 def test_a_non_square_scene_keeps_its_shape_through_the_cli(tmp_path, capsys):
     """A 40x10 scene comes back 40x10: simulate records the scene's shape in
     the measurement bundle and reconstruct takes it from there, where a
@@ -550,6 +576,25 @@ def _refused_before_the_first_cell(tmp_path, capsys, monkeypatch, config):
     assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
     assert calls == [] and not out.exists()
     return capsys.readouterr().err
+
+
+def test_an_unwritable_benchmark_out_fails_before_the_first_cell(tmp_path, capsys,
+                                                                 monkeypatch):
+    """--out in a missing directory exits 2 before any cell runs; before, all
+    six cells ran and only then did the CSV fail to open."""
+    calls, run_cell = [], bench.run_cell
+
+    def recording_run_cell(*args, **kwargs):
+        calls.append(args)
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_cell", recording_run_cell)
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "missing" / "results.csv"
+    cfg.write_text("scenes = blocks\nsolvers = corr, dgi, cgd\nsampling_ratios = 0.5, 1\n"
+                   "image_sizes = 8\nnoise_levels = 0\nrepeats = 1\n")
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: [Errno 2] No such file or directory")
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("ratios, message", [

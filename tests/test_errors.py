@@ -66,7 +66,7 @@ def test_every_error_reaches_its_exit_code_and_a_failed_row(cls, tmp_path, capsy
 
     monkeypatch.setattr(bench, "get_solver", lambda name: refuse)
     row = bench.run_cell("blocks", "corr", 1.0, 4, 4, 0.0, 0)
-    assert row.status == "failed:refused" and row.rmse is None
+    assert row.status == f"failed:{cls.__name__}: refused" and row.rmse is None
 
 
 # ---------------------------------------------------------------- CLI fuzz

@@ -913,6 +913,44 @@ def test_run_stop_rule():
         solvers._Run(ps, MeasurementSet(values=np.ones(3)), 2, 2)
 
 
+def protocol_cell(level):
+    """8x8 blocks read by 128 patterns, where every solver, pinv too, succeeds."""
+    ps = generate_patterns(128, 8, 8, seed=48)
+    return ps, add_noise(synthesize(ps, builtin_scene("blocks", 8, 8)),
+                         NoiseModel(level, 64), seed=49)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
+def test_every_solver_enters_its_run_once(name, monkeypatch):
+    entered, enter = [], solvers._Run.__enter__
+
+    def counting_enter(run):
+        entered.append(run)
+        return enter(run)
+
+    monkeypatch.setattr(solvers._Run, "__enter__", counting_enter)
+    get_solver(name)(*protocol_cell(0.0), 8, 8)
+    assert len(entered) == 1
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-3])
+@pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
+def test_the_trace_ends_at_the_image_residual(name, level):
+    """The last trace residual is ||b - A image||: bit for bit where _Run is
+    handed a residual computed afresh from x, and to 1e-9 of ||b|| for the
+    recurrences of gd, cgd and poisson, which reads the clamped readings."""
+    ps, meas = protocol_cell(level)
+    b = np.maximum(meas.values, 0.0) if name == "poisson" else meas.values
+    report = get_solver(name)(ps, meas, 8, 8)
+    rnorm = float(np.linalg.norm(b - ps.rows @ report.image.data))
+    if name in ("gd", "cgd", "poisson"):
+        assert abs(report.trace[-1][1] - rnorm) <= 1e-9 * np.linalg.norm(b)
+    else:
+        assert report.trace[-1][1] == rnorm
+    if name in ("gd", "cgd", "ap"):
+        assert all(obj == r**2 for _, r, obj in report.trace)
+
+
 def test_reports_are_deterministic():
     ps = generate_patterns(40, 4, 4, seed=40)
     truth = builtin_scene("blocks", 4, 4)
