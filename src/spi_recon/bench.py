@@ -20,9 +20,9 @@ from typing import Optional
 from .errors import Error, InvalidArgumentError
 from .io import SweepRow, read_image
 from .metrics import normalized_rmse
-from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_real, _check_scaled,
+from .model import (NoiseModel, _check_distribution, _check_int, _check_real, _check_scaled,
                     add_noise, generate_patterns, synthesize)
-from .scenes import BUILTIN_SCENES, builtin_scene
+from .scenes import _check_scene, builtin_scene
 from .solvers import StopCriteria, get_solver
 
 __all__ = [
@@ -58,14 +58,9 @@ class SweepSpec:
         for solver in self.solvers:
             get_solver(solver)  # UnknownSolverError lists the valid names
         for scene in self.scenes:
-            if not scene.endswith(".pgm") and scene not in BUILTIN_SCENES:
-                raise InvalidArgumentError(
-                    f"unknown scene {scene!r}; builtins: {sorted(BUILTIN_SCENES)}"
-                )
-        if self.distribution not in _DISTRIBUTIONS:
-            raise InvalidArgumentError(
-                f"unknown distribution {self.distribution!r}; valid: {', '.join(_DISTRIBUTIONS)}"
-            )
+            if not scene.endswith(".pgm"):
+                _check_scene(scene)
+        _check_distribution(self.distribution)
         self.repeats = _check_int(self.repeats, "repeats", 1)
         cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
                                     self.image_sizes, self.noise_levels))) * self.repeats
@@ -114,43 +109,44 @@ def run_cell(
 
     The row's time is the solver's own wall_time, which leaves out pattern
     generation and measurement synthesis.  A scene file that cannot be
-    read, a cell whose arrays cannot be allocated (a MemoryError, whose
-    message names the allocation) or a solve that raises a library Error
-    gives a "failed:<Type>: <message>" row ("failed:<Type>" for an empty
-    message); any other exception propagates.
+    read, any array of the cell, its scene's included, that cannot be
+    allocated (a MemoryError, whose message names the allocation) or a
+    solve that raises a library Error gives a "failed:<Type>: <message>"
+    row ("failed:<Type>" for an empty message), with seed 0 if it failed
+    before its patterns were seeded; any other exception propagates.
     """
-    def failed(exc, seed):
+    def failed(exc):
         reason = ": ".join(filter(None, (type(exc).__name__, str(exc)))).replace("\n", " ")
         return SweepRow(scene, solver, ratio, f"{width}x{height}", noise_level, repeat,
                         None, 0, 0.0, seed, f"failed:{reason}")
 
-    if scene.endswith(".pgm"):  # a PGM keeps its own size
-        try:
-            truth = read_image(scene)
-        except (OSError, Error) as exc:
-            return failed(exc, 0)  # seed 0: no patterns exist for this cell
-    else:
-        truth = builtin_scene(scene, width, height)
-    width, height = truth.width, truth.height
-    n = width * height
-    noise = NoiseModel(level=noise_level, pixel_count=n)
-    m = _pattern_count(ratio, n)
-    size = f"{width}x{height}"
-    pattern_seed = stable_seed(base_seed, "patterns", scene, ratio, size, repeat)
-    noise_seed = stable_seed(base_seed, "noise", scene, ratio, size, repeat)
-
-    try:
-        patterns = generate_patterns(m, width, height, distribution, seed=pattern_seed)
+    seed = 0  # no patterns exist for this cell yet
+    try:  # failed cells are recorded, never fatal
+        if scene.endswith(".pgm"):  # a PGM keeps its own size
+            try:
+                truth = read_image(scene)
+            except (OSError, Error) as exc:
+                return failed(exc)
+        else:
+            truth = builtin_scene(scene, width, height)
+        width, height = truth.width, truth.height
+        n = width * height
+        noise = NoiseModel(level=noise_level, pixel_count=n)
+        m = _pattern_count(ratio, n)
+        size = f"{width}x{height}"
+        seed = stable_seed(base_seed, "patterns", scene, ratio, size, repeat)
+        noise_seed = stable_seed(base_seed, "noise", scene, ratio, size, repeat)
+        patterns = generate_patterns(m, width, height, distribution, seed=seed)
         meas = add_noise(synthesize(patterns, truth), noise, seed=noise_seed)
-    except MemoryError as exc:
-        return failed(exc, pattern_seed)
-    try:
-        report = get_solver(solver)(patterns, meas, width, height, stop=stop)
-        rmse = normalized_rmse(truth, report.image)
+        try:
+            report = get_solver(solver)(patterns, meas, width, height, stop=stop)
+            rmse = normalized_rmse(truth, report.image)
+        except Error as exc:
+            return failed(exc)
         return SweepRow(scene, solver, ratio, size, noise_level, repeat,
-                        rmse, report.iterations, report.wall_time, pattern_seed, "ok")
-    except (Error, MemoryError) as exc:
-        return failed(exc, pattern_seed)  # failed cells are recorded, never fatal
+                        rmse, report.iterations, report.wall_time, seed, "ok")
+    except MemoryError as exc:
+        return failed(exc)
 
 
 def run_sweep(spec: SweepSpec) -> list:

@@ -15,7 +15,6 @@ before it reads A's payload.  benchmark opens --out before the first cell.
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
@@ -108,11 +107,8 @@ def _run(args) -> int:
         spio.write_image(report.image, args.out)
         if args.trace:
             try:
-                with spio._output(args.trace, "w", newline="") as f:
-                    w = csv.writer(f)
-                    w.writerow(["iteration", "residual_norm", "objective"])
-                    for k, rnorm, obj in report.trace:
-                        w.writerow([k, f"{rnorm:.9g}", f"{obj:.9g}"])
+                spio._write_csv(args.trace, ["iteration", "residual_norm", "objective"],
+                                report.trace)
             except BaseException:  # a failed reconstruct leaves no image either
                 spio._discard(args.out)
                 raise

@@ -37,7 +37,8 @@ equal write_patterns' of the whole matrix.  ``_read_pattern_blocks``
 yields a PatternSet per block of the cut it is given: model._row_blocks
 for the CLI's simulate, and one block of all m rows for read_patterns.
 
-The results CSV has one column per SweepRow field, in field order.
+The results CSV has one column per SweepRow field, in field order.  It
+and reconstruct's trace CSV have one writer, ``_write_csv``.
 """
 
 import csv
@@ -314,17 +315,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_csv(path, columns, rows) -> None:
+    """A CSV of the header columns and one line per row of values, each
+    cell through _fmt: the writer of results CSVs and of reconstruct's trace."""
+    with _output(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_results_csv(rows, path) -> None:
     """One line per SweepRow of ``rows``, one cell per field; None (the rmse
     of a failed cell) is an empty cell."""
     rows = list(rows)
     if not rows:
         raise InvalidArgumentError("no rows to write")
-    with _output(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
+    _write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in rows))
 
 
 def read_results_csv(path):

@@ -226,6 +226,13 @@ def _check_seed(seed: int) -> None:
         raise InvalidArgumentError(f"seed must be in [0, 2**64), got {seed}")
 
 
+def _check_distribution(name: str) -> None:
+    """The one check of a pattern distribution's name."""
+    if name not in _DISTRIBUTIONS:
+        raise InvalidArgumentError(
+            f"unknown distribution {name!r}; valid: {', '.join(_DISTRIBUTIONS)}")
+
+
 def _rng(seed: int) -> "np.random.Generator":
     # a string annotation: numpy.random is imported on the first draw,
     # not when this module loads
@@ -244,8 +251,7 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     m = _check_int(m, "pattern count m", 1)
     n = _check_int(width, "pattern width", 1) * _check_int(height, "pattern height", 1)
     _check_addressable(m, n, "pattern matrix")
-    if distribution not in _DISTRIBUTIONS:
-        raise InvalidArgumentError(f"unknown distribution {distribution!r}")
+    _check_distribution(distribution)
     rng = _rng(seed)
 
     def draw(out):

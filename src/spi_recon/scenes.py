@@ -57,14 +57,16 @@ BUILTIN_SCENES = {
 }
 
 
+def _check_scene(name: str):
+    """The renderer of a builtin scene name, the one check of such a name."""
+    if name not in BUILTIN_SCENES:
+        raise InvalidArgumentError(f"unknown scene {name!r}; builtins: {sorted(BUILTIN_SCENES)}")
+    return BUILTIN_SCENES[name]
+
+
 def builtin_scene(name: str, width: int, height: int) -> Image:
     """Render a named builtin scene at the requested size."""
-    try:
-        fn = BUILTIN_SCENES[name]
-    except KeyError:
-        raise InvalidArgumentError(
-            f"unknown scene {name!r}; builtins: {sorted(BUILTIN_SCENES)}"
-        ) from None
+    fn = _check_scene(name)
     width, height = _check_int(width, "scene width", 2), _check_int(height, "scene height", 2)
     _check_addressable(height, width, "scene")
     return Image.from_array(fn(width, height))

@@ -9,15 +9,16 @@ with a DCT or gradient prior (cs-dct/cs-tv).
 
 Every solver has one call shape, solver(patterns, meas, width, height,
 stop=None); the direct solvers (pinv, corr, dgi) accept and ignore stop.
-Every solve runs under one protocol, held in one place, _Run: the count
-and image-shape checks (_check_counts), made before any product, numpy's
-floating-point warnings off, the timing, the norm of each residual, the
-trace, the finiteness check and the report.  An iterative solve stops
-when the change of the measurement residual norm ||b - Ax|| between
-consecutive iterations falls below a threshold (default 1e-2), with a
-minimum of 30 iterations and a cap of 3x the pixel count.  pinv, corr,
-dgi, ap and cs-dct/cs-tv hand _Run a residual computed afresh from x;
-gd, cgd and poisson hand it the b - Ax they carry forward by recurrence.
+Every solve runs under one protocol, _Run: the count and image-shape
+checks (_check_counts), made before any product, numpy's warnings off,
+the timing, the norm of each residual, the trace, the report and the one
+finiteness check (_Run.finite) of every norm, objective and tolerance.
+An iterative solve stops when the change of the measurement residual
+norm ||b - Ax|| between consecutive iterations falls below a threshold
+(default 1e-2), with a minimum of 30 iterations and a cap of 3x the
+pixel count.  pinv, corr, dgi, ap and cs-dct/cs-tv hand _Run a residual
+computed afresh from x; gd, cgd and poisson hand it the b - Ax they
+carry forward by recurrence.
 
 Products with the m x n pattern matrix A dominate every solve, so each
 loop carries Ax (and A times its search direction) forward instead of
@@ -135,7 +136,7 @@ def _check_counts(m: int, n: int, meas_m: int, width: int, height: int) -> None:
 class _Run:
     """One solve's protocol: ``with _Run(patterns, meas, width, height, stop)
     as run:`` checks the counts before any product, runs the solve with
-    numpy's warnings off (record's and report's finiteness checks find an
+    numpy's warnings off (finite, its one finiteness check, finds an
     overflow at any BLAS thread count), times it, takes the norm of each
     residual it is handed, records the trace and decides when to stop.
     Each run enters its own np.errstate, which is not re-entrant."""
@@ -159,14 +160,18 @@ class _Run:
     def __exit__(self, *exc):
         self._quiet.__exit__(*exc)
 
+    def finite(self, value, what="residual diverged", iteration=None) -> float:
+        """float(value), or NumericalFailureError(what) at iteration k or the one given."""
+        if not np.isfinite(value := float(value)):
+            raise NumericalFailureError(what, iteration=self.k if iteration is None else iteration)
+        return value
+
     def record(self, residual, obj=None) -> bool:
         """Logs iteration k with the norm of residual and obj, by default its
         square; True once the residual-change / min / max rule says stop."""
         self.k += 1
-        rnorm = float(np.linalg.norm(residual))
-        obj = rnorm**2 if obj is None else obj
-        if not (np.isfinite(rnorm) and np.isfinite(obj)):
-            raise NumericalFailureError("residual diverged", iteration=self.k)
+        rnorm = self.finite(np.linalg.norm(residual))
+        obj = self.finite(rnorm**2 if obj is None else obj)
         change = abs(rnorm - self.trace[-1][1]) if self.trace else np.inf
         self.trace.append((self.k, rnorm, obj))
         if self.k >= self.stop.min_iterations and change < self.stop.residual_change_threshold:
@@ -176,13 +181,10 @@ class _Run:
         return self.terminated_by is not None
 
     def report(self, x, residual=None, warnings=0, **counts) -> SolverReport:
-        """A given residual marks an exact solve; with no iteration recorded,
-        its trace is the single entry (0, rnorm, rnorm^2) of its norm.  A
-        non-finite norm is an overflow, never an exact solve."""
+        """A given residual, whose norm must be finite, marks an exact solve; with
+        no iteration recorded, its trace is the one entry (0, rnorm, rnorm^2)."""
         if residual is not None:
-            rnorm = float(np.linalg.norm(residual))
-            if not np.isfinite(rnorm):
-                raise NumericalFailureError("residual diverged", iteration=self.k)
+            rnorm = self.finite(np.linalg.norm(residual))
             self.terminated_by = "exact"
             self.trace = self.trace or [(0, rnorm, rnorm**2)]
         return SolverReport(
@@ -343,11 +345,9 @@ def cgd_solve(
     """
     with _Run(patterns, meas, width, height, stop) as run:
         A, b = patterns.rows, meas.values
-        bp = A.T @ b
-        bp_norm = float(np.linalg.norm(bp))
-        if not np.isfinite(bp_norm):  # an infinite exact_tol would pass before any step
-            raise NumericalFailureError("norm of A^T b overflowed", iteration=0)
-        exact_tol = CGD_EXACT_RTOL * max(1.0, bp_norm)
+        bp = A.T @ b  # an infinite exact_tol would pass before any step
+        exact_tol = CGD_EXACT_RTOL * max(1.0, run.finite(np.linalg.norm(bp),
+                                                         "norm of A^T b overflowed", 0))
 
         Ap = None
 
@@ -482,10 +482,8 @@ def poisson_solve(
         while True:
             direction = -_poisson_grad(A, Ax, b)
             Ap = A @ direction
-            pp = float(direction @ direction)
-            if not np.isfinite(pp):  # no step could pass the Armijo test
-                raise NumericalFailureError("the gradient's squared norm overflowed",
-                                            iteration=run.k + 1)
+            pp = run.finite(direction @ direction,  # no step could pass the Armijo test
+                            "the gradient's squared norm overflowed", run.k + 1)
             step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj, pp)
             trials += tried
             x = x + step * direction
@@ -580,7 +578,8 @@ def _alm_solve(
         while True:
             c = soft_threshold(Px + y1 / mu, 1.0 / mu)
             rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
-            tol = max((1e-8 * float(np.linalg.norm(rhs))) ** 2, 1e-300)
+            rhs_norm = run.finite(np.linalg.norm(rhs), "norm of the ALM rhs overflowed", run.k + 1)
+            tol = max((1e-8 * rhs_norm) ** 2, 1e-300)  # an inf tol would end every CG at x = 0
             cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
             for steps, (x, rr, _) in enumerate(cg):
                 if rr <= tol:

@@ -104,6 +104,20 @@ def test_io_public_names():
     assert [name for name in gone if hasattr(io, name) or hasattr(spi_recon, name)] == []
 
 
+def _isfinite_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite"]
+
+
+def test_isfinite_is_called_only_in_run_finite():
+    """_Run.finite is the one finiteness check of a solve; a hand-written
+    overflow check anywhere else in solvers.py fails here."""
+    tree = ast.parse(Path(solvers.__file__).read_text())
+    run = next(node for node in tree.body if getattr(node, "name", None) == "_Run")
+    finite = next(node for node in run.body if getattr(node, "name", None) == "finite")
+    assert len(_isfinite_calls(tree)) == len(_isfinite_calls(finite)) == 1
+
+
 def test_pattern_set_fields():
     assert [f.name for f in dataclasses.fields(model.PatternSet)] == ["rows", "seed"]
     assert not hasattr(model.PatternSet, "from_matrix")

@@ -148,6 +148,66 @@ def test_a_cell_that_cannot_be_allocated_is_a_failed_row(tmp_path, monkeypatch, 
     assert rows[1]["rmse"] == "" and rows[1]["seed"] != "0"
 
 
+def test_a_scene_that_cannot_be_allocated_is_a_failed_row(tmp_path, monkeypatch):
+    """builtin_scene ran outside run_cell's MemoryError handler, so a scene
+    too large for memory killed the sweep and lost the finished 8x8 row."""
+    render = bench.builtin_scene
+
+    def render_within_memory(name, width, height):
+        if width * height > 100:
+            raise MemoryError(ALLOCATION)
+        return render(name, width, height)
+
+    monkeypatch.setattr(bench, "builtin_scene", render_within_memory)
+    config, out = tmp_path / "sweep.cfg", tmp_path / "res.csv"
+    config.write_text("solvers = dgi\nscenes = blocks\nsampling_ratios = 5\n"
+                      "image_sizes = 8x8, 160x160\nnoise_levels = 0\nrepeats = 1\n")
+    assert cli.main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_results_csv(out)
+    assert [(r["size"], r["status"]) for r in rows] == [
+        ("8x8", "ok"), ("160x160", f"failed:MemoryError: {ALLOCATION}")]
+    assert rows[1]["rmse"] == "" and rows[1]["seed"] == "0"  # no patterns were seeded
+
+
+def test_a_pgm_scene_that_cannot_be_allocated_is_a_failed_row(tmp_path, monkeypatch):
+    def read_past_memory(path):
+        raise MemoryError(ALLOCATION)
+
+    monkeypatch.setattr(bench, "read_image", read_past_memory)
+    row = run_cell(str(tmp_path / "scene.pgm"), "dgi", 0.5, 8, 8, 0.0, 0)
+    assert (row.status, row.seed, row.rmse) == (f"failed:MemoryError: {ALLOCATION}", 0, None)
+
+
+DIVERGED = "failed:NumericalFailureError: residual diverged"
+RHS_OVERFLOWED = "failed:NumericalFailureError: norm of the ALM rhs overflowed (iteration 1)"
+OVERFLOW_STATUS = {  # solver -> status at noise levels 1e100, 1e150, 1e152
+    "pinv": ["ok", "ok", f"{DIVERGED} (iteration 0)"],
+    "corr": ["ok", "ok", f"{DIVERGED} (iteration 0)"],
+    "dgi": ["ok", "ok", f"{DIVERGED} (iteration 0)"],
+    "gd": ["ok", f"{DIVERGED} (iteration 1)", f"{DIVERGED} (iteration 1)"],
+    "cgd": ["ok"] + 2 * ["failed:NumericalFailureError: norm of A^T b overflowed (iteration 0)"],
+    "poisson": ["failed:LineSearchFailureError: no acceptable step after 200 shrinks: "
+                "non-descent direction or broken objective"]
+               + 2 * ["failed:NumericalFailureError: the gradient's squared norm overflowed "
+                      "(iteration 1)"],
+    "ap": ["ok", f"{DIVERGED} (iteration 16)", f"{DIVERGED} (iteration 1)"],
+    "cs-dct": ["ok", RHS_OVERFLOWED, RHS_OVERFLOWED],
+    "cs-tv": ["ok", RHS_OVERFLOWED, RHS_OVERFLOWED],
+}
+
+
+@pytest.mark.parametrize("solver", OVERFLOW_STATUS)
+def test_each_overflow_status_is_pinned(solver):
+    """Readings of order 1e100 to 1e152 times the pixel count: every solver's
+    status, so a changed message or a newly silent overflow shows here.  At
+    1e150 an overflowed ||rhs|| made the ALM's inner-CG tolerance inf, every
+    inner CG stopped at step 0, and cs-dct and cs-tv returned the all-zero
+    image as an ok row (rmse 0.7435352)."""
+    statuses = [run_cell("blocks", solver, 2.0, 16, 16, level, 0).status
+                for level in (1e100, 1e150, 1e152)]
+    assert statuses == OVERFLOW_STATUS[solver]
+
+
 def test_a_pgm_scene_runs_once_per_cell_of_the_other_axes(tmp_path):
     """A PGM keeps its own size, so the image sizes do not repeat its cells;
     a builtin scene still runs at each size, in grid order."""
