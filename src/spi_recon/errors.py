@@ -30,7 +30,8 @@ class NumericalFailureError(Error, RuntimeError):
 
 
 class LineSearchFailureError(NumericalFailureError):
-    """Backtracking line search exhausted its shrink budget."""
+    """Backtracking line search halved its step until it underflowed to 0
+    without passing the Armijo test."""
 
 
 class DomainError(Error, ValueError):

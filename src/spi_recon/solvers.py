@@ -75,12 +75,11 @@ __all__ = [
 ]
 
 EPS_DIV = 1e-12  # sign-preserving clamp for a_i.x denominators
-MAX_SHRINKS = 200  # backtracking budget of the Armijo line search
 ARMIJO_ALPHA = 0.1  # sufficient-decrease fraction of the Armijo test
 ARMIJO_BETA = 0.5  # step shrink factor of the backtracking search
 ALM_RHO = 1.05  # geometric growth of the ALM penalty weight, which starts at 1
 ALM_MU_MAX = 1e6  # cap of the ALM penalty weight
-CGD_EXACT_RTOL = 1e-12  # cgd's exact stop, relative to max(1, ||A^T b||)
+CGD_EXACT_RTOL = 1e-12  # cgd's exact stop, relative to ||A^T b||
 
 
 @dataclass
@@ -307,7 +306,7 @@ def _cg(normal, x, r):
     The one CG recurrence of cgd_solve and _alm_solve.  Yields (x, r.r,
     alpha) before each step, where alpha is the step just taken (None
     before the first); the caller stops by leaving the loop.  Each step
-    calls normal once.  Raises NumericalFailureError when p^T G p <= 1e-300.
+    calls normal once.  Raises NumericalFailureError when p^T G p <= 0: G is not SPD.
     """
     rr, p, alpha, step = float(r @ r), r, None, 0
     while True:
@@ -315,7 +314,7 @@ def _cg(normal, x, r):
         step += 1
         q = normal(p)
         denom = float(p @ q)
-        if denom <= 1e-300:
+        if denom <= 0:
             raise NumericalFailureError(
                 f"p^T G p = {denom:.3g} at CG step {step}: G is not positive definite"
             )
@@ -340,14 +339,13 @@ def cgd_solve(
     residual b - Ax, which only feeds the trace and the stop test, is
     tracked as b - Ax -= alpha * Ap.  First search direction is steepest
     descent.  Terminates early ("exact") when the normal-equation residual
-    drops below CGD_EXACT_RTOL * max(1, ||A^T b||), bypassing the minimum
-    iteration count.  The CG loop is _cg, shared with _alm_solve.
+    is at most CGD_EXACT_RTOL * ||A^T b||, a unit-free test, bypassing the
+    minimum iteration count.  The CG loop is _cg, shared with _alm_solve.
     """
     with _Run(patterns, meas, width, height, stop) as run:
         A, b = patterns.rows, meas.values
         bp = A.T @ b  # an infinite exact_tol would pass before any step
-        exact_tol = CGD_EXACT_RTOL * max(1.0, run.finite(np.linalg.norm(bp),
-                                                         "norm of A^T b overflowed", 0))
+        exact_tol = CGD_EXACT_RTOL * run.finite(np.linalg.norm(bp), "norm of A^T b overflowed", 0)
 
         Ap = None
 
@@ -422,17 +420,16 @@ def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) 
 
 def _armijo(trial: Callable[[float], float], f0: float, pp: float) -> tuple[float, int, float]:
     """First step in {1, beta, beta^2, ...} with trial(step) <= f0 - alpha*step*pp,
-    the number of trials it took and trial(step)."""
-    step = 1.0
-    for trials in range(1, MAX_SHRINKS + 2):
-        value = trial(step)
-        if value <= f0 - ARMIJO_ALPHA * step * pp:
+    the number of trials it took and trial(step); its one budget, which no unit
+    cuts short, is the step's underflow to 0 after 1,075 trials."""
+    step, trials = 1.0, 0
+    while step:
+        trials += 1
+        if (value := trial(step)) <= f0 - ARMIJO_ALPHA * step * pp:
             return step, trials, value
         step *= ARMIJO_BETA
-    raise LineSearchFailureError(
-        f"no acceptable step after {MAX_SHRINKS} shrinks: "
-        "non-descent direction or broken objective"
-    )
+    raise LineSearchFailureError(f"no acceptable step in {trials} trials (the step underflowed "
+                                 "to 0): non-descent direction or broken objective")
 
 
 def backtracking_search(
@@ -556,12 +553,12 @@ def _alm_solve(
 
     Alternates: soft-threshold update of c, a solve of the SPD system
     (mu P^T P + mu A^T A) x = mu P^T(c - y1/mu) + mu A^T(b - y2/mu) by the
-    shared CG (_cg) to rtol 1e-8 in at most 500 steps, multiplier ascent
-    for y1/y2, then growth of the penalty weight mu (from 1, by ALM_RHO,
-    capped at ALM_MU_MAX).  The CG starts from the previous x, with its
-    residual built from the Px and Ax already computed there.  Use the
-    DCT prior for sparse representation, the gradient prior for total
-    variation.
+    shared CG (_cg) until ||r|| <= 1e-8 ||rhs||, with no absolute floor, in
+    at most 500 steps, multiplier ascent for y1/y2, then growth of the
+    penalty weight mu (from 1, by ALM_RHO, capped at ALM_MU_MAX).  The CG
+    starts from the previous x, with its residual built from the Px and Ax
+    already computed there.  Use the DCT prior for sparse representation,
+    the gradient prior for total variation.
     """
     with _Run(patterns, meas, width, height, stop) as run:
         A, b = patterns.rows, meas.values
@@ -579,7 +576,7 @@ def _alm_solve(
             c = soft_threshold(Px + y1 / mu, 1.0 / mu)
             rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
             rhs_norm = run.finite(np.linalg.norm(rhs), "norm of the ALM rhs overflowed", run.k + 1)
-            tol = max((1e-8 * rhs_norm) ** 2, 1e-300)  # an inf tol would end every CG at x = 0
+            tol = (1e-8 * rhs_norm) ** 2  # finite: norm squares first, so rhs_norm < 1.3e154
             cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
             for steps, (x, rr, _) in enumerate(cg):
                 if rr <= tol:

@@ -118,6 +118,18 @@ def test_isfinite_is_called_only_in_run_finite():
     assert len(_isfinite_calls(tree)) == len(_isfinite_calls(finite)) == 1
 
 
+def test_solvers_have_no_absolute_floor():
+    """Every stop and breakdown test of a solve is relative to its data, so a
+    solver's verdict does not depend on the readings' unit: no tiny absolute
+    constant (such as a 1e-300 floor) and no fixed shrink budget."""
+    tree = ast.parse(Path(solvers.__file__).read_text())
+    tiny = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, float) and 0 < node.value < 1e-100]
+    names = [node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "MAX_SHRINKS"]
+    assert (tiny, names) == ([], [])
+
+
 def test_pattern_set_fields():
     assert [f.name for f in dataclasses.fields(model.PatternSet)] == ["rows", "seed"]
     assert not hasattr(model.PatternSet, "from_matrix")

@@ -186,10 +186,8 @@ OVERFLOW_STATUS = {  # solver -> status at noise levels 1e100, 1e150, 1e152
     "dgi": ["ok", "ok", f"{DIVERGED} (iteration 0)"],
     "gd": ["ok", f"{DIVERGED} (iteration 1)", f"{DIVERGED} (iteration 1)"],
     "cgd": ["ok"] + 2 * ["failed:NumericalFailureError: norm of A^T b overflowed (iteration 0)"],
-    "poisson": ["failed:LineSearchFailureError: no acceptable step after 200 shrinks: "
-                "non-descent direction or broken objective"]
-               + 2 * ["failed:NumericalFailureError: the gradient's squared norm overflowed "
-                      "(iteration 1)"],
+    "poisson": ["ok"] + 2 * ["failed:NumericalFailureError: the gradient's squared norm "
+                             "overflowed (iteration 1)"],
     "ap": ["ok", f"{DIVERGED} (iteration 16)", f"{DIVERGED} (iteration 1)"],
     "cs-dct": ["ok", RHS_OVERFLOWED, RHS_OVERFLOWED],
     "cs-tv": ["ok", RHS_OVERFLOWED, RHS_OVERFLOWED],
@@ -206,6 +204,14 @@ def test_each_overflow_status_is_pinned(solver):
     statuses = [run_cell("blocks", solver, 2.0, 16, 16, level, 0).status
                 for level in (1e100, 1e150, 1e152)]
     assert statuses == OVERFLOW_STATUS[solver]
+
+
+@pytest.mark.parametrize("level", [1e50, 1e80])
+def test_poisson_solves_cells_of_large_readings(level):
+    """The Armijo search once stopped after 200 halvings of its step, which at
+    readings this large left every trial above the sufficient-decrease line:
+    a LineSearchFailureError.  It now halves until the step underflows to 0."""
+    assert run_cell("blocks", "poisson", 2.0, 16, 16, level, 0).status == "ok"
 
 
 def test_a_pgm_scene_runs_once_per_cell_of_the_other_axes(tmp_path):

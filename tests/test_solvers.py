@@ -468,10 +468,12 @@ def test_backtracking_failure_reports_its_shrink_budget():
         calls.append(v)
         return float(v @ v)
 
-    # a NaN objective: no step passes the Armijo test
-    with pytest.raises(LineSearchFailureError, match="after 200 shrinks"):
+    # a NaN objective: no step passes the Armijo test, so the search halves
+    # the step from 1 until it underflows to 0, one trial per step
+    with pytest.raises(LineSearchFailureError, match=r"no acceptable step in 1075 trials "
+                       r"\(the step underflowed to 0\): non-descent direction"):
         backtracking_search(lambda v: objective(v) * np.nan, np.ones(2), -np.ones(2))
-    assert len(calls) == 1 + 201
+    assert len(calls) == 1 + 1075
 
 
 def test_poisson_solve_identity_system():
@@ -857,6 +859,47 @@ def test_overflowed_residual_is_not_an_exact_solve(name):
     with pytest.raises(NumericalFailureError) as info:
         get_solver(name)(ps, meas, 4, 4)
     assert info.value.iteration == 0
+
+
+def in_units(name, k):
+    """name's report on blocks at 16x16 from m = 512 clean readings, all in a
+    unit 2^-k times the synthesized one, with the stop threshold scaled alike."""
+    ps = generate_patterns(512, 16, 16, seed=1)
+    meas = MeasurementSet(values=synthesize(ps, builtin_scene("blocks", 16, 16)).values * 2.0**k)
+    stop = StopCriteria(residual_change_threshold=1e-2 * 2.0**k)
+    return get_solver(name)(ps, meas, 16, 16, stop=stop)
+
+
+@pytest.mark.parametrize("k", [-500, -100, -60, 20, 60])
+@pytest.mark.parametrize("name", ["pinv", "corr", "dgi", "gd", "cgd"])
+def test_a_power_of_two_unit_scales_the_solve_exactly(name, k):
+    """Every stop test of these solvers is relative, so readings in a power-of-
+    two unit give 2^k times the image, bit for bit, after the same iterations
+    for the same reason.  cgd's exact stop, once floored at 1e-12 * max(1,
+    ||A^T b||), returned the zero image as exact after 0 iterations for k <=
+    -60.  The trace scales bit for bit down to k = -100; at k = -500 some
+    residual entries square to subnormals inside np.linalg.norm, which then
+    loses bits (pinv's residual norm there reads 0)."""
+    base, rep = in_units(name, 0), in_units(name, k)
+    assert (rep.iterations, rep.terminated_by) == (base.iterations, base.terminated_by)
+    assert np.array_equal(rep.image.data, base.image.data * 2.0**k)
+    if k >= -100:
+        assert rep.trace == [(i, r * 2.0**k, obj * 4.0**k) for i, r, obj in base.trace]
+
+
+@pytest.mark.parametrize("name", ["cs-dct", "cs-tv"])
+def test_the_alm_solves_readings_in_a_unit_2_to_the_520_times_smaller(name):
+    """At k = -520, (1e-8 ||rhs||)^2 is below 1e-300, once the floor of the
+    inner-CG tolerance: each inner CG stopped at once, 2 steps in all 30
+    outer iterations, and the relative error was 0.58.  Without the floor
+    the run matches its own at k = -100 (0.031 for cs-dct, 0.049 for cs-tv)."""
+    truth = builtin_scene("blocks", 16, 16).data
+    errors = []
+    for k in (-520, -100):
+        rep = in_units(name, k)
+        assert rep.inner_cg_steps >= 50
+        errors.append(np.linalg.norm(rep.image.data * 2.0**-k - truth) / np.linalg.norm(truth))
+    assert abs(errors[0] - errors[1]) <= 1e-3, errors
 
 
 SMALL_BUDGET = StopCriteria(residual_change_threshold=1e-6, min_iterations=2,
