@@ -13,7 +13,7 @@ its cells.
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -37,22 +37,23 @@ __all__ = [
 
 @dataclass
 class SweepSpec:
-    """Declarative benchmark sweep (Cartesian product of all grids); an
-    unknown solver, builtin (non-.pgm) scene or distribution name is
-    refused here."""
+    """Declarative benchmark sweep (Cartesian product of all grids); a spec
+    that leaves out any of the five grids, or names an unknown solver,
+    builtin (non-.pgm) scene or distribution, is refused here."""
 
-    scenes: list
-    solvers: list
-    sampling_ratios: list = field(default_factory=lambda: [0.2, 0.5, 1.0, 2.0, 3.0, 5.0])
-    image_sizes: list = field(
-        default_factory=lambda: [(32, 32), (64, 64), (96, 96), (128, 128), (160, 160)]
-    )
-    noise_levels: list = field(default_factory=lambda: [0.0, 1e-4, 5e-4, 1e-3, 3e-3])
+    scenes: Optional[list] = None
+    solvers: Optional[list] = None
+    sampling_ratios: Optional[list] = None
+    image_sizes: Optional[list] = None
+    noise_levels: Optional[list] = None
     repeats: int = 20
     base_seed: int = 0
     distribution: str = "uniform01"
 
     def __post_init__(self):
+        grid = ("scenes", "solvers", "sampling_ratios", "image_sizes", "noise_levels")
+        if missing := [name for name in grid if getattr(self, name) is None]:
+            raise InvalidArgumentError(f"a sweep must state {', '.join(missing)}")
         if not self.scenes or not self.solvers:
             raise InvalidArgumentError("spec needs at least one scene and one solver")
         for solver in self.solvers:
@@ -203,9 +204,9 @@ _CONFIG_KEYS = {
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a line-based key=value config into a SweepSpec.
 
-    Keys mirror the SweepSpec fields; lists are comma-separated and
-    sizes are "WxH" (or a single number for square).  '#' starts a
-    comment.  A key set twice is refused, naming both lines.
+    Keys mirror the SweepSpec fields, so the five grid keys must be set.
+    Lists are comma-separated, sizes "WxH" (or one number for square).
+    '#' starts a comment.  A key set twice is refused, naming both lines.
     """
     kwargs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -225,6 +226,4 @@ def parse_sweep_config(text: str) -> SweepSpec:
             kwargs[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise InvalidArgumentError(f"config line {lineno}: bad {key} value: {exc}") from None
-    if "scenes" not in kwargs or "solvers" not in kwargs:
-        raise InvalidArgumentError("config must set scenes and solvers")
     return SweepSpec(**kwargs)

@@ -282,7 +282,9 @@ def gd_solve(
 
     Per iteration 1 A + 1 A^T: A^T for the gradient and A p for the
     step.  Ax is carried forward as Ax -= step * Ap, never recomputed;
-    the next gradient, the step and the residual all read it.
+    the next gradient, the step and the residual all read it.  A first
+    step whose Ap.Ap underflows to 0 while Ap is not 0 raises
+    NumericalFailureError; a later one reads as no progress.
     """
     with _Run(patterns, meas, width, height, stop) as run:
         A, b = patterns.rows, meas.values
@@ -295,6 +297,8 @@ def gd_solve(
             if step is not None:
                 x -= step * p
                 Ax -= step * Ap
+            elif not run.k and Ap.any():  # at x = 0 that is an underflow, not convergence
+                raise NumericalFailureError("Ap.Ap underflowed to 0", iteration=1)
             if run.record(b - Ax):
                 return run.report(x)
 
@@ -340,12 +344,16 @@ def cgd_solve(
     tracked as b - Ax -= alpha * Ap.  First search direction is steepest
     descent.  Terminates early ("exact") when the normal-equation residual
     is at most CGD_EXACT_RTOL * ||A^T b||, a unit-free test, bypassing the
-    minimum iteration count.  The CG loop is _cg, shared with _alm_solve.
+    minimum iteration count.  A ||A^T b|| that overflows, or reads 0 while
+    A^T b is not 0, raises NumericalFailureError.  The CG loop is _cg,
+    shared with _alm_solve.
     """
     with _Run(patterns, meas, width, height, stop) as run:
         A, b = patterns.rows, meas.values
         bp = A.T @ b  # an infinite exact_tol would pass before any step
         exact_tol = CGD_EXACT_RTOL * run.finite(np.linalg.norm(bp), "norm of A^T b overflowed", 0)
+        if not exact_tol and bp.any():  # then x = 0 is not the least-squares solution
+            raise NumericalFailureError("norm of A^T b underflowed to 0", iteration=0)
 
         Ap = None
 
@@ -574,7 +582,7 @@ def _alm_solve(
         cg_steps = 0
         while True:
             c = soft_threshold(Px + y1 / mu, 1.0 / mu)
-            rhs = mu * prior.apply_transpose(c - y1 / mu) + mu * (A.T @ (b - y2 / mu))
+            rhs = system(c - y1 / mu, b - y2 / mu)
             rhs_norm = run.finite(np.linalg.norm(rhs), "norm of the ALM rhs overflowed", run.k + 1)
             tol = (1e-8 * rhs_norm) ** 2  # finite: norm squares first, so rhs_norm < 1.3e154
             cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))

@@ -26,6 +26,14 @@ from spi_recon.transforms import dct_operator, gradient_operator, soft_threshold
 PATTERNS = generate_patterns(4, 2, 2, seed=0)
 MEAS = synthesize(PATTERNS, Image(2, 2, np.full(4, 0.5)))
 
+SWEEP_GRID = dict(sampling_ratios=[0.5], image_sizes=[(8, 8)], noise_levels=[0.0])
+
+
+def sweep_spec(**fields):
+    """A one-cell SweepSpec of blocks and dgi, with fields replacing its own."""
+    return SweepSpec(["blocks"], ["dgi"], **{**SWEEP_GRID, **fields})
+
+
 NOT_INTS = [1.5, 2.5, 2.0, np.nan, np.inf, "2", None]  # 2.5 and 2.0 pass every size bound
 NOT_REALS = [-1.0, np.nan, np.inf, -np.inf, "0.5", None, 10**400, 1j]
 
@@ -49,9 +57,8 @@ INT_SITES = {
     "min-iterations": (lambda v: StopCriteria(min_iterations=v), [-1]),
     "solve-width": (lambda v: corr_reconstruct(PATTERNS, MEAS, v, 2), [0]),
     "solve-height": (lambda v: corr_reconstruct(PATTERNS, MEAS, 2, v), [0]),
-    "sweep-repeats": (lambda v: SweepSpec(["blocks"], ["dgi"], repeats=v), [0]),
-    "sweep-size": (lambda v: SweepSpec(["blocks"], ["dgi"], image_sizes=[(8, 8), (v, 8)]),
-                   [1]),
+    "sweep-repeats": (lambda v: sweep_spec(repeats=v), [0]),
+    "sweep-size": (lambda v: sweep_spec(image_sizes=[(8, 8), (v, 8)]), [1]),
     "bundle-width": (lambda v: write_measurements(MEAS, v, 2, os.devnull), [0, 2**32]),
     "bundle-height": (lambda v: write_measurements(MEAS, 2, v, os.devnull), [0, 10**400]),
 }
@@ -62,7 +69,7 @@ REAL_SITES = {
     "threshold": lambda v: soft_threshold(np.ones(3), v),
     "residual-change-threshold": lambda v: StopCriteria(residual_change_threshold=v),
     "max-iterations-factor": lambda v: StopCriteria(max_iterations_factor=v),
-    "sweep-noise-level": lambda v: SweepSpec(["blocks"], ["dgi"], noise_levels=[0.0, v]),
+    "sweep-noise-level": lambda v: sweep_spec(noise_levels=[0.0, v]),
 }
 
 
@@ -98,7 +105,7 @@ def test_sites_that_keep_an_integer_keep_a_plain_int():
     two = np.int64(2)
     kept = [Image(two, two, np.zeros(4)).width, NoiseModel(1e-3, two).pixel_count,
             StopCriteria(min_iterations=two).min_iterations,
-            SweepSpec(["blocks"], ["dgi"], repeats=two).repeats,
+            sweep_spec(repeats=two).repeats,
             corr_reconstruct(PATTERNS, MEAS, two, two).image.height]
     assert all(type(v) is int and v == 2 for v in kept)
 
@@ -118,7 +125,7 @@ def test_write_image_writes_a_digits_only_header(image, header, tmp_path):
 def test_an_image_size_must_be_a_pair(sizes):
     with pytest.raises(InvalidArgumentError, match="an image size must be a "
                                                    r"\(width, height\) pair"):
-        SweepSpec(["blocks"], ["dgi"], image_sizes=sizes)
+        sweep_spec(image_sizes=sizes)
 
 
 def test_a_bundle_with_an_infinite_sigma_is_refused_at_its_offset(tmp_path):
@@ -144,7 +151,7 @@ def test_a_vast_integer_real_overflows_into_a_refusal():
 
 @pytest.mark.parametrize("ratio", NOT_REALS + ["a", 0, 0.0], ids=_label)
 @pytest.mark.parametrize("call", [
-    lambda r: SweepSpec(["blocks"], ["dgi"], sampling_ratios=[0.5, r]),
+    lambda r: sweep_spec(sampling_ratios=[0.5, r]),
     lambda r: run_cell("blocks", "dgi", r, 8, 8, 0.0, 0),
 ], ids=["spec", "cell"])
 def test_a_sampling_ratio_outside_the_rule_is_refused(call, ratio):
@@ -158,7 +165,7 @@ def test_a_sampling_ratio_outside_the_rule_is_refused(call, ratio):
     lambda: NoiseModel(1e-3, 10**400),
     lambda: NoiseModel(0.0, 10**400),
     lambda: StopCriteria().max_iterations(10**400),
-    lambda: run_sweep(SweepSpec(["blocks"], ["dgi"], image_sizes=[(10**200, 10**200)])),
+    lambda: run_sweep(sweep_spec(image_sizes=[(10**200, 10**200)])),
 ], ids=["noise-level", "zero-noise-level", "iteration-cap", "sweep-size"])
 def test_a_pixel_count_past_float_range_is_refused(call):
     """A real times an int past float range raised a bare OverflowError."""

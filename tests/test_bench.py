@@ -244,8 +244,8 @@ def test_noise_seed_shared_across_levels():
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidArgumentError):
-        SweepSpec(scenes=[], solvers=["dgi"])
+    with pytest.raises(InvalidArgumentError, match="at least one scene and one solver"):
+        small_spec(scenes=[])
     with pytest.raises(InvalidArgumentError):
         small_spec(repeats=0)
     with pytest.raises(InvalidArgumentError):
@@ -275,7 +275,8 @@ def test_spec_refuses_an_unknown_distribution_before_the_first_cell(tmp_path, ca
         small_spec(scenes=[missing], distribution="foo")
     assert small_spec(distribution="binary").distribution == "binary"
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
-    cfg.write_text(f"scenes = {missing}\nsolvers = corr\ndistribution = foo\n")
+    cfg.write_text(f"scenes = {missing}\nsolvers = corr\nsampling_ratios = 0.5\n"
+                   "image_sizes = 8\nnoise_levels = 0\ndistribution = foo\n")
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("usage error: unknown distribution 'foo'")
     assert not out.exists()
@@ -314,6 +315,9 @@ def test_parse_sweep_config_rejects_unknown_key():
         parse_sweep_config("scenes=blocks\nsolvers=dgi\nbogus=1\n")
 
 
+GRID = {"sampling_ratios": "0.5", "image_sizes": "8x8", "noise_levels": "0"}
+
+
 @pytest.mark.parametrize("line", [
     "repeats = abc",
     "base_seed = 1.5",
@@ -328,7 +332,8 @@ def test_parse_sweep_config_rejects_unknown_key():
 ])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"scenes = blocks\nsolvers = dgi\nimage_sizes = 8x8\n{line}\n")
+    grid = "".join(f"{k} = {v}\n" for k, v in GRID.items() if not line.startswith(k))
+    cfg.write_text(f"scenes = blocks\nsolvers = dgi\n{grid}{line}\n")
     out = tmp_path / "results.csv"
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -347,8 +352,32 @@ def test_run_cell_rejects_bad_noise_level():
 
 
 def test_parse_sweep_config_requires_scenes_and_solvers():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="a sweep must state scenes, sampling_ratios"):
         parse_sweep_config("solvers=dgi\n")
+
+
+def test_a_spec_must_state_its_grid():
+    """The grid took 6 ratios x 5 sizes x 5 levels by default, 27,000 cells a
+    scene with all 9 solvers at 20 repeats; its 160x160 cells at ratio 5
+    need a 24.4 GiB A."""
+    with pytest.raises(InvalidArgumentError, match="^a sweep must state sampling_ratios, "
+                                                   "image_sizes, noise_levels$"):
+        SweepSpec(["blocks"], ["dgi"])
+
+
+@pytest.mark.parametrize("missing", [[key] for key in GRID] + [list(GRID)],
+                         ids=[*GRID, "all-three"])
+def test_a_config_that_leaves_out_an_axis_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                         missing):
+    """Before, the axis silently took its default, and the sweep ran."""
+    specs = []
+    monkeypatch.setattr(bench, "run_sweep", lambda spec: specs.append(spec) or [])
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    grid = "".join(f"{k} = {v}\n" for k, v in GRID.items() if k not in missing)
+    cfg.write_text(f"scenes = blocks\nsolvers = dgi\n{grid}repeats = 1\n")
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: a sweep must state {', '.join(missing)}\n"
+    assert specs == [] and not out.exists()
 
 
 def test_desk_preset_overrides(tmp_path, monkeypatch):

@@ -529,7 +529,8 @@ def test_benchmark_subcommand(tmp_path):
 
 def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("scenes = blocks\nsolvers = dgi\nimage_sizes = 8x8\n")
+    cfg.write_text("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.5\nimage_sizes = 8x8\n"
+                   "noise_levels = 0\n")
     out = tmp_path / "results.csv"
     assert main(["benchmark", "--config", str(cfg), "--out", str(out),
                  "--jobs", "2"]) == 1
@@ -539,8 +540,8 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("config, message", [
     # ratio * n is infinite, so no measurement count exists
-    ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1e308\nimage_sizes = 32x32\n",
-     "1e+308 x 1024 pixels overflows"),
+    ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1e308\nimage_sizes = 32x32\n"
+     "noise_levels = 0\n", "1e+308 x 1024 pixels overflows"),
     ("scenes = blocks\nsolvers = dgi\n# caf\xe9 in Latin-1\n".encode("latin-1"),
      "is not UTF-8"),
     # more cells than a list of rows can hold
@@ -549,7 +550,8 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
      "repeats 99999999999999999999 gives 99999999999999999999 cells"),
     ("scenes = blocks\nsolvers = dgi\nimage_sizes 8x8\n", "config line 3: expected key=value"),
     # n is an int past float range, so ratio * n raised a bare OverflowError
-    (f"scenes = blocks\nsolvers = dgi\nimage_sizes = {'9' * 200}x{'9' * 200}\n",
+    ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.2\n"
+     f"image_sizes = {'9' * 200}x{'9' * 200}\nnoise_levels = 0\n",
      "pixels overflows the measurement count"),
 ], ids=["overflowing-ratio", "not-utf8", "too-many-repeats", "no-equals", "vast-image-size"])
 def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):

@@ -130,11 +130,13 @@ def files(tmp_path_factory):
     write_image(builtin_scene("disk", 16, 16), d / "scene16.pgm")
     (d / "garbage").write_bytes(b"P5 not a file this library reads\n")
     (d / "config.cfg").write_text("scenes = blocks\nsolvers = corr, pinv\n"
-                                  "sampling_ratios = 0.5, 1\nimage_sizes = 8\nrepeats = 1\n")
+                                  "sampling_ratios = 0.5, 1\nimage_sizes = 8\n"
+                                  "noise_levels = 0, 1e-4, 5e-4, 1e-3, 3e-3\nrepeats = 1\n")
     # cheap enough for --desk's 32x32 and 5 repeats
     (d / "desk.cfg").write_text("scenes = blocks\nsolvers = corr, dgi\nsampling_ratios = 0.2\n"
                                 "image_sizes = 8\nnoise_levels = 1e-3\nrepeats = 1\n")
     (d / "bad.cfg").write_text("scenes = blocks, missing.pgm\nsolvers = dgi\n"
+                               "sampling_ratios = 0.2, 0.5, 1, 2, 3, 5\n"
                                "image_sizes = 4x8\nnoise_levels = 0, 1e-3\nrepeats = 1\n"
                                "distribution = binary\n")
     (d / "latin1.cfg").write_bytes(b"scenes = caf\xe9\nsolvers = corr\n")

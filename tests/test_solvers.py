@@ -72,7 +72,9 @@ def well_conditioned_square(n, seed, boost=5.0):
 def test_corr_cgd_and_pinv_are_linear_in_b(name, min_ratio, data):
     """x(alpha b1 + beta b2) = alpha x(b1) + beta x(b2) up to round-off, on
     up to 8 x 8 pixels and m up to 2n; cgd runs to its exact stop, and pinv
-    gets m >= 1.5 n so that its system is well posed."""
+    gets m >= 1.5 n so that its system is well posed.  A tiny alpha b1 +
+    beta b2 whose ||A^T b|| reads 0 though A^T b is not 0 is no solve for
+    cgd: it raises, where it returned the zero image as exact."""
     w, h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     m = data.draw(st.integers(max(1, int(np.ceil(min_ratio * w * h))), 2 * w * h))
     ps = generate_patterns(m, w, h, seed=data.draw(st.integers(0, 2**32 - 1)))
@@ -80,8 +82,14 @@ def test_corr_cgd_and_pinv_are_linear_in_b(name, min_ratio, data):
     b1, b2 = rng.standard_normal((2, m))
     alpha, beta = data.draw(st.floats(-3, 3)), data.draw(st.floats(-3, 3))
     solve = get_solver(name)
-    x1, x2, x = (solve(ps, MeasurementSet(values=b), w, h, stop=EXACT).image.data
-                 for b in (b1, b2, alpha * b1 + beta * b2))
+    b = alpha * b1 + beta * b2
+    atb = ps.rows.T @ b
+    if name == "cgd" and atb.any() and not solvers.CGD_EXACT_RTOL * np.linalg.norm(atb):
+        with pytest.raises(NumericalFailureError, match=r"norm of A\^T b underflowed to 0"):
+            solve(ps, MeasurementSet(values=b), w, h, stop=EXACT)
+        return
+    x1, x2, x = (solve(ps, MeasurementSet(values=v), w, h, stop=EXACT).image.data
+                 for v in (b1, b2, b))
     scale = abs(alpha) * np.linalg.norm(x1) + abs(beta) * np.linalg.norm(x2)
     np.testing.assert_allclose(x, alpha * x1 + beta * x2, rtol=0, atol=1e-9 * scale + 1e-15)
 
@@ -885,6 +893,18 @@ def test_a_power_of_two_unit_scales_the_solve_exactly(name, k):
     assert np.array_equal(rep.image.data, base.image.data * 2.0**k)
     if k >= -100:
         assert rep.trace == [(i, r * 2.0**k, obj * 4.0**k) for i, r, obj in base.trace]
+
+
+@pytest.mark.parametrize("k", [-560, -600])
+@pytest.mark.parametrize("name", ["gd", "cgd"])
+def test_a_norm_that_underflows_to_0_fails_by_name(name, k):
+    """At these units ||A^T b|| and gd's first Ap.Ap read 0 though A^T b and
+    Ap are not 0.  cgd returned the zero image as exact after 0 iterations
+    and gd returned it by residual_change after 30, both with relative
+    error 1.0, where pinv's is 1e-14."""
+    with pytest.raises(NumericalFailureError, match="underflowed to 0") as info:
+        in_units(name, k)
+    assert info.value.iteration == {"cgd": 0, "gd": 1}[name]
 
 
 @pytest.mark.parametrize("name", ["cs-dct", "cs-tv"])
