@@ -37,9 +37,10 @@ __all__ = [
 
 @dataclass
 class SweepSpec:
-    """Declarative benchmark sweep (Cartesian product of all grids); a spec
-    that leaves out any of the five grids, or names an unknown solver,
-    builtin (non-.pgm) scene or distribution, is refused here."""
+    """Declarative benchmark sweep (Cartesian product of all grids).  Any spec
+    that exists can run: a missing or empty grid, a non-integer base_seed, an
+    unknown name, or a ratio or noise level that a builtin scene cannot take
+    at a grid size is refused here (a PGM scene's ratios, as its cells run)."""
 
     scenes: Optional[list] = None
     solvers: Optional[list] = None
@@ -51,11 +52,11 @@ class SweepSpec:
     distribution: str = "uniform01"
 
     def __post_init__(self):
-        grid = ("scenes", "solvers", "sampling_ratios", "image_sizes", "noise_levels")
-        if missing := [name for name in grid if getattr(self, name) is None]:
+        grid = {name: getattr(self, name) for name in
+                ("scenes", "solvers", "sampling_ratios", "image_sizes", "noise_levels")}
+        if missing := [name for name, axis in grid.items()  # len: an axis may be an array
+                       if axis is None or len(axis) == 0]:
             raise InvalidArgumentError(f"a sweep must state {', '.join(missing)}")
-        if not self.scenes or not self.solvers:
-            raise InvalidArgumentError("spec needs at least one scene and one solver")
         for solver in self.solvers:
             get_solver(solver)  # UnknownSolverError lists the valid names
         for scene in self.scenes:
@@ -63,8 +64,8 @@ class SweepSpec:
                 _check_scene(scene)
         _check_distribution(self.distribution)
         self.repeats = _check_int(self.repeats, "repeats", 1)
-        cells = math.prod(map(len, (self.scenes, self.solvers, self.sampling_ratios,
-                                    self.image_sizes, self.noise_levels))) * self.repeats
+        self.base_seed = _check_int(self.base_seed, "base_seed")
+        cells = math.prod(map(len, grid.values())) * self.repeats
         if cells > sys.maxsize:  # more rows than a list can hold
             raise InvalidArgumentError(
                 f"repeats {self.repeats} gives {cells} cells, more than a sweep can hold"
@@ -77,6 +78,10 @@ class SweepSpec:
             raise InvalidArgumentError("an image size must be a (width, height) pair")
         for side in (s for size in self.image_sizes for s in size):
             _check_int(side, "an image size", 2)
+        sizes = [] if all(scene.endswith(".pgm") for scene in self.scenes) else self.image_sizes
+        for (w, h), ratio, level in product(sizes, self.sampling_ratios, self.noise_levels):
+            _pattern_count(ratio, w * h)
+            NoiseModel(level=level, pixel_count=w * h)
 
 
 def stable_seed(*parts) -> int:
@@ -154,16 +159,9 @@ def run_sweep(spec: SweepSpec) -> list:
     """All cells x repeats, run one after another in grid order.
 
     A PGM scene keeps its own size, so it runs once per (solver, ratio,
-    level, repeat), at the first image size's place in the grid, and its
-    cells are checked as they run.  A ratio that gives a builtin scene no
-    measurement count, or a noise level whose sigma overflows at a
-    builtin size, is refused before any cell runs.
+    level, repeat), at the first image size's place in the grid, and a ratio
+    that gives it no measurement is refused as its cells run.
     """
-    if not all(scene.endswith(".pgm") for scene in spec.scenes):
-        for (w, h), ratio, level in product(spec.image_sizes, spec.sampling_ratios,
-                                            spec.noise_levels):
-            _pattern_count(ratio, w * h)
-            NoiseModel(level=level, pixel_count=w * h)
     return [
         run_cell(scene, solver, ratio, w, h, level, rep, base_seed=spec.base_seed,
                  distribution=spec.distribution)
@@ -204,9 +202,10 @@ _CONFIG_KEYS = {
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a line-based key=value config into a SweepSpec.
 
-    Keys mirror the SweepSpec fields, so the five grid keys must be set.
-    Lists are comma-separated, sizes "WxH" (or one number for square).
-    '#' starts a comment.  A key set twice is refused, naming both lines.
+    Keys mirror the SweepSpec fields, so the five grid keys must be set and
+    non-empty, and SweepSpec refuses here any grid that cannot run.  Lists
+    are comma-separated, sizes "WxH" (or one number for square).  '#'
+    starts a comment.  A key set twice is refused, naming both lines.
     """
     kwargs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):

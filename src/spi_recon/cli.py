@@ -11,7 +11,9 @@ simulate, the one step that reads the scene, records its width and height
 in the measurement bundle, and reconstruct takes the image shape from
 there.  reconstruct reads the measurement bundle first and checks it
 against the pattern header by the solvers' rule, solvers._check_counts,
-before it reads A's payload.  benchmark opens --out before the first cell.
+before it reads A's payload.  benchmark opens --out after every refusal
+its config decides and before the first cell.  ``python -m spi_recon.cli``
+runs the same commands as ``spi-recon``.
 """
 
 import argparse
@@ -149,3 +151,7 @@ def main(argv=None) -> int:
 
 def console_entry():  # pyproject entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

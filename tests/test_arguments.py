@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from spi_recon.bench import SweepSpec, run_cell, run_sweep
+from spi_recon.bench import SweepSpec, run_cell
 from spi_recon.errors import FormatError, InvalidArgumentError
 from spi_recon.io import read_measurements, write_image, write_measurements
 from spi_recon.model import (Image, MeasurementSet, NoiseModel, add_noise, generate_patterns,
@@ -59,6 +59,7 @@ INT_SITES = {
     "solve-height": (lambda v: corr_reconstruct(PATTERNS, MEAS, 2, v), [0]),
     "sweep-repeats": (lambda v: sweep_spec(repeats=v), [0]),
     "sweep-size": (lambda v: sweep_spec(image_sizes=[(8, 8), (v, 8)]), [1]),
+    "sweep-base-seed": (lambda v: sweep_spec(base_seed=v), []),  # hashed, so -1 is a seed
     "bundle-width": (lambda v: write_measurements(MEAS, v, 2, os.devnull), [0, 2**32]),
     "bundle-height": (lambda v: write_measurements(MEAS, 2, v, os.devnull), [0, 10**400]),
 }
@@ -105,7 +106,7 @@ def test_sites_that_keep_an_integer_keep_a_plain_int():
     two = np.int64(2)
     kept = [Image(two, two, np.zeros(4)).width, NoiseModel(1e-3, two).pixel_count,
             StopCriteria(min_iterations=two).min_iterations,
-            sweep_spec(repeats=two).repeats,
+            sweep_spec(repeats=two).repeats, sweep_spec(base_seed=two).base_seed,
             corr_reconstruct(PATTERNS, MEAS, two, two).image.height]
     assert all(type(v) is int and v == 2 for v in kept)
 
@@ -165,7 +166,7 @@ def test_a_sampling_ratio_outside_the_rule_is_refused(call, ratio):
     lambda: NoiseModel(1e-3, 10**400),
     lambda: NoiseModel(0.0, 10**400),
     lambda: StopCriteria().max_iterations(10**400),
-    lambda: run_sweep(sweep_spec(image_sizes=[(10**200, 10**200)])),
+    lambda: sweep_spec(image_sizes=[(10**200, 10**200)]),
 ], ids=["noise-level", "zero-noise-level", "iteration-cap", "sweep-size"])
 def test_a_pixel_count_past_float_range_is_refused(call):
     """A real times an int past float range raised a bare OverflowError."""

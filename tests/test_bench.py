@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -244,7 +245,7 @@ def test_noise_seed_shared_across_levels():
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidArgumentError, match="at least one scene and one solver"):
+    with pytest.raises(InvalidArgumentError, match="^a sweep must state scenes$"):
         small_spec(scenes=[])
     with pytest.raises(InvalidArgumentError):
         small_spec(repeats=0)
@@ -363,6 +364,9 @@ def test_a_spec_must_state_its_grid():
     with pytest.raises(InvalidArgumentError, match="^a sweep must state sampling_ratios, "
                                                    "image_sizes, noise_levels$"):
         SweepSpec(["blocks"], ["dgi"])
+    with pytest.raises(InvalidArgumentError, match="^a sweep must state scenes, solvers, "
+                                                   "image_sizes$"):
+        SweepSpec([], None, [0.5], [], [0.0])  # an empty axis is named as a missing one
 
 
 @pytest.mark.parametrize("missing", [[key] for key in GRID] + [list(GRID)],
@@ -378,6 +382,47 @@ def test_a_config_that_leaves_out_an_axis_is_usage_error(tmp_path, capsys, monke
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: a sweep must state {', '.join(missing)}\n"
     assert specs == [] and not out.exists()
+
+
+@pytest.mark.parametrize("axis", list(GRID))
+def test_an_empty_axis_is_refused_at_construction(axis):
+    """Before, an empty sampling_ratios, image_sizes or noise_levels was
+    accepted, and the sweep ran no cell."""
+    with pytest.raises(InvalidArgumentError, match=f"^a sweep must state {axis}$"):
+        small_spec(**{axis: []})
+
+
+def test_an_axis_may_be_a_numpy_array():
+    """An axis is tested by its length, so an array of two values is one."""
+    arrays = small_spec(scenes=np.array(["blocks", "bars"]), repeats=1,
+                        sampling_ratios=np.array([0.5, 1.0]), noise_levels=np.array([0.0, 1e-3]))
+    lists = small_spec(scenes=["blocks", "bars"], repeats=1,
+                       sampling_ratios=[0.5, 1.0], noise_levels=[0.0, 1e-3])
+    assert _without_time(run_sweep(arrays)) == _without_time(run_sweep(lists))
+
+
+def test_a_ratio_that_gives_zero_measurements_is_refused_at_construction():
+    """Before, the spec was built and only run_sweep refused it."""
+    with pytest.raises(InvalidArgumentError, match="ratio 0.0001 gives zero measurements"):
+        SweepSpec(["blocks"], ["cgd"], [1e-4], [(32, 32)], [0.0])
+
+
+@pytest.mark.parametrize("seed", [1.5, "1.5", None], ids=["float", "str", "None"])
+def test_a_base_seed_that_is_not_an_integer_is_refused(seed):
+    """Before, 1.5 and "1.5" were accepted and gave the same pattern seed,
+    since stable_seed hashes str(part)."""
+    with pytest.raises(InvalidArgumentError, match="base_seed must be an integer"):
+        small_spec(base_seed=seed)
+
+
+def test_a_numpy_integer_base_seed_gives_the_rows_of_its_int():
+    rows = _without_time(run_sweep(small_spec(base_seed=np.int64(7))))
+    assert rows == _without_time(run_sweep(small_spec(base_seed=7)))
+    assert small_spec(base_seed=-5).base_seed == -5  # hashed, never a PCG64 seed
+
+
+def _without_time(rows):
+    return [replace(row, wall_time_s=0.0) for row in rows]
 
 
 def test_desk_preset_overrides(tmp_path, monkeypatch):

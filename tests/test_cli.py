@@ -1,11 +1,15 @@
 import ast
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import spi_recon
 from spi_recon import bench, cli
 from spi_recon.cli import main
 from spi_recon.errors import DomainError
@@ -624,6 +628,56 @@ def test_a_bad_name_or_noise_level_is_refused_before_the_first_cell(
         tmp_path, capsys, monkeypatch,
         lines + "sampling_ratios = 1\nimage_sizes = 8x8\nrepeats = 1\n")
     assert err.startswith("usage error: ") and message in err and '"' not in err
+
+
+@pytest.mark.parametrize("ratios, levels, message", [
+    ("1e-4", "0", "ratio 0.0001 gives zero measurements"),
+    ("1e308", "0", "1e+308 x 1024 pixels overflows"),
+    ("1", "1e307", "noise level 1e+307 x 1024 pixels overflows"),
+], ids=["zero-measurements", "overflowing-ratio", "overflowing-noise-level"])
+def test_a_refused_config_leaves_an_existing_out_as_it_was(tmp_path, capsys, ratios, levels,
+                                                           message):
+    """These were refused only after --out was opened, which deleted the
+    results file already there."""
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    cfg.write_text(f"scenes = blocks\nsolvers = dgi\nsampling_ratios = {ratios}\n"
+                   f"image_sizes = 32x32\nnoise_levels = {levels}\nrepeats = 1\n")
+    out.write_bytes(b"earlier results\n")
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier results\n"
+
+
+def test_desk_refuses_a_grid_that_cannot_run_as_written(tmp_path, capsys):
+    """Ratio 0.1 gives 2x2 no measurement, though --desk's 32x32 would run."""
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
+    cfg.write_text("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.1\n"
+                   "image_sizes = 2x2\nnoise_levels = 0\n")
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out), "--desk"]) == 1
+    assert "ratio 0.1 gives zero measurements" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _python_m_cli(*args):
+    """``python -m spi_recon.cli args`` in a fresh interpreter that imports
+    spi_recon from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spi_recon.__file__)))
+    return subprocess.run([sys.executable, "-m", "spi_recon.cli", *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """Before, ``python -m spi_recon.cli`` ran nothing and exited 0."""
+    out = _python_m_cli("nope")
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    truth, estimate = tmp_path / "truth.pgm", tmp_path / "estimate.pgm"
+    write_image(builtin_scene("disk", 8, 8), truth)
+    write_image(builtin_scene("bars", 8, 8), estimate)
+    out = _python_m_cli("metrics", "--truth", truth, "--estimate", estimate)
+    rmse = normalized_rmse(read_image(truth), read_image(estimate))
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"{rmse:.9f}\n", "")
 
 
 @pytest.mark.parametrize("ratio, code", [("0.1", 0), ("1e-4", 1)])
