@@ -37,10 +37,10 @@ __all__ = [
 
 @dataclass
 class SweepSpec:
-    """Declarative benchmark sweep (Cartesian product of all grids).  Any spec
-    that exists can run: a missing or empty grid, a non-integer base_seed, an
-    unknown name, or a ratio or noise level that a builtin scene cannot take
-    at a grid size is refused here (a PGM scene's ratios, as its cells run)."""
+    """Declarative benchmark sweep (Cartesian product of all grids, each a list
+    or array).  Any spec that exists can run: a missing, empty, str or scalar
+    grid, a bad size, base_seed or name, or a ratio or noise level that a builtin
+    scene cannot take at a size is refused here (a PGM's ratios, as its cells run)."""
 
     scenes: Optional[list] = None
     solvers: Optional[list] = None
@@ -54,13 +54,15 @@ class SweepSpec:
     def __post_init__(self):
         grid = {name: getattr(self, name) for name in
                 ("scenes", "solvers", "sampling_ratios", "image_sizes", "noise_levels")}
-        if missing := [name for name, axis in grid.items()  # len: an axis may be an array
-                       if axis is None or len(axis) == 0]:
+        for name, axis in grid.items():
+            if axis is not None and _length(axis) is None:
+                raise InvalidArgumentError(f"{name} must be a list, got {axis!r}")
+        if missing := [name for name, axis in grid.items() if axis is None or len(axis) == 0]:
             raise InvalidArgumentError(f"a sweep must state {', '.join(missing)}")
         for solver in self.solvers:
             get_solver(solver)  # UnknownSolverError lists the valid names
         for scene in self.scenes:
-            if not scene.endswith(".pgm"):
+            if not (isinstance(scene, str) and scene.endswith(".pgm")):
                 _check_scene(scene)
         _check_distribution(self.distribution)
         self.repeats = _check_int(self.repeats, "repeats", 1)
@@ -74,14 +76,22 @@ class SweepSpec:
             raise InvalidArgumentError("sampling ratios must be finite and positive")
         for level in self.noise_levels:
             _check_real(level, "a noise level")
-        if not all(isinstance(s, (tuple, list)) and len(s) == 2 for s in self.image_sizes):
+        if not all(_length(size) == 2 for size in self.image_sizes):
             raise InvalidArgumentError("an image size must be a (width, height) pair")
-        for side in (s for size in self.image_sizes for s in size):
-            _check_int(side, "an image size", 2)
+        self.image_sizes = [tuple(_check_int(side, "an image size", 2) for side in size)
+                            for size in self.image_sizes]
         sizes = [] if all(scene.endswith(".pgm") for scene in self.scenes) else self.image_sizes
         for (w, h), ratio, level in product(sizes, self.sampling_ratios, self.noise_levels):
             _pattern_count(ratio, w * h)
             NoiseModel(level=level, pixel_count=w * h)
+
+
+def _length(items) -> Optional[int]:
+    """len(items), or None for a str, bytes or scalar, which holds no entries."""
+    try:
+        return None if isinstance(items, (str, bytes)) else len(items)
+    except TypeError:
+        return None
 
 
 def stable_seed(*parts) -> int:
@@ -126,9 +136,10 @@ def run_cell(
         return SweepRow(scene, solver, ratio, f"{width}x{height}", noise_level, repeat,
                         None, 0, 0.0, seed, f"failed:{reason}")
 
+    base_seed = _check_int(base_seed, "base_seed")
     seed = 0  # no patterns exist for this cell yet
     try:  # failed cells are recorded, never fatal
-        if scene.endswith(".pgm"):  # a PGM keeps its own size
+        if isinstance(scene, str) and scene.endswith(".pgm"):  # a PGM keeps its own size
             try:
                 truth = read_image(scene)
             except (OSError, Error) as exc:

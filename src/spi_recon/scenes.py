@@ -59,7 +59,7 @@ BUILTIN_SCENES = {
 
 def _check_scene(name: str):
     """The renderer of a builtin scene name, the one check of such a name."""
-    if name not in BUILTIN_SCENES:
+    if not isinstance(name, str) or name not in BUILTIN_SCENES:
         raise InvalidArgumentError(f"unknown scene {name!r}; builtins: {sorted(BUILTIN_SCENES)}")
     return BUILTIN_SCENES[name]
 

@@ -7,12 +7,12 @@ likelihood with backtracking line search (poisson), per-measurement
 alternating projection (ap), and augmented-Lagrangian l1 minimization
 with a DCT or gradient prior (cs-dct/cs-tv).
 
-Every solver has one call shape, solver(patterns, meas, width, height,
-stop=None); the direct solvers (pinv, corr, dgi) accept and ignore stop.
-Every solve runs under one protocol, _Run: the count and image-shape
-checks (_check_counts), made before any product, numpy's warnings off,
-the timing, the norm of each residual, the trace, the report and the one
-finiteness check (_Run.finite) of every norm, objective and tolerance.
+One decorator, _solver, states once for every solver its one call shape,
+solver(patterns, meas, width, height, stop=None), and its one protocol,
+_Run; the direct solvers (pinv, corr, dgi) accept and ignore stop.  _Run
+holds the count and image-shape checks (_check_counts), made before any
+product, numpy's warnings off, the timing, the norm of each residual, the
+trace, the report and the one finiteness check (_Run.finite).
 An iterative solve stops when the change of the measurement residual
 norm ||b - Ax|| between consecutive iterations falls below a threshold
 (default 1e-2), with a minimum of 30 iterations and a cap of 3x the
@@ -133,12 +133,11 @@ def _check_counts(m: int, n: int, meas_m: int, width: int, height: int) -> None:
 
 
 class _Run:
-    """One solve's protocol: ``with _Run(patterns, meas, width, height, stop)
-    as run:`` checks the counts before any product, runs the solve with
-    numpy's warnings off (finite, its one finiteness check, finds an
-    overflow at any BLAS thread count), times it, takes the norm of each
-    residual it is handed, records the trace and decides when to stop.
-    Each run enters its own np.errstate, which is not re-entrant."""
+    """One solve's protocol, entered by _solver: checks the counts before any
+    product, turns numpy's warnings off (finite, its one finiteness check,
+    finds an overflow at any BLAS thread count), times the solve, takes the
+    norm of each residual it is handed, records the trace and decides when
+    to stop.  Each run enters its own np.errstate, which is not re-entrant."""
 
     def __init__(self, patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
                  stop: Optional[StopCriteria] = None):
@@ -197,52 +196,56 @@ class _Run:
         )
 
 
+def _solver(body):
+    """The solver(patterns, meas, width, height, stop=None) that runs
+    body(run, patterns.rows, meas.values) under _Run, with body's name and
+    docstring and no __wrapped__, so that its signature is its own."""
+    def solve(patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
+              stop: Optional[StopCriteria] = None) -> SolverReport:
+        with _Run(patterns, meas, width, height, stop) as run:
+            return body(run, patterns.rows, meas.values)
+
+    for attr in ("__name__", "__qualname__", "__doc__"):
+        setattr(solve, attr, getattr(body, attr))
+    return solve
+
+
 # ---------------------------------------------------------------- non-iterative
 
 
-def pinv_solve(
-    patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def pinv_solve(run, A, b):
     """Dense least squares x = (A^T A)^{-1} A^T b; requires m >= n full rank."""
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b = patterns.rows, meas.values
-        if patterns.m < patterns.n:
-            raise SingularSystemError(
-                f"m={patterns.m} < n={patterns.n}: normal equations are rank-deficient"
-            )
-        x, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
-        cond_normal = np.inf if s[-1] <= 0 else (s[0] / s[-1]) ** 2
-        if rank < patterns.n or cond_normal > 1e12:
-            raise SingularSystemError(
-                f"A^T A condition estimate {cond_normal:.2e} exceeds 1e12"
-            )
-        return run.report(x, residual=b - A @ x)
+    m, n = A.shape
+    if m < n:
+        raise SingularSystemError(
+            f"m={m} < n={n}: normal equations are rank-deficient"
+        )
+    x, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
+    cond_normal = np.inf if s[-1] <= 0 else (s[0] / s[-1]) ** 2
+    if rank < n or cond_normal > 1e12:
+        raise SingularSystemError(
+            f"A^T A condition estimate {cond_normal:.2e} exceeds 1e12"
+        )
+    return run.report(x, residual=b - A @ x)
 
 
-def corr_reconstruct(
-    patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def corr_reconstruct(run, A, b):
     """Conventional correlation: x = {b_i a_i} - {b_i}{a_i}."""
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b = patterns.rows, meas.values
-        x = (b @ A) / patterns.m - b.mean() * A.mean(axis=0)
-        return run.report(x, residual=b - A @ x)
+    x = (b @ A) / len(A) - b.mean() * A.mean(axis=0)
+    return run.report(x, residual=b - A @ x)
 
 
-def dgi_reconstruct(
-    patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def dgi_reconstruct(run, A, b):
     """Differential correlation: x = {b_i a_i} - ({b_i}/{s_i}) {s_i a_i}."""
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b, s = patterns.rows, meas.values, patterns.intensities
-        s_mean = s.mean()
-        if s_mean == 0:
-            raise InvalidArgumentError("all patterns are zero: mean intensity is 0")
-        x = (b @ A) / patterns.m - (b.mean() / s_mean) * ((s @ A) / patterns.m)
-        return run.report(x, residual=b - A @ x)
+    s = A.sum(axis=1)  # the pattern intensities, as PatternSet.intensities sums them
+    s_mean = s.mean()
+    if s_mean == 0:
+        raise InvalidArgumentError("all patterns are zero: mean intensity is 0")
+    x = (b @ A) / len(A) - (b.mean() / s_mean) * ((s @ A) / len(A))
+    return run.report(x, residual=b - A @ x)
 
 
 # ------------------------------------------------------------- gradient descent
@@ -271,13 +274,8 @@ def gd_optimal_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
     return -float(Ap @ r) / denom
 
 
-def gd_solve(
-    patterns: PatternSet,
-    meas: MeasurementSet,
-    width: int,
-    height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def gd_solve(run, A, b):
     """Steepest descent with the exact line-search step, x0 = 0.
 
     Per iteration 1 A + 1 A^T: A^T for the gradient and A p for the
@@ -286,21 +284,19 @@ def gd_solve(
     step whose Ap.Ap underflows to 0 while Ap is not 0 raises
     NumericalFailureError; a later one reads as no progress.
     """
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b = patterns.rows, meas.values
-        x = np.zeros(patterns.n)
-        Ax = np.zeros(patterns.m)  # A @ 0, exactly, for finite A
-        while True:
-            p = _gd_grad(A, Ax, b)
-            Ap = A @ p
-            step = gd_optimal_step(Ap, b - Ax)
-            if step is not None:
-                x -= step * p
-                Ax -= step * Ap
-            elif not run.k and Ap.any():  # at x = 0 that is an underflow, not convergence
-                raise NumericalFailureError("Ap.Ap underflowed to 0", iteration=1)
-            if run.record(b - Ax):
-                return run.report(x)
+    x = np.zeros(A.shape[1])
+    Ax = np.zeros(len(A))  # A @ 0, exactly, for finite A
+    while True:
+        p = _gd_grad(A, Ax, b)
+        Ap = A @ p
+        step = gd_optimal_step(Ap, b - Ax)
+        if step is not None:
+            x -= step * p
+            Ax -= step * Ap
+        elif not run.k and Ap.any():  # at x = 0 that is an underflow, not convergence
+            raise NumericalFailureError("Ap.Ap underflowed to 0", iteration=1)
+        if run.record(b - Ax):
+            return run.report(x)
 
 
 def _cg(normal, x, r):
@@ -329,13 +325,8 @@ def _cg(normal, x, r):
         p = r + (rr / rr_old) * p
 
 
-def cgd_solve(
-    patterns: PatternSet,
-    meas: MeasurementSet,
-    width: int,
-    height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def cgd_solve(run, A, b):
     """Conjugate gradient on the normal equations A^T A x = A^T b, x0 = 0.
 
     The n x n system is never materialized; each step applies A then A^T
@@ -348,28 +339,26 @@ def cgd_solve(
     A^T b is not 0, raises NumericalFailureError.  The CG loop is _cg,
     shared with _alm_solve.
     """
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b = patterns.rows, meas.values
-        bp = A.T @ b  # an infinite exact_tol would pass before any step
-        exact_tol = CGD_EXACT_RTOL * run.finite(np.linalg.norm(bp), "norm of A^T b overflowed", 0)
-        if not exact_tol and bp.any():  # then x = 0 is not the least-squares solution
-            raise NumericalFailureError("norm of A^T b underflowed to 0", iteration=0)
+    bp = A.T @ b  # an infinite exact_tol would pass before any step
+    exact_tol = CGD_EXACT_RTOL * run.finite(np.linalg.norm(bp), "norm of A^T b overflowed", 0)
+    if not exact_tol and bp.any():  # then x = 0 is not the least-squares solution
+        raise NumericalFailureError("norm of A^T b underflowed to 0", iteration=0)
 
-        Ap = None
+    Ap = None
 
-        def normal(p):
-            nonlocal Ap
-            Ap = A @ p
-            return A.T @ Ap
+    def normal(p):
+        nonlocal Ap
+        Ap = A @ p
+        return A.T @ Ap
 
-        res = b.copy()  # measurement residual b - Ax
-        for x, rr, alpha in _cg(normal, np.zeros(patterns.n), bp):
-            if alpha is not None:
-                res -= alpha * Ap
-                if run.record(res):
-                    return run.report(x)
-            if np.sqrt(rr) <= exact_tol:
-                return run.report(x, residual=res)
+    res = b.copy()  # measurement residual b - Ax
+    for x, rr, alpha in _cg(normal, np.zeros(A.shape[1]), bp):
+        if alpha is not None:
+            res -= alpha * Ap
+            if run.record(res):
+                return run.report(x)
+        if np.sqrt(rr) <= exact_tol:
+            return run.report(x, residual=res)
 
 
 # ------------------------------------------------------ Poisson max. likelihood
@@ -454,13 +443,8 @@ def backtracking_search(
     return _armijo(lambda step: objective(x + step * p), f0, float(p @ p))[0]
 
 
-def poisson_solve(
-    patterns: PatternSet,
-    meas: MeasurementSet,
-    width: int,
-    height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def poisson_solve(run, A, b):
     """Poisson maximum-likelihood descent with backtracking step size.
 
     Negative measurements (possible after Gaussian noise) are clamped to
@@ -475,26 +459,23 @@ def poisson_solve(
     accepted trial's Ax + step * Ap becomes the next Ax, in the domain,
     and its likelihood the next objective: one evaluation per trial.
     """
-    with _Run(patterns, meas, width, height, stop) as run:
-        A = patterns.rows
-
-        clamped = int(np.count_nonzero(meas.values < 0))
-        b = np.maximum(meas.values, 0.0)
-        x = np.full(patterns.n, 1e-6)
-        Ax = A @ x
-        obj = _objective(Ax, b)
-        trials = 0
-        while True:
-            direction = -_poisson_grad(A, Ax, b)
-            Ap = A @ direction
-            pp = run.finite(direction @ direction,  # no step could pass the Armijo test
-                            "the gradient's squared norm overflowed", run.k + 1)
-            step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj, pp)
-            trials += tried
-            x = x + step * direction
-            Ax = Ax + step * Ap
-            if run.record(b - Ax, obj):
-                return run.report(x, warnings=clamped, linesearch_trials=trials)
+    clamped = int(np.count_nonzero(b < 0))
+    b = np.maximum(b, 0.0)
+    x = np.full(A.shape[1], 1e-6)
+    Ax = A @ x
+    obj = _objective(Ax, b)
+    trials = 0
+    while True:
+        direction = -_poisson_grad(A, Ax, b)
+        Ap = A @ direction
+        pp = run.finite(direction @ direction,  # no step could pass the Armijo test
+                        "the gradient's squared norm overflowed", run.k + 1)
+        step, tried, obj = _armijo(lambda t: _neg_log_likelihood(Ax + t * Ap, b), obj, pp)
+        trials += tried
+        x = x + step * direction
+        Ax = Ax + step * Ap
+        if run.record(b - Ax, obj):
+            return run.report(x, warnings=clamped, linesearch_trials=trials)
 
 
 # -------------------------------------------------------- alternating projection
@@ -517,13 +498,8 @@ def ap_update(a: np.ndarray, b_i: float, amax2: float, x: np.ndarray,
     x -= buf
 
 
-def ap_solve(
-    patterns: PatternSet,
-    meas: MeasurementSet,
-    width: int,
-    height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+@_solver
+def ap_solve(run, A, b):
     """Sweeps every measurement in ascending order, once per outer iteration.
 
     Each row with max(a) > 0 is one ap_update call, with every row's
@@ -531,32 +507,24 @@ def ap_solve(
     iteration m row dot products and m row corrections of four ufunc
     passes each, plus 1 A for the residual.
     """
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b, n = patterns.rows, meas.values, patterns.n
-        amax = A.max(axis=1, initial=0.0)
-        rows = [(a, float(b_i), float(am**2))  # a float64 square: inf, not OverflowError
-                for a, b_i, am in zip(A, b, amax) if am > 0.0]
-        zero_rows = patterns.m - len(rows)  # entries are >= 0: max 0 iff all 0
-        x = np.full(n, 1e-6)
-        buf = np.empty(n)
-        while True:
-            for a, b_i, amax2 in rows:
-                ap_update(a, b_i, amax2, x, buf)
-            if run.record(b - A @ x):
-                return run.report(x, warnings=zero_rows * run.k)
+    m, n = A.shape
+    amax = A.max(axis=1, initial=0.0)
+    rows = [(a, float(b_i), float(am**2))  # a float64 square: inf, not OverflowError
+            for a, b_i, am in zip(A, b, amax) if am > 0.0]
+    zero_rows = m - len(rows)  # entries are >= 0: max 0 iff all 0
+    x = np.full(n, 1e-6)
+    buf = np.empty(n)
+    while True:
+        for a, b_i, amax2 in rows:
+            ap_update(a, b_i, amax2, x, buf)
+        if run.record(b - A @ x):
+            return run.report(x, warnings=zero_rows * run.k)
 
 
 # --------------------------------------------------------- augmented Lagrangian
 
 
-def _alm_solve(
-    patterns: PatternSet,
-    meas: MeasurementSet,
-    prior: LinearOperator,
-    width: int,
-    height: int,
-    stop: Optional[StopCriteria] = None,
-) -> SolverReport:
+def _alm_solve(run: _Run, A: np.ndarray, b: np.ndarray, prior: LinearOperator) -> SolverReport:
     """l1-minimization of the prior coefficients subject to Px = c, Ax = b.
 
     Alternates: soft-threshold update of c, a solve of the SPD system
@@ -568,49 +536,48 @@ def _alm_solve(
     already computed there.  Use the DCT prior for sparse representation,
     the gradient prior for total variation.
     """
-    with _Run(patterns, meas, width, height, stop) as run:
-        A, b = patterns.rows, meas.values
+    def system(Pv, Av):  # mu (P^T P + A^T A) v, from P v and A v
+        return mu * prior.apply_transpose(Pv) + mu * (A.T @ Av)
 
-        def system(Pv, Av):  # mu (P^T P + A^T A) v, from P v and A v
-            return mu * prior.apply_transpose(Pv) + mu * (A.T @ Av)
-
-        x = np.zeros(patterns.n)
+    x = np.zeros(A.shape[1])
+    Px, Ax = prior.apply(x), A @ x
+    y1 = np.zeros_like(Px)
+    y2 = np.zeros(len(A))
+    mu = 1.0
+    cg_steps = 0
+    while True:
+        c = soft_threshold(Px + y1 / mu, 1.0 / mu)
+        rhs = system(c - y1 / mu, b - y2 / mu)
+        rhs_norm = run.finite(np.linalg.norm(rhs), "norm of the ALM rhs overflowed", run.k + 1)
+        tol = (1e-8 * rhs_norm) ** 2  # finite: norm squares first, so rhs_norm < 1.3e154
+        cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
+        for steps, (x, rr, _) in enumerate(cg):
+            if rr <= tol:
+                break
+            if steps == 500:
+                raise NumericalFailureError(
+                    "inner CG did not converge within 500 iterations", iteration=run.k + 1
+                )
+        cg_steps += steps
         Px, Ax = prior.apply(x), A @ x
-        y1 = np.zeros_like(Px)
-        y2 = np.zeros(patterns.m)
-        mu = 1.0
-        cg_steps = 0
-        while True:
-            c = soft_threshold(Px + y1 / mu, 1.0 / mu)
-            rhs = system(c - y1 / mu, b - y2 / mu)
-            rhs_norm = run.finite(np.linalg.norm(rhs), "norm of the ALM rhs overflowed", run.k + 1)
-            tol = (1e-8 * rhs_norm) ** 2  # finite: norm squares first, so rhs_norm < 1.3e154
-            cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
-            for steps, (x, rr, _) in enumerate(cg):
-                if rr <= tol:
-                    break
-                if steps == 500:
-                    raise NumericalFailureError(
-                        "inner CG did not converge within 500 iterations", iteration=run.k + 1
-                    )
-            cg_steps += steps
-            Px, Ax = prior.apply(x), A @ x
-            y1 = y1 + mu * (Px - c)
-            y2 = y2 + mu * (Ax - b)
-            mu = min(ALM_RHO * mu, ALM_MU_MAX)
-            if run.record(Ax - b, float(np.abs(Px).sum())):
-                return run.report(x, inner_cg_steps=cg_steps)
+        y1 = y1 + mu * (Px - c)
+        y2 = y2 + mu * (Ax - b)
+        mu = min(ALM_RHO * mu, ALM_MU_MAX)
+        if run.record(Ax - b, float(np.abs(Px).sum())):
+            return run.report(x, inner_cg_steps=cg_steps)
 
 
 # ---------------------------------------------------------------------- registry
 
 
-def _cs_dct(patterns, meas, width, height, stop=None):
-    return _alm_solve(patterns, meas, dct_operator(width, height), width, height, stop=stop)
+@_solver
+def _cs_dct(run, A, b):
+    return _alm_solve(run, A, b, dct_operator(run.width, run.height))
 
 
-def _cs_tv(patterns, meas, width, height, stop=None):
-    return _alm_solve(patterns, meas, gradient_operator(width, height), width, height, stop=stop)
+@_solver
+def _cs_tv(run, A, b):
+    return _alm_solve(run, A, b, gradient_operator(run.width, run.height))
 
 
 _REGISTRY = {
@@ -633,7 +600,7 @@ def solver_registry():
 
 
 def get_solver(name: str):
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         valid = ", ".join(_REGISTRY)
         raise UnknownSolverError(f"unknown solver {name!r}; valid names: {valid}")
     return _REGISTRY[name]

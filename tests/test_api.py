@@ -163,6 +163,28 @@ def test_every_solver_has_the_one_signature():
         assert list(inspect.signature(fn).parameters) == SOLVER_PARAMS, fn.__name__
 
 
+def test_only_the_solver_decorator_constructs_a_run():
+    """_solver states the one protocol for every solver: no other place in
+    solvers.py enters a _Run of its own."""
+    tree = ast.parse(Path(solvers.__file__).read_text())
+    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Run"]
+    assert owners == ["_solver"]
+
+
+def test_every_solver_is_the_one_solver_decorator():
+    """Each public solver and registry entry runs _solver's one inner
+    function, and keeps its own name, docstring and signature."""
+    public = [getattr(solvers, name) for name in solvers.__all__]
+    reporting = [fn for fn in public if inspect.isfunction(fn)
+                 and inspect.signature(fn).return_annotation is solvers.SolverReport]
+    entries = reporting + [fn for _, fn in solvers.solver_registry()]
+    assert len({fn.__code__ for fn in entries}) == 1
+    assert entries[0].__code__ in solvers._solver.__code__.co_consts
+    assert all(getattr(solvers, fn.__name__) is fn and fn.__doc__ for fn in reporting)
+    assert not [fn for fn in entries if hasattr(fn, "__wrapped__")]
+
+
 def test_linear_operator_fields():
     assert [f.name for f in dataclasses.fields(transforms.LinearOperator)] == [
         "apply", "apply_transpose"]

@@ -60,6 +60,7 @@ INT_SITES = {
     "sweep-repeats": (lambda v: sweep_spec(repeats=v), [0]),
     "sweep-size": (lambda v: sweep_spec(image_sizes=[(8, 8), (v, 8)]), [1]),
     "sweep-base-seed": (lambda v: sweep_spec(base_seed=v), []),  # hashed, so -1 is a seed
+    "cell-base-seed": (lambda v: run_cell("blocks", "dgi", 1.0, 2, 2, 0.0, 0, base_seed=v), []),
     "bundle-width": (lambda v: write_measurements(MEAS, v, 2, os.devnull), [0, 2**32]),
     "bundle-height": (lambda v: write_measurements(MEAS, 2, v, os.devnull), [0, 10**400]),
 }
@@ -122,11 +123,21 @@ def test_write_image_writes_a_digits_only_header(image, header, tmp_path):
     assert (tmp_path / "x.pgm").read_bytes().startswith(header)
 
 
-@pytest.mark.parametrize("sizes", [[8], [(8,)], [(8, 8, 8)], ["8x8"], [None]])
+@pytest.mark.parametrize("sizes", [[8], [(8,)], [(8, 8, 8)], ["8x8"], [None], ["88"]])
 def test_an_image_size_must_be_a_pair(sizes):
     with pytest.raises(InvalidArgumentError, match="an image size must be a "
                                                    r"\(width, height\) pair"):
         sweep_spec(image_sizes=sizes)
+
+
+@pytest.mark.parametrize("sizes", [np.array([[8, 8]]), [np.array([8, 8])], [[8, 8]],
+                                   [(np.int64(8), np.uint8(8))]],
+                         ids=["array", "array-pair", "list-pair", "numpy-ints"])
+def test_any_two_integers_are_an_image_size(sizes):
+    """An array of pairs was refused as not a (width, height) pair, though
+    every other axis may be an array; the spec keeps each as a pair of ints."""
+    assert sweep_spec(image_sizes=sizes).image_sizes == [(8, 8)]
+    assert all(type(side) is int for side in sweep_spec(image_sizes=sizes).image_sizes[0])
 
 
 def test_a_bundle_with_an_infinite_sigma_is_refused_at_its_offset(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import threading
 from dataclasses import replace
 from itertools import product
@@ -16,6 +17,7 @@ from spi_recon.bench import (
 from spi_recon.errors import InvalidArgumentError, UnknownSolverError
 from spi_recon.io import read_results_csv, write_image
 from spi_recon.scenes import builtin_scene
+from spi_recon.solvers import get_solver
 
 
 def small_spec(**overrides):
@@ -399,6 +401,50 @@ def test_an_axis_may_be_a_numpy_array():
     lists = small_spec(scenes=["blocks", "bars"], repeats=1,
                        sampling_ratios=[0.5, 1.0], noise_levels=[0.0, 1e-3])
     assert _without_time(run_sweep(arrays)) == _without_time(run_sweep(lists))
+
+
+@pytest.mark.parametrize("axis, value", [
+    ("scenes", "blocks"), ("solvers", "dgi"), ("solvers", b"dgi"),
+    ("noise_levels", 0.0), ("sampling_ratios", 0.5), ("image_sizes", 8),
+    ("noise_levels", np.array(0.0)),
+], ids=["str-scenes", "str-solvers", "bytes-solvers", "scalar-level", "scalar-ratio",
+        "scalar-size", "0d-array"])
+def test_a_string_or_scalar_axis_is_refused_by_name(axis, value):
+    """A string axis was split into characters ("unknown scene 'b'"), and a
+    scalar one died in len() with a bare TypeError."""
+    with pytest.raises(InvalidArgumentError, match=f"^{axis} must be a list, got "):
+        small_spec(**{axis: value})
+
+
+@pytest.mark.parametrize("axis, name", [
+    ("scenes", None), ("scenes", b"blocks"), ("scenes", ["blocks"]),
+    ("solvers", ["dgi"]),
+], ids=["None-scene", "bytes-scene", "list-scene", "list-solver"])
+def test_a_name_that_is_not_a_string_is_refused(axis, name):
+    """These died with a bare AttributeError (.endswith) or TypeError
+    (unhashable, or bytes.endswith of a str)."""
+    error = UnknownSolverError if axis == "solvers" else InvalidArgumentError
+    names = ["blocks", name] if axis == "scenes" else ["dgi", name]
+    with pytest.raises(error, match=re.escape(f"unknown {axis[:-1]} {name!r}")):
+        small_spec(**{axis: names})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: get_solver(["x"]),
+    lambda: builtin_scene(["x"], 8, 8),
+    lambda: run_cell(None, "dgi", 0.5, 8, 8, 0.0, 0),
+], ids=["get_solver", "builtin_scene", "run_cell"])
+def test_a_name_lookup_refuses_a_non_string_with_a_typed_error(call):
+    """get_solver and builtin_scene died with "unhashable type", run_cell
+    with an AttributeError."""
+    with pytest.raises((InvalidArgumentError, UnknownSolverError),
+                       match="unknown (solver|scene)"):
+        call()
+
+
+def test_run_cell_records_a_non_string_solver_as_a_failed_row():
+    row = run_cell("blocks", ["dgi"], 0.5, 8, 8, 0.0, 0)
+    assert row.status.startswith("failed:UnknownSolverError: unknown solver ['dgi']")
 
 
 def test_a_ratio_that_gives_zero_measurements_is_refused_at_construction():

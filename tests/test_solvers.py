@@ -1250,7 +1250,7 @@ def test_alm_cg_on_an_indefinite_system_is_a_numerical_failure():
     meas = synthesize(ps, builtin_scene("blocks", 4, 4))
     prior = LinearOperator(apply=lambda v: np.array(v), apply_transpose=lambda v: -v)
     with pytest.raises(NumericalFailureError, match="CG step 1: G is not positive definite"):
-        solvers._alm_solve(ps, meas, prior, 4, 4)
+        solvers._solver(lambda run, A, b: solvers._alm_solve(run, A, b, prior))(ps, meas, 4, 4)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
