@@ -11,12 +11,15 @@ simulate, the one step that reads the scene, records its width and height
 in the measurement bundle, and reconstruct takes the image shape from
 there.  reconstruct reads the measurement bundle first and checks it
 against the pattern header by the solvers' rule, solvers._check_counts,
-before it reads A's payload.  benchmark opens --out after every refusal
-its config decides and before the first cell.  ``python -m spi_recon.cli``
-runs the same commands as ``spi-recon``.
+before it reads A's payload, and opens --out through io._output after the
+solve.  benchmark opens --out after every refusal its config decides and
+before the first cell.  No command takes an --out or --trace that names
+another of its file flags.  ``python -m spi_recon.cli`` runs the same
+commands as ``spi-recon``.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -81,7 +84,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _check_outputs(args) -> None:
+    """Refuses an --out or --trace whose os.path.realpath is another file flag's,
+    before anything is read or written; a hard link is not seen."""
+    paths = {flag: os.path.realpath(getattr(args, flag)) for flag in
+             ("patterns", "scene", "measurements", "config", "out", "trace")
+             if getattr(args, flag, None)}
+    for out in ("out", "trace"):
+        for flag, path in paths.items():
+            if flag != out and paths.get(out) == path:
+                raise InvalidArgumentError(f"--{out} and --{flag} name one file, {path}")
+
+
 def _run(args) -> int:
+    _check_outputs(args)
     if args.command == "gen-patterns":
         n, draw = _pattern_draw(args.m, args.width, args.height, args.dist, args.seed)
         _write_pattern_blocks(args.out, args.m, n, args.seed, draw)
@@ -106,14 +122,11 @@ def _run(args) -> int:
         _check_counts(m, n, meas.m, width, height)
         patterns = spio.read_patterns(args.patterns)
         report = solver(patterns, meas, width, height, stop=stop)
-        spio.write_image(report.image, args.out)
-        if args.trace:
-            try:
+        with spio._output(args.out):  # a trace that cannot be written leaves no image
+            spio.write_image(report.image, args.out)
+            if args.trace:
                 spio._write_csv(args.trace, ["iteration", "residual_norm", "objective"],
                                 report.trace)
-            except BaseException:  # a failed reconstruct leaves no image either
-                spio._discard(args.out)
-                raise
     elif args.command == "benchmark":
         try:
             with open(args.config, encoding="utf-8") as f:

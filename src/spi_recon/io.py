@@ -7,9 +7,9 @@ multiple of its file size at most.  Data past the declared raster is
 refused too, at the offset of its first byte (P5) or token (P2); only
 whitespace and comments may follow a P2 raster.
 
-Every writer here (PGM, bundle, CSV) goes through ``_output``: one that
-fails part way, or whose file cannot be closed, removes the file it was
-writing, if that is a regular file.
+Every writer here (PGM, bundle, CSV) goes through ``_output``, the only
+code that removes a file: one that fails part way, or whose file cannot be
+closed, removes the file it was writing, if that is a regular file.
 
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte, u32
 counts, u64 seed.  Patterns (kind 1): m, n and the seed, a 25-byte
@@ -69,22 +69,18 @@ __all__ = [
 MAGIC = b"SPIBNDL1"
 
 
-def _discard(path) -> None:
-    """Remove path if it names a regular file, never a device or a pipe."""
-    if os.path.isfile(path):
-        os.remove(path)
-
-
 @contextmanager
 def _output(path, mode="wb", **kwargs):
     """open(path, mode) for a with block that writes it; if the block or the
-    close raises, the file is discarded before the error propagates."""
+    close raises, path is removed, if it is a regular file (never a device or
+    a pipe), before the error propagates.  The only code that removes a file."""
     f = open(path, mode, **kwargs)
     try:
         with f:
             yield f
     except BaseException:
-        _discard(path)
+        if os.path.isfile(path):
+            os.remove(path)
         raise
 
 

@@ -8,11 +8,11 @@ alternating projection (ap), and augmented-Lagrangian l1 minimization
 with a DCT or gradient prior (cs-dct/cs-tv).
 
 One decorator, _solver, states once for every solver its one call shape,
-solver(patterns, meas, width, height, stop=None), and its one protocol,
-_Run; the direct solvers (pinv, corr, dgi) accept and ignore stop.  _Run
-holds the count and image-shape checks (_check_counts), made before any
-product, numpy's warnings off, the timing, the norm of each residual, the
-trace, the report and the one finiteness check (_Run.finite).
+solver(patterns, meas, width, height, stop=None), and its one protocol: one
+_Run, then the body with numpy's warnings off; the direct solvers (pinv,
+corr, dgi) ignore stop.  _Run holds the count and image-shape checks
+(_check_counts), made before any product, the timing, the norm of each
+residual, the trace, the report and the one finiteness check (_Run.finite).
 An iterative solve stops when the change of the measurement residual
 norm ||b - Ax|| between consecutive iterations falls below a threshold
 (default 1e-2), with a minimum of 30 iterations and a cap of 3x the
@@ -133,11 +133,9 @@ def _check_counts(m: int, n: int, meas_m: int, width: int, height: int) -> None:
 
 
 class _Run:
-    """One solve's protocol, entered by _solver: checks the counts before any
-    product, turns numpy's warnings off (finite, its one finiteness check,
-    finds an overflow at any BLAS thread count), times the solve, takes the
-    norm of each residual it is handed, records the trace and decides when
-    to stop.  Each run enters its own np.errstate, which is not re-entrant."""
+    """One solve's state, made by _solver: checks the counts before any
+    product, times the solve, takes the norm of each residual it is handed,
+    records the trace, decides when to stop and checks finiteness (finite)."""
 
     def __init__(self, patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
                  stop: Optional[StopCriteria] = None):
@@ -149,14 +147,6 @@ class _Run:
         self.k = 0
         self.trace = []
         self.terminated_by = None
-
-    def __enter__(self):
-        self._quiet = np.errstate(all="ignore")
-        self._quiet.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        self._quiet.__exit__(*exc)
 
     def finite(self, value, what="residual diverged", iteration=None) -> float:
         """float(value), or NumericalFailureError(what) at iteration k or the one given."""
@@ -178,7 +168,7 @@ class _Run:
             self.terminated_by = "max_iterations"
         return self.terminated_by is not None
 
-    def report(self, x, residual=None, warnings=0, **counts) -> SolverReport:
+    def report(self, x, residual=None, **counts) -> SolverReport:
         """A given residual, whose norm must be finite, marks an exact solve; with
         no iteration recorded, its trace is the one entry (0, rnorm, rnorm^2)."""
         if residual is not None:
@@ -191,18 +181,19 @@ class _Run:
             wall_time=time.perf_counter() - self.t0,
             trace=self.trace,
             terminated_by=self.terminated_by,
-            warning_count=warnings,
             **counts,
         )
 
 
 def _solver(body):
-    """The solver(patterns, meas, width, height, stop=None) that runs
-    body(run, patterns.rows, meas.values) under _Run, with body's name and
-    docstring and no __wrapped__, so that its signature is its own."""
+    """The solver(patterns, meas, width, height, stop=None) that makes one
+    _Run and runs body(run, patterns.rows, meas.values) with numpy's
+    warnings off, with body's name and docstring and no __wrapped__, so
+    that its signature is its own."""
     def solve(patterns: PatternSet, meas: MeasurementSet, width: int, height: int,
               stop: Optional[StopCriteria] = None) -> SolverReport:
-        with _Run(patterns, meas, width, height, stop) as run:
+        run = _Run(patterns, meas, width, height, stop)
+        with np.errstate(all="ignore"):  # run.finite finds an overflow at any BLAS thread count
             return body(run, patterns.rows, meas.values)
 
     for attr in ("__name__", "__qualname__", "__doc__"):
@@ -475,7 +466,7 @@ def poisson_solve(run, A, b):
         x = x + step * direction
         Ax = Ax + step * Ap
         if run.record(b - Ax, obj):
-            return run.report(x, warnings=clamped, linesearch_trials=trials)
+            return run.report(x, warning_count=clamped, linesearch_trials=trials)
 
 
 # -------------------------------------------------------- alternating projection
@@ -518,7 +509,7 @@ def ap_solve(run, A, b):
         for a, b_i, amax2 in rows:
             ap_update(a, b_i, amax2, x, buf)
         if run.record(b - A @ x):
-            return run.report(x, warnings=zero_rows * run.k)
+            return run.report(x, warning_count=zero_rows * run.k)
 
 
 # --------------------------------------------------------- augmented Lagrangian

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _check_int, _check_real
+from .model import _check_int, _check_real, _intake
 
 __all__ = [
     "LinearOperator",
@@ -180,11 +180,11 @@ def dct_operator(width: int, height: int) -> LinearOperator:
     cols, rows = _DctLines(height, width), _DctLines(width, height)
 
     def fwd(v):
-        img = np.asarray(v, dtype=np.float64).reshape(height, width)
+        img = _intake(v).reshape(height, width)
         return rows.dct2(cols.dct2(img, fct).T.copy()).T.ravel()
 
     def inv(v):
-        coef = np.asarray(v, dtype=np.float64).reshape(height, width)
+        coef = _intake(v).reshape(height, width)
         return rows.dct3(cols.dct3(coef, fct).T.copy()).T.ravel()
 
     return LinearOperator(apply=fwd, apply_transpose=inv)
@@ -199,14 +199,14 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
     width, height = _check_int(width, "gradient width", 2), _check_int(height, "gradient height", 2)
 
     def fwd(v):
-        img = np.asarray(v, dtype=np.float64).reshape(height, width)
+        img = _intake(v).reshape(height, width)
         d = np.zeros((2, height, width))  # dh then dv
         np.subtract(img[:, 1:], img[:, :-1], out=d[0, :, :-1])
         np.subtract(img[1:, :], img[:-1, :], out=d[1, :-1, :])
         return d.ravel()
 
     def adj(u):
-        dh, dv = np.asarray(u, dtype=np.float64).reshape(2, height, width)
+        dh, dv = _intake(u).reshape(2, height, width)
         out = np.zeros((height, width))
         # adjoint of dh[:, :-1] = img[:, 1:] - img[:, :-1]
         out[:, :-1] -= dh[:, :-1]
@@ -226,5 +226,5 @@ def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     >= 0: a nan tau would make every output NaN.
     """
     _check_real(tau, "threshold")
-    v = np.asarray(v, dtype=np.float64)
+    v = _intake(v)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)

@@ -163,13 +163,34 @@ def test_every_solver_has_the_one_signature():
         assert list(inspect.signature(fn).parameters) == SOLVER_PARAMS, fn.__name__
 
 
+def _owners(path, names):
+    """The top-level definition around each call in path to one of names,
+    made bare or as an attribute."""
+    tree = ast.parse(Path(path).read_text())
+    return [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+
+
 def test_only_the_solver_decorator_constructs_a_run():
     """_solver states the one protocol for every solver: no other place in
     solvers.py enters a _Run of its own."""
-    tree = ast.parse(Path(solvers.__file__).read_text())
-    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
-              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Run"]
-    assert owners == ["_solver"]
+    assert _owners(solvers.__file__, {"_Run"}) == ["_solver"]
+
+
+def test_only_the_solver_decorator_enters_numpys_mode():
+    """_solver enters np.errstate itself; _Run is plain state, with no
+    context-manager protocol of its own."""
+    assert _owners(solvers.__file__, {"errstate"}) == ["_solver"]
+    assert not hasattr(solvers._Run, "__enter__") and not hasattr(solvers._Run, "__exit__")
+
+
+def test_only_io_output_removes_a_file():
+    """io._output is the one code in the library that removes a file."""
+    removing = [(path.stem, owner)
+                for path in sorted(Path(spi_recon.__file__).parent.glob("*.py"))
+                for owner in _owners(path, {"remove", "unlink", "rmtree", "rmdir"})]
+    assert removing == [("io", "_output")]
 
 
 def test_every_solver_is_the_one_solver_decorator():

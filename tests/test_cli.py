@@ -386,6 +386,43 @@ def test_metrics_identical_files(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.000000000"
 
 
+RECONSTRUCT = ["reconstruct", "--solver", "dgi", "--measurements", "meas.spib"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (RECONSTRUCT + ["--patterns", "pat.spib", "--out", "pat.spib"], "--out and --patterns"),
+    (RECONSTRUCT + ["--patterns", "pat.spib", "--out", "./pat.spib"], "--out and --patterns"),
+    (RECONSTRUCT + ["--patterns", "link.spib", "--out", "pat.spib"], "--out and --patterns"),
+    (RECONSTRUCT + ["--patterns", "pat.spib", "--out", "r.pgm", "--trace", "meas.spib"],
+     "--trace and --measurements"),
+    (RECONSTRUCT + ["--patterns", "pat.spib", "--out", "r.pgm", "--trace", "r.pgm"],
+     "--out and --trace"),
+    (["simulate", "--patterns", "pat.spib", "--scene", "scene.pgm", "--out", "scene.pgm"],
+     "--out and --scene"),
+    (["simulate", "--patterns", "pat.spib", "--scene", "scene.pgm", "--out", "pat.spib"],
+     "--out and --patterns"),
+    (["benchmark", "--config", "sweep.cfg", "--out", "sweep.cfg"], "--out and --config"),
+], ids=["out-patterns", "dot-slash", "symlink", "trace-measurements", "out-trace",
+        "simulate-scene", "simulate-patterns", "benchmark-config"])
+def test_an_output_naming_an_input_is_refused(tmp_path, capsys, monkeypatch, argv, flags):
+    """Each of these exited 0 and overwrote a file the command was given."""
+    monkeypatch.chdir(tmp_path)
+    write_image(builtin_scene("blocks", 4, 4), "scene.pgm")
+    assert main(["gen-patterns", "--m", "16", "--width", "4", "--height", "4",
+                 "--out", "pat.spib"]) == 0
+    assert main(["simulate", "--patterns", "pat.spib", "--scene", "scene.pgm",
+                 "--out", "meas.spib"]) == 0
+    (tmp_path / "sweep.cfg").write_text("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1\n"
+                                        "image_sizes = 4x4\nnoise_levels = 0\n")
+    (tmp_path / "link.spib").symlink_to("pat.spib")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flags} name one file") and err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_unknown_solver_is_usage_error(tmp_path, capsys):
     code = main(["reconstruct", "--solver", "nosuch", "--patterns", "x",
                  "--measurements", "y", "--out", "z"])

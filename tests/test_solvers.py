@@ -985,13 +985,13 @@ def protocol_cell(level):
 
 @pytest.mark.parametrize("name", [name for name, _ in solver_registry()])
 def test_every_solver_enters_its_run_once(name, monkeypatch):
-    entered, enter = [], solvers._Run.__enter__
+    entered, init = [], solvers._Run.__init__
 
-    def counting_enter(run):
+    def counting_init(run, *args):
         entered.append(run)
-        return enter(run)
+        init(run, *args)
 
-    monkeypatch.setattr(solvers._Run, "__enter__", counting_enter)
+    monkeypatch.setattr(solvers._Run, "__init__", counting_init)
     get_solver(name)(*protocol_cell(0.0), 8, 8)
     assert len(entered) == 1
 

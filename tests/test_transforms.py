@@ -237,3 +237,19 @@ def test_soft_threshold_prox_minimality():
                 pert = c.copy()
                 pert[i] += eps
                 assert objective(pert, z, tau) >= base - 1e-12
+
+
+@pytest.mark.parametrize("side", ["apply", "apply_transpose"])
+@pytest.mark.parametrize("make", [dct_operator, gradient_operator])
+def test_operators_refuse_complex_data(make, side):
+    """A complex vector is refused, not cut to its real part."""
+    op = make(2, 2)
+    size = len(op.apply(np.zeros(4))) if side == "apply_transpose" else 4
+    with pytest.raises(InvalidArgumentError, match="real numbers"):
+        getattr(op, side)(np.ones(size) + 1j)
+
+
+@pytest.mark.parametrize("v", [np.array([1 + 1j]), "abc"])
+def test_soft_threshold_refuses_data_that_float64_cannot_hold(v):
+    with pytest.raises(InvalidArgumentError, match="real numbers"):
+        soft_threshold(v, 0.1)
