@@ -20,9 +20,9 @@ from typing import Optional
 from .errors import Error, InvalidArgumentError
 from .io import SweepRow, read_image
 from .metrics import normalized_rmse
-from .model import (NoiseModel, _check_distribution, _check_int, _check_real, _check_scaled,
-                    add_noise, generate_patterns, synthesize)
-from .scenes import _check_scene, builtin_scene
+from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_name, _check_real,
+                    _check_scaled, add_noise, generate_patterns, synthesize)
+from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
 __all__ = [
@@ -63,8 +63,8 @@ class SweepSpec:
             get_solver(solver)  # UnknownSolverError lists the valid names
         for scene in self.scenes:
             if not (isinstance(scene, str) and scene.endswith(".pgm")):
-                _check_scene(scene)
-        _check_distribution(self.distribution)
+                _check_name(scene, BUILTIN_SCENES, "scene")
+        _check_name(self.distribution, _DISTRIBUTIONS, "distribution")
         self.repeats = _check_int(self.repeats, "repeats", 1)
         self.base_seed = _check_int(self.base_seed, "base_seed")
         cells = math.prod(map(len, grid.values())) * self.repeats

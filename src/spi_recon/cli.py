@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Subcommands: gen-patterns, simulate, reconstruct, benchmark, metrics.
-Exit codes: 0 success, 1 usage error, 2 runtime/numerical failure.
+Exit codes: 0 success, 1 usage error, 2 runtime/numerical failure; main's
+one handler prints each refusal as one "usage error:" or "runtime error:" line.
 
 gen-patterns and simulate hold one row block of A at a time, cut by the
 one rule model._row_blocks, never all of A; reconstruct reads A whole.
@@ -13,9 +14,9 @@ there.  reconstruct reads the measurement bundle first and checks it
 against the pattern header by the solvers' rule, solvers._check_counts,
 before it reads A's payload, and opens --out through io._output after the
 solve.  benchmark opens --out after every refusal its config decides and
-before the first cell.  No command takes an --out or --trace that names
-another of its file flags.  ``python -m spi_recon.cli`` runs the same
-commands as ``spi-recon``.
+before the first cell.  No command takes a path that holds a NUL byte, or an
+--out or --trace naming another of its file flags; --dist is uniform01 or
+binary.  ``python -m spi_recon.cli`` runs the same commands as ``spi-recon``.
 """
 
 import argparse
@@ -32,8 +33,8 @@ from .io import _read_pattern_blocks, _write_pattern_blocks
 from .metrics import normalized_rmse
 # gen-patterns does not call generate_patterns; the name stays here with the
 # other model and solver names that perfbench/layertrace.py wraps on cli
-from .model import (_DISTRIBUTIONS, MeasurementSet, NoiseModel, _check_seed, _pattern_draw,
-                    add_noise, generate_patterns, synthesize)  # noqa: F401
+from .model import (MeasurementSet, NoiseModel, _check_seed, _pattern_draw, add_noise,
+                    generate_patterns, synthesize)  # noqa: F401
 from .solvers import StopCriteria, _check_counts, get_solver
 
 __all__ = ["main"]
@@ -52,7 +53,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--width", type=int, required=True)
     g.add_argument("--height", type=int, required=True)
-    g.add_argument("--dist", choices=_DISTRIBUTIONS, default="uniform01")
+    g.add_argument("--dist", default="uniform01")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
@@ -84,12 +85,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _check_outputs(args) -> None:
-    """Refuses an --out or --trace whose os.path.realpath is another file flag's,
-    before anything is read or written; a hard link is not seen."""
-    paths = {flag: os.path.realpath(getattr(args, flag)) for flag in
-             ("patterns", "scene", "measurements", "config", "out", "trace")
+def _check_paths(args) -> None:
+    """Refuses, before any file is opened, a path that holds a NUL byte and an
+    --out or --trace whose os.path.realpath is another file flag's; a hard link is not seen."""
+    paths = {flag: getattr(args, flag) for flag in
+             ("patterns", "scene", "measurements", "config", "truth", "estimate", "out", "trace")
              if getattr(args, flag, None)}
+    if nul := [flag for flag, path in paths.items() if "\0" in path]:  # no OS path holds one
+        raise InvalidArgumentError(f"--{nul[0]} holds a NUL byte, which no path can")
+    paths = {flag: os.path.realpath(path) for flag, path in paths.items()}
     for out in ("out", "trace"):
         for flag, path in paths.items():
             if flag != out and paths.get(out) == path:
@@ -97,7 +101,7 @@ def _check_outputs(args) -> None:
 
 
 def _run(args) -> int:
-    _check_outputs(args)
+    _check_paths(args)
     if args.command == "gen-patterns":
         n, draw = _pattern_draw(args.m, args.width, args.height, args.dist, args.seed)
         _write_pattern_blocks(args.out, args.m, n, args.seed, draw)
@@ -150,16 +154,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except Error as exc:
-        kind = "usage" if exc.exit_code == 1 else "runtime"
-        print(f"{kind} error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # numpy's message names the allocation that failed
-        print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+    except (Error, OSError, MemoryError) as exc:  # a MemoryError's message names the allocation
+        code = getattr(exc, "exit_code", 2)
+        print(f"{'usage' if code == 1 else 'runtime'} error: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return code
 
 
 def console_entry():  # pyproject entry point

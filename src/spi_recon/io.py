@@ -21,14 +21,14 @@ writer and reader, and a reader refuses any other kind byte at offset 8.
 
 Every count must be an int >= 1: the writer refuses one outside [1, 2**32)
 (the header's u32 fields), and the reader reports a 0 as a FormatError at
-its offset (m at 9, n or width at 13, height at 17).  The writer refuses
-a seed outside [0, 2**64) rather than record a different one.  A bundle
-path must be a regular file.  The reader parses the fixed header, checks
-the payload length it declares against the file size before allocating
-anything, and then reads the payload straight into the arrays it returns,
-so reading holds one copy of the payload; the writer writes the array's
-own buffer.  A payload value the model refuses is a FormatError at that
-value's offset.
+its offset (m at 9, n or width at 13, height at 17).  PatternSet and
+MeasurementSet refuse a seed outside [0, 2**64), as gen-patterns' draw
+does, so a writer records the seed it is given.  A bundle path must be a
+regular file.  The reader parses the fixed header, checks the payload
+length it declares against the file size before allocating anything, and
+then reads the payload straight into the arrays it returns, so reading
+holds one copy of the payload; the writer writes the array's own buffer.  A
+payload value the model refuses is a FormatError at that value's offset.
 
 Pattern bundles have one writer and one reader, each taking A in row
 blocks.  ``_write_pattern_blocks`` draws each block of model._row_blocks
@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
-from .model import Image, MeasurementSet, PatternSet, _check_int, _check_seed, _row_blocks
+from .model import Image, MeasurementSet, PatternSet, _check_int, _row_blocks
 
 __all__ = [
     "read_image",
@@ -171,7 +171,6 @@ def _save_bundle(path, kind, counts, seed, blocks, *sigma) -> None:
     if not all(0 < _check_int(c, name) < 2**32 for name, c in zip(names, counts)):
         got = ", ".join(f"{name}={c}" for name, c in zip(names, counts))
         raise InvalidArgumentError(f"a bundle needs 1 <= {', '.join(names)} < 2**32, got {got}")
-    _check_seed(seed)
     with _output(path) as f:
         f.write(header.pack(MAGIC, code, *counts, seed, *sigma))
         for block in blocks:
@@ -330,9 +329,16 @@ def write_results_csv(rows, path) -> None:
 
 
 def read_results_csv(path):
-    """Parse a results CSV back into a list of dicts (strings kept raw)."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise FormatError(f"unexpected CSV header {reader.fieldnames}")
-        return list(reader)
+    """Parse a results CSV into a list of dicts (strings kept raw); a file that is not UTF-8,
+    or a row with a cell too many or too few (DictReader's None key or value), is a FormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames != CSV_COLUMNS:
+                raise FormatError(f"unexpected CSV header {reader.fieldnames}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"results CSV {path} is not UTF-8 ({exc.reason})") from None
+    if bad := [i for i, row in enumerate(rows, 1) if None in row or None in row.values()]:
+        raise FormatError(f"row {bad[0]} does not have {len(CSV_COLUMNS)} cells")
+    return rows

@@ -12,10 +12,10 @@ place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
 before the hand-over stay writable).  Any other input is copied; data
 that float64 cannot hold (complex, text, objects) is refused.
 
-Every count, size and seed passes _check_int, every sigma or level
-_check_real, every product of a level, ratio or factor with a pixel count
-_check_scaled, and every scene or pattern matrix's shape _check_addressable:
-the one argument rule, which other modules call too.
+Every count, size and seed passes _check_int (a seed _check_seed too), every
+sigma or level _check_real, every product of a level, ratio or factor with a
+pixel count _check_scaled, every matrix's shape _check_addressable and every
+name _check_name: the one argument rule, which other modules call too.
 
 One rule, _row_blocks, cuts A into row blocks for generate_patterns' draw,
 synthesize and the CLI's block reader and writer, so the library and the
@@ -119,6 +119,7 @@ class PatternSet:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = _check_seed(self.seed)
         rows = _intake(self.rows)
         if rows.ndim != 2:
             raise InvalidArgumentError("pattern matrix must be 2D")
@@ -153,6 +154,7 @@ class MeasurementSet:
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("measurements must be finite")
         self.noise_sigma = _check_real(self.noise_sigma, "noise_sigma")
+        self.noise_seed = _check_seed(self.noise_seed)
         values.setflags(write=False)
         self.values = values.ravel()
 
@@ -221,16 +223,18 @@ def _check_addressable(rows: int, cols: int, what: str) -> None:
         raise InvalidArgumentError(f"a {rows} x {cols} {what} is too large to address")
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= _check_int(seed, "seed") < 2**64:
+def _check_seed(seed: int) -> int:
+    if not 0 <= (seed := _check_int(seed, "seed")) < 2**64:
         raise InvalidArgumentError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
-def _check_distribution(name: str) -> None:
-    """The one check of a pattern distribution's name."""
-    if name not in _DISTRIBUTIONS:
-        raise InvalidArgumentError(
-            f"unknown distribution {name!r}; valid: {', '.join(_DISTRIBUTIONS)}")
+def _check_name(name, names, what: str, error=InvalidArgumentError) -> str:
+    """``name`` if it is a str in ``names``, the one check of a solver, scene or
+    distribution name; else error, listing ``names`` in table order."""
+    if not isinstance(name, str) or name not in names:
+        raise error(f"unknown {what} {name!r}; valid names: {', '.join(names)}")
+    return name
 
 
 def _rng(seed: int) -> "np.random.Generator":
@@ -251,7 +255,7 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     m = _check_int(m, "pattern count m", 1)
     n = _check_int(width, "pattern width", 1) * _check_int(height, "pattern height", 1)
     _check_addressable(m, n, "pattern matrix")
-    _check_distribution(distribution)
+    _check_name(distribution, _DISTRIBUTIONS, "distribution")
     rng = _rng(seed)
 
     def draw(out):

@@ -1,13 +1,12 @@
 """Builtin synthetic test scenes.
 
-Stand-ins for the usual grayscale test photographs: every scene renders
-at any requested size with values in [0, 1], deterministically.
+Stand-ins for the usual grayscale test photographs: every scene renders at
+any size in [0, 1], deterministically.  model._check_name refuses other names.
 """
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .model import Image, _check_addressable, _check_int
+from .model import Image, _check_addressable, _check_int, _check_name
 
 __all__ = ["builtin_scene", "BUILTIN_SCENES"]
 
@@ -57,16 +56,9 @@ BUILTIN_SCENES = {
 }
 
 
-def _check_scene(name: str):
-    """The renderer of a builtin scene name, the one check of such a name."""
-    if not isinstance(name, str) or name not in BUILTIN_SCENES:
-        raise InvalidArgumentError(f"unknown scene {name!r}; builtins: {sorted(BUILTIN_SCENES)}")
-    return BUILTIN_SCENES[name]
-
-
 def builtin_scene(name: str, width: int, height: int) -> Image:
     """Render a named builtin scene at the requested size."""
-    fn = _check_scene(name)
+    fn = BUILTIN_SCENES[_check_name(name, BUILTIN_SCENES, "scene")]
     width, height = _check_int(width, "scene width", 2), _check_int(height, "scene height", 2)
     _check_addressable(height, width, "scene")
     return Image.from_array(fn(width, height))

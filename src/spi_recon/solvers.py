@@ -51,7 +51,8 @@ from .errors import (
     UnknownSolverError,
     DomainError,
 )
-from .model import Image, MeasurementSet, PatternSet, _check_int, _check_real, _check_scaled
+from .model import (Image, MeasurementSet, PatternSet, _check_int, _check_name, _check_real,
+                    _check_scaled)
 from .transforms import LinearOperator, dct_operator, gradient_operator, soft_threshold
 
 __all__ = [
@@ -591,7 +592,5 @@ def solver_registry():
 
 
 def get_solver(name: str):
-    if not isinstance(name, str) or name not in _REGISTRY:
-        valid = ", ".join(_REGISTRY)
-        raise UnknownSolverError(f"unknown solver {name!r}; valid names: {valid}")
-    return _REGISTRY[name]
+    """The registry's solver of that name; any other name is an UnknownSolverError."""
+    return _REGISTRY[_check_name(name, _REGISTRY, "solver", UnknownSolverError)]

@@ -193,6 +193,31 @@ def test_only_io_output_removes_a_file():
     assert removing == [("io", "_output")]
 
 
+def _says_unknown(message):
+    """Whether message, a str or f-string node, starts with "unknown "."""
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    return isinstance(message, ast.Constant) and str(message.value).startswith("unknown ")
+
+
+def test_only_model_check_name_refuses_an_unknown_name():
+    """model._check_name is the one code in the library that refuses a name
+    not in its table: every solver, scene and distribution name goes through it."""
+    raising = [(path.stem, getattr(top, "name", None))
+               for path in sorted(Path(spi_recon.__file__).parent.glob("*.py"))
+               for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and node.exc.args and _says_unknown(node.exc.args[0])]
+    assert raising == [("model", "_check_name")]
+
+
+def test_cli_main_reports_every_refusal_from_one_handler():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    assert len([node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]) == 1
+
+
 def test_every_solver_is_the_one_solver_decorator():
     """Each public solver and registry entry runs _solver's one inner
     function, and keeps its own name, docstring and signature."""

@@ -17,8 +17,8 @@ import pytest
 from spi_recon.bench import SweepSpec, run_cell
 from spi_recon.errors import FormatError, InvalidArgumentError
 from spi_recon.io import read_measurements, write_image, write_measurements
-from spi_recon.model import (Image, MeasurementSet, NoiseModel, add_noise, generate_patterns,
-                             synthesize)
+from spi_recon.model import (Image, MeasurementSet, NoiseModel, PatternSet, add_noise,
+                             generate_patterns, synthesize)
 from spi_recon.scenes import builtin_scene
 from spi_recon.solvers import StopCriteria, corr_reconstruct
 from spi_recon.transforms import dct_operator, gradient_operator, soft_threshold
@@ -48,6 +48,8 @@ INT_SITES = {
     "patterns-height": (lambda v: generate_patterns(4, 2, v), [0]),
     "patterns-seed": (lambda v: generate_patterns(4, 2, 2, seed=v), [-1, 10**400]),
     "noise-seed": (lambda v: add_noise(MEAS, NoiseModel(1e-3, 4), seed=v), [-1, 10**400]),
+    "pattern-set-seed": (lambda v: PatternSet(np.ones((2, 2)), seed=v), [-1, 2**64]),
+    "measurement-noise-seed": (lambda v: MeasurementSet(np.ones(2), noise_seed=v), [-1, 2**64]),
     "scene-width": (lambda v: builtin_scene("blocks", v, 3), [1]),
     "scene-height": (lambda v: builtin_scene("blocks", 3, v), [1]),
     "dct-width": (lambda v: dct_operator(v, 2), [0]),
@@ -108,7 +110,9 @@ def test_sites_that_keep_an_integer_keep_a_plain_int():
     kept = [Image(two, two, np.zeros(4)).width, NoiseModel(1e-3, two).pixel_count,
             StopCriteria(min_iterations=two).min_iterations,
             sweep_spec(repeats=two).repeats, sweep_spec(base_seed=two).base_seed,
-            corr_reconstruct(PATTERNS, MEAS, two, two).image.height]
+            corr_reconstruct(PATTERNS, MEAS, two, two).image.height,
+            PatternSet(np.ones((2, 2)), seed=two).seed,
+            MeasurementSet(np.ones(2), noise_seed=two).noise_seed]
     assert all(type(v) is int and v == 2 for v in kept)
 
 

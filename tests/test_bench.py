@@ -16,6 +16,7 @@ from spi_recon.bench import (
 )
 from spi_recon.errors import InvalidArgumentError, UnknownSolverError
 from spi_recon.io import read_results_csv, write_image
+from spi_recon.model import generate_patterns
 from spi_recon.scenes import builtin_scene
 from spi_recon.solvers import get_solver
 
@@ -265,7 +266,7 @@ def test_spec_validation():
 def test_spec_refuses_unknown_solver_and_builtin_scene_names():
     with pytest.raises(UnknownSolverError, match="unknown solver 'nope'; valid names: pinv"):
         small_spec(solvers=["corr", "nope"])
-    with pytest.raises(InvalidArgumentError, match="unknown scene 'nope'; builtins"):
+    with pytest.raises(InvalidArgumentError, match="unknown scene 'nope'; valid names"):
         small_spec(scenes=["blocks", "nope"])
     assert small_spec(scenes=["missing.pgm"]).scenes == ["missing.pgm"]  # read per cell
 
@@ -274,7 +275,7 @@ def test_spec_refuses_an_unknown_distribution_before_the_first_cell(tmp_path, ca
     """Before, a sweep of PGM scenes ran every cell and wrote only failed: rows."""
     missing = str(tmp_path / "missing.pgm")
     with pytest.raises(InvalidArgumentError,
-                       match="unknown distribution 'foo'; valid: uniform01, binary"):
+                       match="unknown distribution 'foo'; valid names: uniform01, binary"):
         small_spec(scenes=[missing], distribution="foo")
     assert small_spec(distribution="binary").distribution == "binary"
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
@@ -433,12 +434,15 @@ def test_a_name_that_is_not_a_string_is_refused(axis, name):
     lambda: get_solver(["x"]),
     lambda: builtin_scene(["x"], 8, 8),
     lambda: run_cell(None, "dgi", 0.5, 8, 8, 0.0, 0),
-], ids=["get_solver", "builtin_scene", "run_cell"])
+    lambda: generate_patterns(4, 2, 2, distribution=np.array(["a", "b"])),
+    lambda: small_spec(distribution=np.array(["a", "b"])),
+], ids=["get_solver", "builtin_scene", "run_cell", "generate_patterns", "spec-distribution"])
 def test_a_name_lookup_refuses_a_non_string_with_a_typed_error(call):
     """get_solver and builtin_scene died with "unhashable type", run_cell
-    with an AttributeError."""
+    with an AttributeError, and a distribution array with numpy's "truth
+    value of an array ... is ambiguous" ValueError."""
     with pytest.raises((InvalidArgumentError, UnknownSolverError),
-                       match="unknown (solver|scene)"):
+                       match="unknown (solver|scene|distribution)"):
         call()
 
 

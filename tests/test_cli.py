@@ -423,6 +423,52 @@ def test_an_output_naming_an_input_is_refused(tmp_path, capsys, monkeypatch, arg
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+NUL_COMMANDS = [
+    ["gen-patterns", "--m", "16", "--width", "4", "--height", "4", "--out", "new.spib"],
+    ["simulate", "--patterns", "pat.spib", "--scene", "scene.pgm", "--out", "new.spib"],
+    ["reconstruct", "--solver", "dgi", "--patterns", "pat.spib", "--measurements", "meas.spib",
+     "--out", "r.pgm", "--trace", "t.csv"],
+    ["benchmark", "--config", "sweep.cfg", "--out", "r.csv"],
+    ["metrics", "--truth", "scene.pgm", "--estimate", "scene.pgm"],
+]
+NUL_CASES = [(argv[:i + 1] + [argv[i + 1] + "\0"] + argv[i + 2:], flag)
+             for argv in NUL_COMMANDS
+             for i, flag in enumerate(argv)
+             if flag.startswith("--") and "." in argv[i + 1]]  # a file flag
+
+
+@pytest.mark.parametrize("argv, flag", NUL_CASES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in NUL_CASES])
+def test_a_path_that_holds_a_nul_byte_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                        argv, flag):
+    """Each of these let a bare ValueError ("embedded null byte") out of main."""
+    monkeypatch.chdir(tmp_path)
+    write_image(builtin_scene("blocks", 4, 4), "scene.pgm")
+    assert main(["gen-patterns", "--m", "16", "--width", "4", "--height", "4",
+                 "--out", "pat.spib"]) == 0
+    assert main(["simulate", "--patterns", "pat.spib", "--scene", "scene.pgm",
+                 "--out", "meas.spib"]) == 0
+    (tmp_path / "sweep.cfg").write_text("scenes = blocks\nsolvers = dgi\nsampling_ratios = 1\n"
+                                        "image_sizes = 4x4\nnoise_levels = 0\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} holds a NUL byte") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_an_unknown_distribution_is_refused_with_the_models_message(tmp_path, capsys):
+    """--dist had argparse choices of its own, with argparse's message."""
+    out = tmp_path / "pat.spib"
+    assert main(["gen-patterns", "--m", "4", "--width", "2", "--height", "2",
+                 "--dist", "foo", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown distribution 'foo'; valid names: uniform01, binary\n")
+    assert not out.exists()
+
+
 def test_unknown_solver_is_usage_error(tmp_path, capsys):
     code = main(["reconstruct", "--solver", "nosuch", "--patterns", "x",
                  "--measurements", "y", "--out", "z"])

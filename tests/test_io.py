@@ -453,6 +453,22 @@ def test_results_csv_with_another_header_is_refused(tmp_path):
         read_results_csv(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.encode() + b"\xff\n", "is not UTF-8"),
+    (lambda text: (text + "blocks,cgd\n").encode(), "row 4 does not have 11 cells"),
+    (lambda text: text.replace(",ok\r\n", ",ok,extra\r\n", 1).encode(),
+     "row 1 does not have 11 cells"),
+], ids=["not-utf8", "a-cell-too-few", "a-cell-too-many"])
+def test_a_malformed_results_csv_is_a_format_error(tmp_path, edit, message):
+    """These raised a bare UnicodeDecodeError, or were read with None
+    values or a None key."""
+    path = tmp_path / "res.csv"
+    write_results_csv(rows3(), path)
+    path.write_bytes(edit(path.read_bytes().decode()))
+    with pytest.raises(FormatError, match=message):
+        read_results_csv(path)
+
+
 def test_results_csv_empty_rejected(tmp_path):
     with pytest.raises(InvalidArgumentError):
         write_results_csv([], tmp_path / "res.csv")

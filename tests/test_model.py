@@ -226,7 +226,7 @@ def test_image_data_must_be_flat_or_shaped_height_by_width(shape):
     (lambda: Image(2, 1, [0.0, -np.inf]), "image values must be finite"),
     (lambda: NoiseModel(1e-3, 0), "pixel_count must be >= 1"),
     (lambda: generate_patterns(4, 2, 2, "foo"), "unknown distribution 'foo'"),
-    (lambda: builtin_scene("nope", 8, 8), "unknown scene 'nope'; builtins"),
+    (lambda: builtin_scene("nope", 8, 8), "unknown scene 'nope'; valid names"),
     (lambda: builtin_scene("blocks", 1, 5), "scene width must be >= 2, got 1"),
 ], ids=["image-width-0", "from-array-1d", "image-nan", "image-inf", "noise-no-pixels",
         "unknown-distribution", "unknown-scene", "scene-1-wide"])
