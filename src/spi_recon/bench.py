@@ -21,7 +21,7 @@ from .errors import Error, InvalidArgumentError
 from .io import SweepRow, read_image
 from .metrics import normalized_rmse
 from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_name, _check_real,
-                    _check_scaled, add_noise, generate_patterns, synthesize)
+                    _check_scaled, _hold, add_noise, generate_patterns, synthesize)
 from .scenes import BUILTIN_SCENES, builtin_scene
 from .solvers import StopCriteria, get_solver
 
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """Declarative benchmark sweep (Cartesian product of all grids, each a list
     or array).  Any spec that exists can run: a missing, empty, str or scalar
@@ -65,12 +65,12 @@ class SweepSpec:
             if not (isinstance(scene, str) and scene.endswith(".pgm")):
                 _check_name(scene, BUILTIN_SCENES, "scene")
         _check_name(self.distribution, _DISTRIBUTIONS, "distribution")
-        self.repeats = _check_int(self.repeats, "repeats", 1)
-        self.base_seed = _check_int(self.base_seed, "base_seed")
-        cells = math.prod(map(len, grid.values())) * self.repeats
+        repeats = _check_int(self.repeats, "repeats", 1)
+        base_seed = _check_int(self.base_seed, "base_seed")
+        cells = math.prod(map(len, grid.values())) * repeats
         if cells > sys.maxsize:  # more rows than a list can hold
             raise InvalidArgumentError(
-                f"repeats {self.repeats} gives {cells} cells, more than a sweep can hold"
+                f"repeats {repeats} gives {cells} cells, more than a sweep can hold"
             )
         if not all(_check_real(r, "a sampling ratio") > 0 for r in self.sampling_ratios):
             raise InvalidArgumentError("sampling ratios must be finite and positive")
@@ -78,12 +78,13 @@ class SweepSpec:
             _check_real(level, "a noise level")
         if not all(_length(size) == 2 for size in self.image_sizes):
             raise InvalidArgumentError("an image size must be a (width, height) pair")
-        self.image_sizes = [tuple(_check_int(side, "an image size", 2) for side in size)
-                            for size in self.image_sizes]
-        sizes = [] if all(scene.endswith(".pgm") for scene in self.scenes) else self.image_sizes
+        image_sizes = [tuple(_check_int(side, "an image size", 2) for side in size)
+                       for size in self.image_sizes]
+        sizes = [] if all(scene.endswith(".pgm") for scene in self.scenes) else image_sizes
         for (w, h), ratio, level in product(sizes, self.sampling_ratios, self.noise_levels):
             _pattern_count(ratio, w * h)
             NoiseModel(level=level, pixel_count=w * h)
+        _hold(self, repeats=repeats, base_seed=base_seed, image_sizes=image_sizes)
 
 
 def _length(items) -> Optional[int]:

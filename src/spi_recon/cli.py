@@ -161,9 +161,5 @@ def main(argv=None) -> int:
         return code
 
 
-def console_entry():  # pyproject entry point
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    console_entry()
+if __name__ == "__main__":  # the spi-recon console script calls sys.exit(main()) too
+    sys.exit(main())

@@ -282,7 +282,7 @@ def read_measurements(path):
 # ------------------------------------------------------------------------ CSV
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepRow:
     """One benchmark cell's result; its fields, in order, are the CSV's columns."""
 

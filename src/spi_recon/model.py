@@ -6,11 +6,13 @@ noise can be added to the readings afterwards.  All randomness goes
 through numpy's PCG64 generator so a (seed, distribution, shape) triple
 reproduces streams bit-identically on any platform.
 
-Image, PatternSet and MeasurementSet take over a C-contiguous float64 array
-that owns its memory: once it passes their checks it is made read-only in
-place, with no copy (pass ``a.copy()`` to keep writing to ``a``; views taken
-before the hand-over stay writable).  Any other input is copied; data
-that float64 cannot hold (complex, text, objects) is refused.
+Every record is a frozen dataclass that checks its fields and writes them once,
+through _hold: a new record or dataclasses.replace, which checks again, is the
+only change.  Image, PatternSet and MeasurementSet take over a C-contiguous
+float64 array that owns its memory: once it passes all their checks it is made
+read-only in place, with no copy (pass ``a.copy()`` to keep writing to ``a``;
+views taken before the hand-over stay writable).  Any other input is copied;
+data that float64 cannot hold (complex, text, objects) is refused.
 
 Every count, size and seed passes _check_int (a seed _check_seed too), every
 sigma or level _check_real, every product of a level, ratio or factor with a
@@ -71,7 +73,12 @@ def _intake(a) -> np.ndarray:
     return np.array(a, dtype=np.float64, order="C")
 
 
-@dataclass
+def _hold(record, **fields) -> None:
+    """The one write of a frozen record's checked fields, at the end of its __post_init__."""
+    vars(record).update(fields)
+
+
+@dataclass(frozen=True)
 class Image:
     """2D grayscale scene; pixel values finite, nominally in [0, 1].
 
@@ -83,17 +90,17 @@ class Image:
     data: np.ndarray
 
     def __post_init__(self):
-        self.width = _check_int(self.width, "image width", 1)
-        self.height = _check_int(self.height, "image height", 1)
+        width = _check_int(self.width, "image width", 1)
+        height = _check_int(self.height, "image height", 1)
         data = _intake(self.data)
-        if data.size != self.width * self.height:
-            raise InvalidArgumentError(f"data length {data.size} != {self.width}x{self.height}")
-        if data.ndim != 1 and data.shape != (self.height, self.width):
-            raise InvalidArgumentError(f"data shape {data.shape} != ({self.height}, {self.width})")
+        if data.size != width * height:
+            raise InvalidArgumentError(f"data length {data.size} != {width}x{height}")
+        if data.ndim != 1 and data.shape != (height, width):
+            raise InvalidArgumentError(f"data shape {data.shape} != ({height}, {width})")
         if not np.all(np.isfinite(data)):
             raise InvalidArgumentError("image values must be finite")
         data.setflags(write=False)
-        self.data = data.ravel()
+        _hold(self, width=width, height=height, data=data.ravel())
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "Image":
@@ -102,7 +109,7 @@ class Image:
         return cls(width=np.shape(a)[1], height=np.shape(a)[0], data=a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternSet:
     """Modulation matrix A: m patterns of n pixels each, entries >= 0.
 
@@ -119,14 +126,14 @@ class PatternSet:
     seed: int = 0
 
     def __post_init__(self):
-        self.seed = _check_seed(self.seed)
+        seed = _check_seed(self.seed)
         rows = _intake(self.rows)
         if rows.ndim != 2:
             raise InvalidArgumentError("pattern matrix must be 2D")
         if rows.size and not (rows.min() >= 0 and np.isfinite(rows.max())):
             raise InvalidArgumentError("pattern entries must be finite and >= 0")
         rows.setflags(write=False)
-        self.rows = rows
+        _hold(self, rows=rows, seed=seed)
 
     @property
     def m(self) -> int:
@@ -141,9 +148,9 @@ class PatternSet:
         return self.rows.sum(axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementSet:
-    """Detector readings b, with noise provenance."""
+    """Detector readings b, a vector of finite values, with noise provenance."""
 
     values: np.ndarray
     noise_sigma: float = 0.0
@@ -151,19 +158,21 @@ class MeasurementSet:
 
     def __post_init__(self):
         values = _intake(self.values)
+        if values.ndim != 1:
+            raise InvalidArgumentError(f"measurements must be a vector, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("measurements must be finite")
-        self.noise_sigma = _check_real(self.noise_sigma, "noise_sigma")
-        self.noise_seed = _check_seed(self.noise_seed)
+        sigma = _check_real(self.noise_sigma, "noise_sigma")
+        seed = _check_seed(self.noise_seed)
         values.setflags(write=False)
-        self.values = values.ravel()
+        _hold(self, values=values, noise_sigma=sigma, noise_seed=seed)
 
     @property
     def m(self) -> int:
         return self.values.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Gaussian measurement noise, parameterized by a dimensionless level.
 
@@ -177,9 +186,10 @@ class NoiseModel:
     sigma: float = field(init=False)
 
     def __post_init__(self):
-        self.level = _check_real(self.level, "noise level")
-        self.pixel_count = _check_int(self.pixel_count, "pixel_count", 1)
-        self.sigma = _check_scaled(self.level, self.pixel_count, "noise level", "sigma")
+        level = _check_real(self.level, "noise level")
+        pixels = _check_int(self.pixel_count, "pixel_count", 1)
+        _hold(self, level=level, pixel_count=pixels,
+              sigma=_check_scaled(level, pixels, "noise level", "sigma"))
 
 
 def _check_int(value, what: str, least=None) -> int:

@@ -52,7 +52,7 @@ from .errors import (
     DomainError,
 )
 from .model import (Image, MeasurementSet, PatternSet, _check_int, _check_name, _check_real,
-                    _check_scaled)
+                    _check_scaled, _hold, _intake)
 from .transforms import LinearOperator, dct_operator, gradient_operator, soft_threshold
 
 __all__ = [
@@ -83,7 +83,7 @@ ALM_MU_MAX = 1e6  # cap of the ALM penalty weight
 CGD_EXACT_RTOL = 1e-12  # cgd's exact stop, relative to ||A^T b||
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopCriteria:
     """Shared iteration-stopping protocol for all iterative solvers."""
 
@@ -92,9 +92,9 @@ class StopCriteria:
     max_iterations_factor: float = 3.0
 
     def __post_init__(self):
-        for name in ("residual_change_threshold", "max_iterations_factor"):
-            setattr(self, name, _check_real(getattr(self, name), name))
-        self.min_iterations = _check_int(self.min_iterations, "min_iterations", 0)
+        reals = {name: _check_real(getattr(self, name), name)
+                 for name in ("residual_change_threshold", "max_iterations_factor")}
+        _hold(self, **reals, min_iterations=_check_int(self.min_iterations, "min_iterations", 0))
 
     def max_iterations(self, n: int) -> int:
         cap = _check_scaled(self.max_iterations_factor, n, "max_iterations_factor",
@@ -102,7 +102,7 @@ class StopCriteria:
         return max(self.min_iterations, int(round(cap)), 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverReport:
     """Reconstruction plus per-iteration trace.
 
@@ -131,6 +131,16 @@ def _check_counts(m: int, n: int, meas_m: int, width: int, height: int) -> None:
     if _check_int(width, "width", 1) * _check_int(height, "height", 1) != n:
         raise InvalidArgumentError(f"image shape {width}x{height} does not hold the "
                                    f"{n} pattern pixels")
+
+
+def _check_point(patterns: PatternSet, x, meas: MeasurementSet) -> np.ndarray:
+    """x through _intake, for the public gradients and objective: refused unless
+    _check_counts takes the problem (m readings for m >= 1 patterns) and x has shape (n,)."""
+    x = _intake(x)
+    _check_counts(patterns.m, patterns.n, meas.m, patterns.n, 1)
+    if x.shape != (patterns.n,):
+        raise InvalidArgumentError(f"x has shape {x.shape}, expected ({patterns.n},)")
+    return x
 
 
 class _Run:
@@ -251,7 +261,7 @@ def _gd_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gd_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np.ndarray:
     """Gradient of ||Ax - b||^2: p = 2 A^T (Ax - b)."""
     A = patterns.rows
-    return _gd_grad(A, A @ x, meas.values)
+    return _gd_grad(A, A @ _check_point(patterns, x, meas), meas.values)
 
 
 def gd_optimal_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
@@ -383,7 +393,7 @@ def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet)
     Requires a_i.x > 0 where b_i > 0 and a_i.x >= 0 where b_i = 0, whose
     entries contribute only the linear term; DomainError otherwise.
     """
-    b = meas.values
+    x, b = _check_point(patterns, x, meas), meas.values
     if np.any(b < 0):
         raise InvalidArgumentError("Poisson measurements must be >= 0")
     return _objective(patterns.rows @ x, b)
@@ -404,7 +414,7 @@ def _poisson_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
 def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np.ndarray:
     """Gradient of the negative log-likelihood: A^T ((Ax - b) / Ax)."""
     A = patterns.rows
-    return _poisson_grad(A, A @ x, meas.values)
+    return _poisson_grad(A, A @ _check_point(patterns, x, meas), meas.values)
 
 
 def _armijo(trial: Callable[[float], float], f0: float, pp: float) -> tuple[float, int, float]:

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .model import _check_int, _check_real, _intake
 
 __all__ = [
@@ -51,6 +52,14 @@ class LinearOperator:
 
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
+
+
+def _shaped(v, *shape) -> np.ndarray:
+    """_intake(v) reshaped to shape: the intake of every operator; a vector
+    of another length is refused, naming the count it has and the one expected."""
+    if (v := _intake(v)).size != (size := math.prod(shape)):
+        raise InvalidArgumentError(f"operator input has {v.size} entries, expected {size}")
+    return v.reshape(shape)
 
 
 def _dct_twiddles(n: int) -> np.ndarray:
@@ -180,11 +189,11 @@ def dct_operator(width: int, height: int) -> LinearOperator:
     cols, rows = _DctLines(height, width), _DctLines(width, height)
 
     def fwd(v):
-        img = _intake(v).reshape(height, width)
+        img = _shaped(v, height, width)
         return rows.dct2(cols.dct2(img, fct).T.copy()).T.ravel()
 
     def inv(v):
-        coef = _intake(v).reshape(height, width)
+        coef = _shaped(v, height, width)
         return rows.dct3(cols.dct3(coef, fct).T.copy()).T.ravel()
 
     return LinearOperator(apply=fwd, apply_transpose=inv)
@@ -199,14 +208,14 @@ def gradient_operator(width: int, height: int) -> LinearOperator:
     width, height = _check_int(width, "gradient width", 2), _check_int(height, "gradient height", 2)
 
     def fwd(v):
-        img = _intake(v).reshape(height, width)
+        img = _shaped(v, height, width)
         d = np.zeros((2, height, width))  # dh then dv
         np.subtract(img[:, 1:], img[:, :-1], out=d[0, :, :-1])
         np.subtract(img[1:, :], img[:-1, :], out=d[1, :-1, :])
         return d.ravel()
 
     def adj(u):
-        dh, dv = _intake(u).reshape(2, height, width)
+        dh, dv = _shaped(u, 2, height, width)
         out = np.zeros((height, width))
         # adjoint of dh[:, :-1] = img[:, 1:] - img[:, :-1]
         out[:, :-1] -= dh[:, :-1]

@@ -65,9 +65,9 @@ def cells():
 def cell_rmse(cells, scene, solver, ratio, repeat, noise=0.0, size=32, full_budget=False,
               fresh=False):
     """The cell's rmse, or inf if it failed.  full_budget stands for the
-    FULL_BUDGET stop (a StopCriteria is unhashable).  A criterion that
-    times itself passes fresh=True, so it runs its cells whatever ran
-    before it."""
+    FULL_BUDGET stop, the one stop besides the default that a criterion
+    runs.  A criterion that times itself passes fresh=True, so it runs its
+    cells whatever ran before it."""
     key = (scene, solver, ratio, repeat, noise, size, full_budget)
     if fresh or key not in cells:
         row = run_cell(scene, solver, ratio, size, size, noise, repeat, base_seed=BASE_SEED,

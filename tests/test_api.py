@@ -231,6 +231,45 @@ def test_every_solver_is_the_one_solver_decorator():
     assert not [fn for fn in entries if hasattr(fn, "__wrapped__")]
 
 
+SOURCES = sorted(Path(spi_recon.__file__).parent.glob("*.py"))
+
+
+def _name_of(node):
+    """The bare name a decorator or call node calls, as ``dataclass`` in
+    ``@dataclass`` and ``@dataclass(frozen=True)``; None for an attribute."""
+    return getattr(getattr(node, "func", node), "id", None)
+
+
+def test_every_record_is_frozen():
+    """A field of a record is set only by the constructor that checks it."""
+    records = [(path.stem, node.name, d) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+               for d in node.decorator_list if _name_of(d) == "dataclass"]
+    thawed = [(module, name) for module, name, d in records
+              if not any(kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+                         for kw in getattr(d, "keywords", []))]
+    assert (len(records), thawed) == (9, [])
+
+
+def _self_writes(tree):
+    """Each __post_init__'s writes to self: an assignment to self.<attr>, or setattr(self, ...)."""
+    return [(top.name, ast.unparse(node)) for top in tree.body if isinstance(top, ast.ClassDef)
+            for fn in top.body if getattr(fn, "name", None) == "__post_init__"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+            or isinstance(node, ast.Call) and _name_of(node) == "setattr"]
+
+
+def test_records_write_their_checked_fields_only_through_model_hold():
+    """No __post_init__ assigns to self, and model._hold alone writes past a
+    frozen record's __setattr__, with vars(...) or object.__setattr__."""
+    assert [write for path in SOURCES for write in _self_writes(ast.parse(path.read_text()))] == []
+    writers = [(path.stem, owner) for path in SOURCES
+               for owner in _owners(path, {"vars", "__setattr__"})]
+    assert writers == [("model", "_hold")]
+
+
 def test_linear_operator_fields():
     assert [f.name for f in dataclasses.fields(transforms.LinearOperator)] == [
         "apply", "apply_transpose"]

@@ -10,13 +10,14 @@ silently wrong result.  numpy integers are taken as plain ints."""
 
 import os
 import struct
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from spi_recon.bench import SweepSpec, run_cell
 from spi_recon.errors import FormatError, InvalidArgumentError
-from spi_recon.io import read_measurements, write_image, write_measurements
+from spi_recon.io import SweepRow, read_measurements, write_image, write_measurements
 from spi_recon.model import (Image, MeasurementSet, NoiseModel, PatternSet, add_noise,
                              generate_patterns, synthesize)
 from spi_recon.scenes import builtin_scene
@@ -199,3 +200,52 @@ def test_a_scene_no_index_can_reach_is_refused(call):
     dimension exceeded"); it shares the pattern matrix's address check."""
     with pytest.raises(InvalidArgumentError, match="scene is too large to address"):
         call()
+
+
+def sweep_row(**fields):
+    """An ok SweepRow, with fields replacing its own."""
+    return SweepRow(**{**dict(scene="blocks", solver="dgi", ratio=0.5, size="8x8", noise_level=0.0,
+                              repeat=0, rmse=0.1, iterations=0, wall_time_s=0.01, seed=1,
+                              status="ok"), **fields})
+
+
+# record -> (a call that builds it, a field, a value that its checks would refuse);
+# the seed and width once went on to a bare struct.error and a "P5\n2.5 2\n255" header
+ASSIGNMENTS = {
+    "image-width": (lambda: Image(2, 2, np.zeros(4)), "width", 2.5),
+    "pattern-set-seed": (lambda: PatternSet(np.ones((2, 2))), "seed", -1),
+    "measurement-values": (lambda: MeasurementSet(np.ones(3)), "values",
+                           np.array([np.nan, 1.0, 2.0])),
+    "noise-level": (lambda: NoiseModel(0.1, 4), "level", 5.0),
+    "stop-min-iterations": (StopCriteria, "min_iterations", 2.5),
+    "solver-report-image": (lambda: corr_reconstruct(PATTERNS, MEAS, 2, 2), "image", None),
+    "sweep-ratios": (sweep_spec, "sampling_ratios", [0.0]),
+    "sweep-row-rmse": (sweep_row, "rmse", np.nan),
+}
+
+
+@pytest.mark.parametrize("make, name, value", ASSIGNMENTS.values(), ids=ASSIGNMENTS)
+def test_a_record_refuses_an_assignment_to_a_field(make, name, value):
+    """Records are frozen, so no field skips the checks of the constructor."""
+    record = make()
+    held = getattr(record, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, value)
+    assert getattr(record, name) is held
+
+
+def test_replace_runs_the_checks_again():
+    """dataclasses.replace, the one way left to change a record, builds it anew."""
+    with pytest.raises(InvalidArgumentError, match="min_iterations"):
+        replace(StopCriteria(), min_iterations=2.5)
+    with pytest.raises(InvalidArgumentError, match="sampling ratios"):
+        replace(sweep_spec(), sampling_ratios=[0.0])
+    assert replace(NoiseModel(0.1, 4), level=0.2).sigma == 0.8
+
+
+def test_records_of_scalars_are_hashable():
+    assert len({StopCriteria(), StopCriteria(), NoiseModel(0.1, 4), sweep_row()}) == 3
+    report = corr_reconstruct(PATTERNS, MEAS, 2, 2)
+    for record in (PATTERNS, MEAS, report.image, report, sweep_spec()):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -761,6 +762,15 @@ def test_python_m_runs_the_cli(tmp_path):
     out = _python_m_cli("metrics", "--truth", truth, "--estimate", estimate)
     rmse = normalized_rmse(read_image(truth), read_image(estimate))
     assert (out.returncode, out.stdout, out.stderr) == (0, f"{rmse:.9f}\n", "")
+
+
+def test_the_console_script_is_main():
+    """A console script calls sys.exit(main()) itself, so no wrapper stands between."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(spi_recon.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"spi-recon": "spi_recon.cli:main"}
+    assert not hasattr(cli, "console_entry")
 
 
 @pytest.mark.parametrize("ratio, code", [("0.1", 0), ("1e-4", 1)])

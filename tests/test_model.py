@@ -325,3 +325,10 @@ def test_add_noise_sample_std():
     nm = NoiseModel(level=1.0, pixel_count=1)
     out = add_noise(meas, nm, seed=21)
     assert 0.997 < out.values.std() < 1.003
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3), (1, 4)], ids=str)
+def test_readings_must_be_a_vector(shape):
+    """As a pattern matrix must be 2D; before, a (2, 3) array held 6 readings."""
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"vector, got shape {shape}")):
+        MeasurementSet(np.ones(shape))

@@ -244,6 +244,18 @@ def test_gd_gradient_stationary_point():
     assert np.array_equal(gd_gradient(ps, x, meas), np.zeros(3))
 
 
+@pytest.mark.parametrize("fn", [gd_gradient, poisson_gradient, poisson_objective])
+@pytest.mark.parametrize("x, readings, match", [
+    (np.ones(4), 2, "measurement count 2 != pattern count 3"),
+    (np.ones(5), 3, r"x has shape \(5,\), expected \(4,\)"),
+], ids=["too-few-readings", "x-too-long"])
+def test_gradients_and_objective_refuse_sizes_that_do_not_agree(fn, x, readings, match):
+    """Three patterns of four pixels take three readings and an x of shape (4,);
+    before, numpy's bare ValueError came out of the product."""
+    with pytest.raises(InvalidArgumentError, match=match):
+        fn(PatternSet(np.ones((3, 4))), x, MeasurementSet(np.ones(readings)))
+
+
 def test_gd_gradient_forced_instance():
     ps = PatternSet(np.array([[1.0, 1], [2, 1]]))
     meas = MeasurementSet(values=np.zeros(2))
@@ -1095,11 +1107,12 @@ class CountingMatrix(np.ndarray):
 
 
 def _count_products(patterns: PatternSet) -> _Products:
-    """Swap patterns.rows for a counting view; returns the live counters.
-    Needs m != n, since the result's length tells A from A^T."""
+    """Swap patterns.rows for a counting view, past the frozen record's
+    __setattr__ (a test seam); returns the live counters.  Needs m != n,
+    since the result's length tells A from A^T."""
     rows = patterns.rows.view(CountingMatrix)
     rows.products = _Products(patterns.m)
-    patterns.rows = rows
+    object.__setattr__(patterns, "rows", rows)
     return rows.products
 
 

@@ -253,3 +253,16 @@ def test_operators_refuse_complex_data(make, side):
 def test_soft_threshold_refuses_data_that_float64_cannot_hold(v):
     with pytest.raises(InvalidArgumentError, match="real numbers"):
         soft_threshold(v, 0.1)
+
+
+@pytest.mark.parametrize("make, side, expected", [
+    (dct_operator, "apply", 6),
+    (dct_operator, "apply_transpose", 6),
+    (gradient_operator, "apply", 6),
+    (gradient_operator, "apply_transpose", 12),
+])
+def test_operators_refuse_a_vector_of_the_wrong_length(make, side, expected):
+    """A 3x2 operator names the count it got and the one it expects, where numpy's
+    reshape raised a bare ValueError."""
+    with pytest.raises(InvalidArgumentError, match=f"has 5 entries, expected {expected}$"):
+        getattr(make(3, 2), side)(np.ones(5))
