@@ -37,16 +37,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative benchmark sweep (Cartesian product of all grids, each a list
-    or array).  Any spec that exists can run: a missing, empty, str or scalar
-    grid, a bad size, base_seed or name, or a ratio or noise level that a builtin
-    scene cannot take at a size is refused here (a PGM's ratios, as its cells run)."""
+    """Declarative benchmark sweep, the Cartesian product of grids given as lists or arrays,
+    held as tuples of checked values (str names, float ratios and levels, (int, int) sizes).
+    Any spec that exists can run: a missing, empty, str or scalar grid, a bad size, base_seed
+    or name, or a ratio or level a builtin scene cannot take at a size is refused here."""
 
-    scenes: Optional[list] = None
-    solvers: Optional[list] = None
-    sampling_ratios: Optional[list] = None
-    image_sizes: Optional[list] = None
-    noise_levels: Optional[list] = None
+    scenes: Optional[tuple] = None
+    solvers: Optional[tuple] = None
+    sampling_ratios: Optional[tuple] = None
+    image_sizes: Optional[tuple] = None
+    noise_levels: Optional[tuple] = None
     repeats: int = 20
     base_seed: int = 0
     distribution: str = "uniform01"
@@ -61,30 +61,29 @@ class SweepSpec:
             raise InvalidArgumentError(f"a sweep must state {', '.join(missing)}")
         for solver in self.solvers:
             get_solver(solver)  # UnknownSolverError lists the valid names
-        for scene in self.scenes:
-            if not (isinstance(scene, str) and scene.endswith(".pgm")):
-                _check_name(scene, BUILTIN_SCENES, "scene")
+        scenes = tuple(s if _is_pgm(s) else _check_name(s, BUILTIN_SCENES, "scene")
+                       for s in self.scenes)
         _check_name(self.distribution, _DISTRIBUTIONS, "distribution")
         repeats = _check_int(self.repeats, "repeats", 1)
         base_seed = _check_int(self.base_seed, "base_seed")
         cells = math.prod(map(len, grid.values())) * repeats
         if cells > sys.maxsize:  # more rows than a list can hold
-            raise InvalidArgumentError(
-                f"repeats {repeats} gives {cells} cells, more than a sweep can hold"
-            )
-        if not all(_check_real(r, "a sampling ratio") > 0 for r in self.sampling_ratios):
+            raise InvalidArgumentError(f"repeats {repeats} gives {cells} cells, "
+                                       "more than a sweep can hold")
+        ratios = tuple(_check_real(r, "a sampling ratio") for r in self.sampling_ratios)
+        if not all(r > 0 for r in ratios):
             raise InvalidArgumentError("sampling ratios must be finite and positive")
-        for level in self.noise_levels:
-            _check_real(level, "a noise level")
+        levels = tuple(_check_real(level, "a noise level") for level in self.noise_levels)
         if not all(_length(size) == 2 for size in self.image_sizes):
             raise InvalidArgumentError("an image size must be a (width, height) pair")
-        image_sizes = [tuple(_check_int(side, "an image size", 2) for side in size)
-                       for size in self.image_sizes]
-        sizes = [] if all(scene.endswith(".pgm") for scene in self.scenes) else image_sizes
-        for (w, h), ratio, level in product(sizes, self.sampling_ratios, self.noise_levels):
+        image_sizes = tuple(tuple(_check_int(side, "an image size", 2) for side in size)
+                            for size in self.image_sizes)
+        sizes = () if all(map(_is_pgm, scenes)) else image_sizes
+        for (w, h), ratio, level in product(sizes, ratios, levels):
             _pattern_count(ratio, w * h)
             NoiseModel(level=level, pixel_count=w * h)
-        _hold(self, repeats=repeats, base_seed=base_seed, image_sizes=image_sizes)
+        _hold(self, scenes=scenes, solvers=tuple(self.solvers), sampling_ratios=ratios,
+              image_sizes=image_sizes, noise_levels=levels, repeats=repeats, base_seed=base_seed)
 
 
 def _length(items) -> Optional[int]:
@@ -93,6 +92,10 @@ def _length(items) -> Optional[int]:
         return None if isinstance(items, (str, bytes)) else len(items)
     except TypeError:
         return None
+
+
+def _is_pgm(scene) -> bool:  # a scene file, read as its cells run, not a builtin scene
+    return isinstance(scene, str) and scene.endswith(".pgm")
 
 
 def stable_seed(*parts) -> int:
@@ -124,12 +127,12 @@ def run_cell(
 ) -> SweepRow:
     """Synthesize, reconstruct and score one benchmark cell.
 
-    The row's time is the solver's own wall_time, which leaves out pattern
-    generation and measurement synthesis.  A scene file that cannot be
-    read, any array of the cell, its scene's included, that cannot be
-    allocated (a MemoryError, whose message names the allocation) or a
-    solve that raises a library Error gives a "failed:<Type>: <message>"
-    row ("failed:<Type>" for an empty message), with seed 0 if it failed
+    The row's time is the solver's own wall_time, which leaves out pattern generation and
+    measurement synthesis.  The cell is seeded and recorded from its checked repeat (an int >= 0),
+    ratio and noise level (floats), so ratios 1, 1.0 and True are one cell.  A scene file that
+    cannot be read, any array of the cell, its scene's included, that cannot be allocated (a
+    MemoryError, whose message names the allocation) or a solve that raises a library Error gives a
+    "failed:<Type>: <message>" row ("failed:<Type>" for an empty message), with seed 0 if it failed
     before its patterns were seeded; any other exception propagates.
     """
     def failed(exc):
@@ -137,10 +140,11 @@ def run_cell(
         return SweepRow(scene, solver, ratio, f"{width}x{height}", noise_level, repeat,
                         None, 0, 0.0, seed, f"failed:{reason}")
 
-    base_seed = _check_int(base_seed, "base_seed")
+    base_seed, repeat = _check_int(base_seed, "base_seed"), _check_int(repeat, "repeat", 0)
+    noise_level, ratio = _check_real(noise_level, "noise level"), _check_real(ratio, "ratio")
     seed = 0  # no patterns exist for this cell yet
     try:  # failed cells are recorded, never fatal
-        if isinstance(scene, str) and scene.endswith(".pgm"):  # a PGM keeps its own size
+        if _is_pgm(scene):  # a PGM keeps its own size
             try:
                 truth = read_image(scene)
             except (OSError, Error) as exc:
@@ -180,7 +184,7 @@ def run_sweep(spec: SweepSpec) -> list:
         for scene in spec.scenes
         for solver, ratio, (w, h), level in product(
             spec.solvers, spec.sampling_ratios,
-            spec.image_sizes[:1] if scene.endswith(".pgm") else spec.image_sizes,
+            spec.image_sizes[:1] if _is_pgm(scene) else spec.image_sizes,
             spec.noise_levels)
         for rep in range(spec.repeats)  # product() would hold a tuple of every repeat
     ]

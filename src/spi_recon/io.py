@@ -92,7 +92,7 @@ _PGM_TOKEN = re.compile(rb"#[^\n]*|([^#\s]\S*)")
 
 
 def read_image(path) -> Image:
-    """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255 into [0, 1]."""
+    """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255 into [0, 1]; numbers are digits."""
     with open(path, "rb") as f:
         data = f.read()
     tokens = (t for t in _PGM_TOKEN.finditer(data) if t.lastindex)
@@ -102,6 +102,8 @@ def read_image(path) -> Image:
         if t is None:
             raise FormatError(f"truncated header: missing {what}", offset=len(data))
         try:
+            if parse is int and not t[0].isdigit():  # ASCII digits: int() takes b"+5", b"1_0"
+                raise ValueError
             return parse(t[0]), t
         except ValueError:
             raise FormatError(f"bad {what} {t[0]!r}", offset=t.start())

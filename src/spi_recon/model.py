@@ -247,13 +247,6 @@ def _check_name(name, names, what: str, error=InvalidArgumentError) -> str:
     return name
 
 
-def _rng(seed: int) -> "np.random.Generator":
-    # a string annotation: numpy.random is imported on the first draw,
-    # not when this module loads
-    _check_seed(seed)
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int):
     """Check generate_patterns' arguments; return (n, draw).
 
@@ -266,7 +259,8 @@ def _pattern_draw(m: int, width: int, height: int, distribution: str, seed: int)
     n = _check_int(width, "pattern width", 1) * _check_int(height, "pattern height", 1)
     _check_addressable(m, n, "pattern matrix")
     _check_name(distribution, _DISTRIBUTIONS, "distribution")
-    rng = _rng(seed)
+    seed = _check_seed(seed)  # before np.random, which loads on its first use
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     def draw(out):
         if distribution == "uniform01":
@@ -312,10 +306,10 @@ def add_noise(meas: MeasurementSet, noise: NoiseModel, seed: int = 0) -> Measure
     with sigma (useful for paired noise-level comparisons).  At sigma 0
     the seed is checked and ``meas`` itself is returned.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if noise.sigma == 0.0:
         return meas
-    g = _rng(seed).standard_normal(meas.m)
+    g = np.random.Generator(np.random.PCG64(seed)).standard_normal(meas.m)
     return MeasurementSet(
         values=meas.values + noise.sigma * g,
         noise_sigma=noise.sigma,

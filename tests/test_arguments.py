@@ -64,6 +64,7 @@ INT_SITES = {
     "sweep-size": (lambda v: sweep_spec(image_sizes=[(8, 8), (v, 8)]), [1]),
     "sweep-base-seed": (lambda v: sweep_spec(base_seed=v), []),  # hashed, so -1 is a seed
     "cell-base-seed": (lambda v: run_cell("blocks", "dgi", 1.0, 2, 2, 0.0, 0, base_seed=v), []),
+    "cell-repeat": (lambda v: run_cell("blocks", "dgi", 1.0, 2, 2, 0.0, v), [-1]),
     "bundle-width": (lambda v: write_measurements(MEAS, v, 2, os.devnull), [0, 2**32]),
     "bundle-height": (lambda v: write_measurements(MEAS, 2, v, os.devnull), [0, 10**400]),
 }
@@ -141,7 +142,7 @@ def test_an_image_size_must_be_a_pair(sizes):
 def test_any_two_integers_are_an_image_size(sizes):
     """An array of pairs was refused as not a (width, height) pair, though
     every other axis may be an array; the spec keeps each as a pair of ints."""
-    assert sweep_spec(image_sizes=sizes).image_sizes == [(8, 8)]
+    assert sweep_spec(image_sizes=sizes).image_sizes == ((8, 8),)
     assert all(type(side) is int for side in sweep_spec(image_sizes=sizes).image_sizes[0])
 
 
@@ -244,8 +245,9 @@ def test_replace_runs_the_checks_again():
 
 
 def test_records_of_scalars_are_hashable():
-    assert len({StopCriteria(), StopCriteria(), NoiseModel(0.1, 4), sweep_row()}) == 3
+    assert len({StopCriteria(), StopCriteria(), NoiseModel(0.1, 4), sweep_row(),
+                sweep_spec(), sweep_spec()}) == 4
     report = corr_reconstruct(PATTERNS, MEAS, 2, 2)
-    for record in (PATTERNS, MEAS, report.image, report, sweep_spec()):
+    for record in (PATTERNS, MEAS, report.image, report):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)

@@ -1,6 +1,7 @@
 import re
 import threading
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -268,7 +269,7 @@ def test_spec_refuses_unknown_solver_and_builtin_scene_names():
         small_spec(solvers=["corr", "nope"])
     with pytest.raises(InvalidArgumentError, match="unknown scene 'nope'; valid names"):
         small_spec(scenes=["blocks", "nope"])
-    assert small_spec(scenes=["missing.pgm"]).scenes == ["missing.pgm"]  # read per cell
+    assert small_spec(scenes=["missing.pgm"]).scenes == ("missing.pgm",)  # read per cell
 
 
 def test_spec_refuses_an_unknown_distribution_before_the_first_cell(tmp_path, capsys):
@@ -305,11 +306,11 @@ def test_parse_sweep_config_roundtrip():
     distribution = binary
     """
     spec = parse_sweep_config(text)
-    assert spec.scenes == ["blocks", "bars"]
-    assert spec.solvers == ["dgi", "cs-tv"]
-    assert spec.sampling_ratios == [0.2, 1.0]
-    assert spec.image_sizes == [(16, 16), (32, 32)]
-    assert spec.noise_levels == [0.0, 1e-3]
+    assert spec.scenes == ("blocks", "bars")
+    assert spec.solvers == ("dgi", "cs-tv")
+    assert spec.sampling_ratios == (0.2, 1.0)
+    assert spec.image_sizes == ((16, 16), (32, 32))
+    assert spec.noise_levels == (0.0, 1e-3)
     assert spec.repeats == 4 and spec.base_seed == 99
     assert spec.distribution == "binary"
 
@@ -473,6 +474,63 @@ def test_a_numpy_integer_base_seed_gives_the_rows_of_its_int():
 
 def _without_time(rows):
     return [replace(row, wall_time_s=0.0) for row in rows]
+
+
+def test_a_spec_holds_no_list_of_its_caller():
+    """The spec held the caller's lists: a ratio set to 0.0 after it was built
+    failed at the first cell, not up front, and an appended "nope" solver
+    became a failed:UnknownSolverError row."""
+    ratios, solvers = [0.5], ["dgi"]
+    spec = small_spec(sampling_ratios=ratios, solvers=solvers, repeats=1)
+    rows = _without_time(run_sweep(spec))
+    ratios[0] = 0.0
+    solvers.append("nope")
+    assert spec == small_spec(repeats=1)
+    assert _without_time(run_sweep(spec)) == rows
+
+
+def test_a_spec_grid_cannot_be_appended_to():
+    """An appended 1x1 size ran the first cells, then raised "scene width must be >= 2"."""
+    spec = small_spec()
+    with pytest.raises(AttributeError):
+        spec.image_sizes.append((1, 1))
+    assert spec.image_sizes == ((8, 8),)
+
+
+def test_every_grid_is_a_tuple_of_checked_values():
+    spec = small_spec(scenes=np.array(["blocks", "bars"]), solvers=("dgi",),
+                      sampling_ratios=np.array([1, 2]), image_sizes=np.array([[8, 8]]),
+                      noise_levels=[0, np.float32(0.5), False])
+    assert all(type(getattr(spec, name)) is tuple for name in
+               ("scenes", "solvers", "sampling_ratios", "image_sizes", "noise_levels"))
+    assert spec.scenes == ("blocks", "bars") and spec.solvers == ("dgi",)
+    assert [type(v) for v in spec.sampling_ratios + spec.noise_levels] == [float] * 5
+    assert spec.noise_levels == (0.0, 0.5, 0.0) and spec.image_sizes == ((8, 8),)
+
+
+def test_a_cell_is_seeded_and_recorded_from_its_checked_values():
+    """Ratios 1, 1.0 and True gave three seeds and three RMSEs, since the seed
+    hashed the ratio's text; the CSV read "1", "1" and "True", and a noise
+    level of False was written as "False".  np.float64(1.0) ran as 1.0."""
+    rows = [run_cell("blocks", "cgd", r, 8, 8, level, rep)
+            for r, level, rep in [(1.0, 0.0, 0), (1, False, np.int64(0)), (True, 0, 0),
+                                  (np.float64(1.0), 0.0, 0), (Fraction(1), 0.0, 0)]]
+    assert _without_time(rows) == _without_time(rows[:1]) * 5
+    assert all(type(row.ratio) is float and type(row.noise_level) is float
+               and type(row.repeat) is int for row in rows)
+
+
+@pytest.mark.parametrize("ratio, level", [(-1.0, 0.0), (0.5, np.nan)], ids=["ratio", "level"])
+def test_run_cell_checks_its_ratio_and_level_before_it_reads_a_pgm(tmp_path, ratio, level):
+    """A missing PGM scene gave a failed: row for a ratio or level that no scene can take."""
+    with pytest.raises(InvalidArgumentError, match="^(ratio|noise level) must be finite"):
+        run_cell(str(tmp_path / "missing.pgm"), "dgi", ratio, 8, 8, level, 0)
+
+
+def test_a_fraction_ratio_gives_the_rows_of_its_float():
+    """Fraction(1, 2) was seeded and written as "1/2", not as 0.5."""
+    rows = _without_time(run_sweep(small_spec(sampling_ratios=[Fraction(1, 2)])))
+    assert rows == _without_time(run_sweep(small_spec(sampling_ratios=[0.5])))
 
 
 def test_desk_preset_overrides(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -106,6 +107,30 @@ def test_pgm_header_and_pixel_values_are_refused_at_their_offset(tmp_path, data,
     with pytest.raises(FormatError, match=message) as info:
         read_image(path)
     assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("data, message, offset", [
+    (b"P2\n1_0 1\n255\n" + b"0 " * 10, "bad width b'1_0'", 3),
+    (b"P2\n2 1\n255\n+5 0\n", "bad pixel 0 b'+5'", 11),
+    (b"P2\n2 1\n255\n0 1_0\n", "bad pixel 1 b'1_0'", 13),
+    (b"P5\n+2 1\n255\n\0\0", "bad width b'+2'", 3),
+], ids=["p2-width-underscore", "p2-pixel-plus", "p2-pixel-underscore", "p5-width-plus"])
+def test_a_pgm_number_is_ascii_decimal_digits_alone(tmp_path, data, message, offset):
+    """int()'s grammar read the width 1_0 as 10, +2 as 2 and the pixels +5
+    and 1_0 as 5 and 10."""
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(message)) as info:
+        read_image(path)
+    assert info.value.offset == offset
+
+
+def test_a_pgm_number_may_have_leading_zeros(tmp_path):
+    path = tmp_path / "zeros.pgm"
+    path.write_bytes(b"P2\n02 1\n0255\n05 0255\n")
+    img = read_image(path)
+    assert (img.width, img.height) == (2, 1)
+    assert np.array_equal(img.data, [5 / 255, 1.0])
 
 
 @pytest.mark.parametrize("data, offset", [
