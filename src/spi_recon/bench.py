@@ -129,11 +129,12 @@ def run_cell(
 
     The row's time is the solver's own wall_time, which leaves out pattern generation and
     measurement synthesis.  The cell is seeded and recorded from its checked repeat (an int >= 0),
-    ratio and noise level (floats), so ratios 1, 1.0 and True are one cell.  A scene file that
-    cannot be read, any array of the cell, its scene's included, that cannot be allocated (a
-    MemoryError, whose message names the allocation) or a solve that raises a library Error gives a
-    "failed:<Type>: <message>" row ("failed:<Type>" for an empty message), with seed 0 if it failed
-    before its patterns were seeded; any other exception propagates.
+    ratio and noise level (floats), so ratios 1, 1.0 and True are one cell; its width and height
+    pass SweepSpec's image-size rule (ints >= 2) even when a PGM scene brings its own size.  A
+    scene file that cannot be read, any array of the cell, its scene's included, that cannot be
+    allocated (a MemoryError, whose message names the allocation) or a solve that raises a library
+    Error gives a "failed:<Type>: <message>" row ("failed:<Type>" for an empty message), with seed
+    0 if it failed before its patterns were seeded; any other exception propagates.
     """
     def failed(exc):
         reason = ": ".join(filter(None, (type(exc).__name__, str(exc)))).replace("\n", " ")
@@ -142,6 +143,7 @@ def run_cell(
 
     base_seed, repeat = _check_int(base_seed, "base_seed"), _check_int(repeat, "repeat", 0)
     noise_level, ratio = _check_real(noise_level, "noise level"), _check_real(ratio, "ratio")
+    width, height = (_check_int(side, "an image size", 2) for side in (width, height))
     seed = 0  # no patterns exist for this cell yet
     try:  # failed cells are recorded, never fatal
         if _is_pgm(scene):  # a PGM keeps its own size

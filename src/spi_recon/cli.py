@@ -16,7 +16,9 @@ before it reads A's payload, and opens --out through io._output after the
 solve.  benchmark opens --out after every refusal its config decides and
 before the first cell.  No command takes a path that holds a NUL byte, or an
 --out or --trace naming another of its file flags; --dist is uniform01 or
-binary.  ``python -m spi_recon.cli`` runs the same commands as ``spi-recon``.
+binary.  Every input path must be a regular file: io._input refuses a pipe
+or a device with exit 2 before it reads a byte.  ``python -m spi_recon.cli``
+runs the same commands as ``spi-recon``.
 """
 
 import argparse
@@ -121,7 +123,7 @@ def _run(args) -> int:
                             min_iterations=args.min_iter,
                             max_iterations_factor=args.max_iter_factor)
         meas, width, height = spio.read_measurements(args.measurements)
-        with open(args.patterns, "rb") as f:  # the counts, checked before A's payload is read
+        with spio._input(args.patterns) as f:  # the counts, checked before A's payload is read
             m, n, _ = spio._open_bundle(f, "patterns")
         _check_counts(m, n, meas.m, width, height)
         patterns = spio.read_patterns(args.patterns)
@@ -133,7 +135,7 @@ def _run(args) -> int:
                                 report.trace)
     elif args.command == "benchmark":
         try:
-            with open(args.config, encoding="utf-8") as f:
+            with spio._input(args.config, "r", encoding="utf-8") as f:
                 text = f.read()
         except UnicodeDecodeError as exc:
             raise InvalidArgumentError(f"config {args.config} is not UTF-8: {exc}") from None

@@ -9,7 +9,11 @@ whitespace and comments may follow a P2 raster.
 
 Every writer here (PGM, bundle, CSV) goes through ``_output``, the only
 code that removes a file: one that fails part way, or whose file cannot be
-closed, removes the file it was writing, if that is a regular file.
+closed, removes the file it was writing, if that is a regular file.  Every
+file the library reads (PGM, bundle, CSV, the CLI's benchmark config) is
+opened by ``_input``, which does not wait on a pipe's writer and refuses
+anything fstat does not show as a regular file (a pipe, a device such as
+/dev/zero) with a FormatError naming the path, before it reads a byte.
 
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte, u32
 counts, u64 seed.  Patterns (kind 1): m, n and the seed, a 25-byte
@@ -23,12 +27,13 @@ Every count must be an int >= 1: the writer refuses one outside [1, 2**32)
 (the header's u32 fields), and the reader reports a 0 as a FormatError at
 its offset (m at 9, n or width at 13, height at 17).  PatternSet and
 MeasurementSet refuse a seed outside [0, 2**64), as gen-patterns' draw
-does, so a writer records the seed it is given.  A bundle path must be a
-regular file.  The reader parses the fixed header, checks the payload
-length it declares against the file size before allocating anything, and
-then reads the payload straight into the arrays it returns, so reading
-holds one copy of the payload; the writer writes the array's own buffer.  A
-payload value the model refuses is a FormatError at that value's offset.
+does, so a writer records the seed it is given.  The reader parses the
+fixed header, checks the payload length it declares against the file size
+before allocating anything, and then ``_read_payload`` reads the payload
+straight into the array its record takes over, so reading holds one copy
+of the payload; the writer writes the array's own buffer.  A payload value
+the model refuses is a FormatError at that value's offset (a refused sigma
+at its own, the 8 bytes before the payload).
 
 Pattern bundles have one writer and one reader, each taking A in row
 blocks.  ``_write_pattern_blocks`` draws each block of model._row_blocks
@@ -84,6 +89,17 @@ def _output(path, mode="wb", **kwargs):
         raise
 
 
+@contextmanager
+def _input(path, mode="rb", **kwargs):
+    """open(path, mode) for a with block that reads it, if fstat shows a regular file, else a
+    FormatError naming path; O_NONBLOCK keeps open() from waiting on a pipe's writer."""
+    with open(path, mode, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK),
+              **kwargs) as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            raise FormatError(f"{path} is not a regular file")
+        yield f
+
+
 # ------------------------------------------------------------------------ PGM
 
 
@@ -93,7 +109,7 @@ _PGM_TOKEN = re.compile(rb"#[^\n]*|([^#\s]\S*)")
 
 def read_image(path) -> Image:
     """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255 into [0, 1]; numbers are digits."""
-    with open(path, "rb") as f:
+    with _input(path) as f:
         data = f.read()
     tokens = (t for t in _PGM_TOKEN.finditer(data) if t.lastindex)
 
@@ -135,7 +151,7 @@ def read_image(path) -> Image:
         values = np.empty(count)
         for idx in range(count):
             v, tok = next_field(f"pixel {idx}")
-            if not 0 <= v <= 255:
+            if v > 255:
                 raise FormatError(f"pixel value {v} out of range", offset=tok.start())
             values[idx] = v
         extra = next(tokens, None)
@@ -183,9 +199,6 @@ def _open_bundle(f, kind):
     """(m, n, seed) or (m, width, height, seed, sigma) from the header of the
     open bundle f, once the payload length it declares matches the file size."""
     code, header, names = _BUNDLES[kind]
-    st = os.fstat(f.fileno())
-    if not stat.S_ISREG(st.st_mode):
-        raise FormatError("not a regular file", offset=0)
     head = f.read(header.size)
     if head[:8] != MAGIC:
         raise FormatError(f"bad magic {head[:8]!r}", offset=0)
@@ -200,7 +213,7 @@ def _open_bundle(f, kind):
             raise FormatError(f"{name} is 0: a bundle needs {', '.join(names)} >= 1",
                               offset=9 + 4 * i)
     expected = 8 * fields[0] * (fields[1] if kind == "patterns" else 1)
-    actual = st.st_size - header.size
+    actual = os.fstat(f.fileno()).st_size - header.size
     if actual != expected:
         raise FormatError(
             f"payload length mismatch: expected {expected} bytes, got {actual}",
@@ -209,13 +222,20 @@ def _open_bundle(f, kind):
     return fields
 
 
-def _read_into(f, out) -> None:
-    """Fill out from f's next out.nbytes bytes."""
+def _read_payload(f, shape, record, bad):
+    """record(a), which takes over a, a new float64 array of the given shape read straight from f;
+    its refusal is a FormatError at a's first bad(a) entry, else at the 8 bytes before a."""
+    a = np.empty(shape, dtype="<f8")
     at = f.tell()
-    got = f.readinto(memoryview(out).cast("B"))
-    if got != out.nbytes:  # the file shrank after fstat
-        raise FormatError(f"truncated payload: expected {out.nbytes} bytes, got {got}",
+    got = f.readinto(memoryview(a).cast("B"))
+    if got != a.nbytes:  # the file shrank after fstat
+        raise FormatError(f"truncated payload: expected {a.nbytes} bytes, got {got}",
                           offset=at + got)
+    try:
+        return record(a)
+    except InvalidArgumentError as exc:
+        at = at + 8 * int(bad(a).argmax()) if bad(a).any() else at - 8
+        raise FormatError(str(exc), offset=at) from None
 
 
 def write_patterns(patterns: PatternSet, path) -> None:
@@ -243,20 +263,12 @@ def _write_pattern_blocks(path, m, n, seed, draw) -> None:
 
 def _read_pattern_blocks(path, cut=_row_blocks):
     """Yield the bundle's rows as one PatternSet per slice of cut(m, n), in
-    order, each read into its own array, which its PatternSet takes over.
-    An entry PatternSet refuses is a FormatError at its own offset."""
-    with open(path, "rb") as f:
+    order, each read by _read_payload, so a refused entry is at its own offset."""
+    with _input(path) as f:
         m, n, seed = _open_bundle(f, "patterns")
         for block in cut(m, n):
-            rows = np.empty((block.stop - block.start, n), dtype="<f8")
-            at = f.tell()
-            _read_into(f, rows)
-            try:
-                patterns = PatternSet(rows, seed=seed)
-            except InvalidArgumentError as exc:  # at the first negative or non-finite entry
-                bad = ~(rows >= 0) | (rows == np.inf)
-                raise FormatError(str(exc), offset=at + 8 * int(bad.argmax())) from None
-            yield patterns
+            yield _read_payload(f, (block.stop - block.start, n), lambda a: PatternSet(a, seed),
+                                lambda a: ~(a >= 0) | (a == np.inf))
 
 
 def write_measurements(meas: MeasurementSet, width: int, height: int, path) -> None:
@@ -267,18 +279,10 @@ def write_measurements(meas: MeasurementSet, width: int, height: int, path) -> N
 
 def read_measurements(path):
     """Returns (MeasurementSet, width, height)."""
-    with open(path, "rb") as f:
+    with _input(path) as f:
         m, width, height, seed, sigma = _open_bundle(f, "measurements")
-        values = np.empty(m, dtype="<f8")
-        _read_into(f, values)
-    try:
-        meas = MeasurementSet(values=values, noise_sigma=sigma, noise_seed=seed)
-    except InvalidArgumentError as exc:  # at the first non-finite value, else at sigma
-        bad = ~np.isfinite(values)
-        start = _BUNDLES["measurements"][1].size  # sigma is the 8 bytes before it
-        at = start + 8 * int(bad.argmax()) if bad.any() else start - 8
-        raise FormatError(str(exc), offset=at) from None
-    return meas, width, height
+        return _read_payload(f, m, lambda a: MeasurementSet(a, sigma, seed),
+                             lambda a: ~np.isfinite(a)), width, height
 
 
 # ------------------------------------------------------------------------ CSV
@@ -334,7 +338,7 @@ def read_results_csv(path):
     """Parse a results CSV into a list of dicts (strings kept raw); a file that is not UTF-8,
     or a row with a cell too many or too few (DictReader's None key or value), is a FormatError."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with _input(path, "r", newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames != CSV_COLUMNS:
                 raise FormatError(f"unexpected CSV header {reader.fieldnames}")

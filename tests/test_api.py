@@ -193,6 +193,15 @@ def test_only_io_output_removes_a_file():
     assert removing == [("io", "_output")]
 
 
+def test_only_io_input_opens_a_file_for_reading():
+    """Every open() (and os.open()) in the library is inside io._input, which
+    refuses a path that is not a regular file, or inside io._output."""
+    opening = {(path.stem, owner)
+               for path in sorted(Path(spi_recon.__file__).parent.glob("*.py"))
+               for owner in _owners(path, {"open"})}
+    assert opening == {("io", "_input"), ("io", "_output")}
+
+
 def _says_unknown(message):
     """Whether message, a str or f-string node, starts with "unknown "."""
     if isinstance(message, ast.JoinedStr) and message.values:

@@ -65,6 +65,9 @@ INT_SITES = {
     "sweep-base-seed": (lambda v: sweep_spec(base_seed=v), []),  # hashed, so -1 is a seed
     "cell-base-seed": (lambda v: run_cell("blocks", "dgi", 1.0, 2, 2, 0.0, 0, base_seed=v), []),
     "cell-repeat": (lambda v: run_cell("blocks", "dgi", 1.0, 2, 2, 0.0, v), [-1]),
+    # a PGM scene keeps its own size, so a missing one wrote its width and height into the row
+    "cell-width": (lambda v: run_cell("missing.pgm", "dgi", 1.0, v, 2, 0.0, 0), [1]),
+    "cell-height": (lambda v: run_cell("missing.pgm", "dgi", 1.0, 2, v, 0.0, 0), [1]),
     "bundle-width": (lambda v: write_measurements(MEAS, v, 2, os.devnull), [0, 2**32]),
     "bundle-height": (lambda v: write_measurements(MEAS, 2, v, os.devnull), [0, 10**400]),
 }

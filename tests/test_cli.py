@@ -243,13 +243,13 @@ def test_reconstruct_refuses_bundles_that_do_not_match_before_reading_a(
     pat, meas, recon = tmp_path / "pat.spib", tmp_path / "meas.spib", tmp_path / "recon.pgm"
     write_patterns(generate_patterns(8, 4, 4, seed=3), pat)
     write_measurements(MeasurementSet(values=np.ones(m)), width, height, meas)
-    read, read_into = [], cli.spio._read_into
+    read, read_payload = [], cli.spio._read_payload
 
-    def counting_read_into(f, out):
-        read.append((f.name, out.nbytes))
-        read_into(f, out)
+    def counting_read_payload(f, shape, record, bad):
+        read.append((f.name, 8 * int(np.prod(shape))))
+        return read_payload(f, shape, record, bad)
 
-    monkeypatch.setattr(cli.spio, "_read_into", counting_read_into)
+    monkeypatch.setattr(cli.spio, "_read_payload", counting_read_payload)
     assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),
                  "--measurements", str(meas), "--out", str(recon)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"

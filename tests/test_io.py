@@ -1,5 +1,4 @@
 import hashlib
-import os
 import re
 import struct
 import tracemalloc
@@ -380,19 +379,6 @@ def test_a_negative_or_nan_noise_sigma_is_refused_at_its_offset(sigma, tmp_path)
     with pytest.raises(FormatError, match="noise_sigma") as info:
         read_measurements(path)
     assert info.value.offset == 29
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_bundle_path_must_be_a_regular_file(tmp_path):
-    path = tmp_path / "pipe.spib"
-    os.mkfifo(path)
-    # holding a write end open lets the reader's open() return at once
-    fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
-    try:
-        with pytest.raises(FormatError, match="not a regular file"):
-            read_patterns(path)
-    finally:
-        os.close(fd)
 
 
 def test_pattern_io_and_validation_hold_one_copy_of_the_payload(tmp_path):
