@@ -32,8 +32,8 @@ fixed header, checks the payload length it declares against the file size
 before allocating anything, and then ``_read_payload`` reads the payload
 straight into the array its record takes over, so reading holds one copy
 of the payload; the writer writes the array's own buffer.  A payload value
-the model refuses is a FormatError at that value's offset (a refused sigma
-at its own, the 8 bytes before the payload).
+its record refuses is a FormatError at the first entry the record's own
+_refused marks, else (a refused sigma) at the 8 bytes before the payload.
 
 Pattern bundles have one writer and one reader, each taking A in row
 blocks.  ``_write_pattern_blocks`` draws each block of model._row_blocks
@@ -222,9 +222,9 @@ def _open_bundle(f, kind):
     return fields
 
 
-def _read_payload(f, shape, record, bad):
-    """record(a), which takes over a, a new float64 array of the given shape read straight from f;
-    its refusal is a FormatError at a's first bad(a) entry, else at the 8 bytes before a."""
+def _read_payload(f, shape, record, *args):
+    """record(a, *args), taking over a, a new float64 array of the given shape read from f; its
+    refusal is a FormatError at a's first record._refused(a) entry, else at the 8 bytes before a."""
     a = np.empty(shape, dtype="<f8")
     at = f.tell()
     got = f.readinto(memoryview(a).cast("B"))
@@ -232,9 +232,9 @@ def _read_payload(f, shape, record, bad):
         raise FormatError(f"truncated payload: expected {a.nbytes} bytes, got {got}",
                           offset=at + got)
     try:
-        return record(a)
+        return record(a, *args)
     except InvalidArgumentError as exc:
-        at = at + 8 * int(bad(a).argmax()) if bad(a).any() else at - 8
+        at = at + 8 * int(bad.argmax()) if (bad := record._refused(a)).any() else at - 8
         raise FormatError(str(exc), offset=at) from None
 
 
@@ -267,8 +267,7 @@ def _read_pattern_blocks(path, cut=_row_blocks):
     with _input(path) as f:
         m, n, seed = _open_bundle(f, "patterns")
         for block in cut(m, n):
-            yield _read_payload(f, (block.stop - block.start, n), lambda a: PatternSet(a, seed),
-                                lambda a: ~(a >= 0) | (a == np.inf))
+            yield _read_payload(f, (block.stop - block.start, n), PatternSet, seed)
 
 
 def write_measurements(meas: MeasurementSet, width: int, height: int, path) -> None:
@@ -281,8 +280,7 @@ def read_measurements(path):
     """Returns (MeasurementSet, width, height)."""
     with _input(path) as f:
         m, width, height, seed, sigma = _open_bundle(f, "measurements")
-        return _read_payload(f, m, lambda a: MeasurementSet(a, sigma, seed),
-                             lambda a: ~np.isfinite(a)), width, height
+        return _read_payload(f, m, MeasurementSet, sigma, seed), width, height
 
 
 # ------------------------------------------------------------------------ CSV

@@ -116,14 +116,15 @@ class PatternSet:
     ``rows`` is the whole state: ``m``, ``n`` and ``intensities`` (the
     total light of each pattern, its row sum) are derived from it, so
     they cannot disagree with it.  Validation is two reductions over
-    ``rows`` with no m x n temporary: a non-empty matrix is accepted iff
-    ``rows.min() >= 0`` (false for NaN and -inf; -0.0 passes) and
-    ``rows.max()`` is finite (false for +inf).  A matrix with no entries
-    is accepted as it is.
+    ``rows`` with no m x n temporary: a matrix is accepted iff it has no
+    entries or ``rows.min() >= 0`` (false for NaN and -inf; -0.0 passes)
+    and ``rows.max()`` is finite (false for +inf).  ``_refused(a)`` marks
+    the entries they refuse one by one, for a reader to locate the first.
     """
 
     rows: np.ndarray
     seed: int = 0
+    _refused = staticmethod(lambda a: ~(a >= 0) | (a == np.inf))
 
     def __post_init__(self):
         seed = _check_seed(self.seed)
@@ -155,12 +156,13 @@ class MeasurementSet:
     values: np.ndarray
     noise_sigma: float = 0.0
     noise_seed: int = 0
+    _refused = staticmethod(lambda a: ~np.isfinite(a))  # what the check refuses, entry by entry
 
     def __post_init__(self):
         values = _intake(self.values)
         if values.ndim != 1:
             raise InvalidArgumentError(f"measurements must be a vector, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if self._refused(values).any():
             raise InvalidArgumentError("measurements must be finite")
         sigma = _check_real(self.noise_sigma, "noise_sigma")
         seed = _check_seed(self.noise_seed)

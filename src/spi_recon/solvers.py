@@ -281,23 +281,23 @@ def gd_solve(run, A, b):
     """Steepest descent with the exact line-search step, x0 = 0.
 
     Per iteration 1 A + 1 A^T: A^T for the gradient and A p for the
-    step.  Ax is carried forward as Ax -= step * Ap, never recomputed;
-    the next gradient, the step and the residual all read it.  A first
-    step whose Ap.Ap underflows to 0 while Ap is not 0 raises
-    NumericalFailureError; a later one reads as no progress.
+    step.  Ax is carried forward as Ax -= step * Ap, never recomputed,
+    and r = b - Ax is formed once from it: the residual recorded is the
+    next step's.  A first step whose Ap.Ap underflows to 0 while Ap is
+    not 0 raises NumericalFailureError; a later one reads as no progress.
     """
     x = np.zeros(A.shape[1])
-    Ax = np.zeros(len(A))  # A @ 0, exactly, for finite A
+    Ax, r = np.zeros(len(A)), b  # A @ 0, exactly, for finite A, and b - A @ 0
     while True:
         p = _gd_grad(A, Ax, b)
         Ap = A @ p
-        step = gd_optimal_step(Ap, b - Ax)
+        step = gd_optimal_step(Ap, r)
         if step is not None:
             x -= step * p
             Ax -= step * Ap
         elif not run.k and Ap.any():  # at x = 0 that is an underflow, not convergence
             raise NumericalFailureError("Ap.Ap underflowed to 0", iteration=1)
-        if run.record(b - Ax):
+        if run.record(r := b - Ax):
             return run.report(x)
 
 
@@ -548,8 +548,8 @@ def _alm_solve(run: _Run, A: np.ndarray, b: np.ndarray, prior: LinearOperator) -
     mu = 1.0
     cg_steps = 0
     while True:
-        c = soft_threshold(Px + y1 / mu, 1.0 / mu)
-        rhs = system(c - y1 / mu, b - y2 / mu)
+        c = soft_threshold(Px + (y1_mu := y1 / mu), 1.0 / mu)
+        rhs = system(c - y1_mu, b - y2 / mu)
         rhs_norm = run.finite(np.linalg.norm(rhs), "norm of the ALM rhs overflowed", run.k + 1)
         tol = (1e-8 * rhs_norm) ** 2  # finite: norm squares first, so rhs_norm < 1.3e154
         cg = _cg(lambda v: system(prior.apply(v), A @ v), x, rhs - system(Px, Ax))
@@ -563,9 +563,9 @@ def _alm_solve(run: _Run, A: np.ndarray, b: np.ndarray, prior: LinearOperator) -
         cg_steps += steps
         Px, Ax = prior.apply(x), A @ x
         y1 = y1 + mu * (Px - c)
-        y2 = y2 + mu * (Ax - b)
+        y2 = y2 + mu * (r := Ax - b)
         mu = min(ALM_RHO * mu, ALM_MU_MAX)
-        if run.record(Ax - b, float(np.abs(Px).sum())):
+        if run.record(r, float(np.abs(Px).sum())):
             return run.report(x, inner_cg_steps=cg_steps)
 
 

@@ -118,6 +118,15 @@ def test_isfinite_is_called_only_in_run_finite():
     assert len(_isfinite_calls(tree)) == len(_isfinite_calls(finite)) == 1
 
 
+def test_io_states_no_entry_rule():
+    """Which payload entries a record refuses is stated once, by the record's
+    _refused; a finiteness or infinity test written again in io.py fails here."""
+    tree = ast.parse(Path(io.__file__).read_text())
+    infs = [node for node in ast.walk(tree)
+            if getattr(node, "attr", getattr(node, "id", None)) == "inf"]
+    assert (_isfinite_calls(tree), infs) == ([], [])
+
+
 def test_solvers_have_no_absolute_floor():
     """Every stop and breakdown test of a solve is relative to its data, so a
     solver's verdict does not depend on the readings' unit: no tiny absolute

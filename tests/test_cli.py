@@ -245,9 +245,9 @@ def test_reconstruct_refuses_bundles_that_do_not_match_before_reading_a(
     write_measurements(MeasurementSet(values=np.ones(m)), width, height, meas)
     read, read_payload = [], cli.spio._read_payload
 
-    def counting_read_payload(f, shape, record, bad):
+    def counting_read_payload(f, shape, record, *args):
         read.append((f.name, 8 * int(np.prod(shape))))
-        return read_payload(f, shape, record, bad)
+        return read_payload(f, shape, record, *args)
 
     monkeypatch.setattr(cli.spio, "_read_payload", counting_read_payload)
     assert main(["reconstruct", "--solver", "dgi", "--patterns", str(pat),

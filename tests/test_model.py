@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spi_recon.errors import InvalidArgumentError
 from spi_recon.model import (
@@ -179,6 +182,28 @@ def test_patterns_accept_negative_zero_and_no_rows():
     assert PatternSet(np.array([[-0.0, 1.0]])).m == 1
     empty = PatternSet(np.empty((0, 4)))
     assert (empty.m, empty.n) == (0, 4)
+
+
+# entries in [0, 1] or one of the edge values of either record's rule
+ENTRIES = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    [np.nan, np.inf, -np.inf, -1.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+                   elements=ENTRIES),
+       values=arrays(np.float64, array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=6),
+                     elements=ENTRIES))
+def test_a_record_refuses_exactly_when_its_mask_marks_an_entry(rows, values):
+    """A record's check and its _refused mask, from which io locates a refused
+    bundle entry, state one rule: they agree on every array."""
+    for record, a in ((PatternSet, rows), (MeasurementSet, values)):
+        try:
+            record(a.copy())
+            refused = False
+        except InvalidArgumentError:
+            refused = True
+        assert refused == record._refused(a).any()
 
 
 REAL_NUMBERS = "data must be real numbers, got dtype "
