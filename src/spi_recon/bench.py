@@ -95,7 +95,7 @@ def _length(items) -> Optional[int]:
 
 
 def _is_pgm(scene) -> bool:  # a scene file, read as its cells run, not a builtin scene
-    return isinstance(scene, str) and scene.endswith(".pgm")
+    return isinstance(scene, str) and scene.lower().endswith(".pgm")
 
 
 def stable_seed(*parts) -> int:
@@ -202,7 +202,7 @@ def _names(text):
 
 
 def _each(convert):
-    return lambda text: [convert(s) for s in text.split(",")]
+    return lambda text: [convert(s) for s in _names(text)]
 
 
 _CONFIG_KEYS = {
@@ -221,9 +221,10 @@ def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a line-based key=value config into a SweepSpec.
 
     Keys mirror the SweepSpec fields, so the five grid keys must be set and
-    non-empty, and SweepSpec refuses here any grid that cannot run.  Lists
-    are comma-separated, sizes "WxH" (or one number for square).  '#'
-    starts a comment.  A key set twice is refused, naming both lines.
+    non-empty, and SweepSpec refuses here any grid that cannot run.  All five
+    are read by one list rule, _names: split on commas, strip, drop empty
+    entries ("0.2," is one ratio), sizes "WxH" (or one number for square).
+    '#' starts a comment.  A key set twice is refused, naming both lines.
     """
     kwargs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -113,8 +113,7 @@ class Image:
 class PatternSet:
     """Modulation matrix A: m patterns of n pixels each, entries >= 0.
 
-    ``rows`` is the whole state: ``m``, ``n`` and ``intensities`` (the
-    total light of each pattern, its row sum) are derived from it, so
+    ``rows`` is the whole state: ``m`` and ``n`` are derived from it, so
     they cannot disagree with it.  Validation is two reductions over
     ``rows`` with no m x n temporary: a matrix is accepted iff it has no
     entries or ``rows.min() >= 0`` (false for NaN and -inf; -0.0 passes)
@@ -143,10 +142,6 @@ class PatternSet:
     @property
     def n(self) -> int:
         return self.rows.shape[1]
-
-    @property
-    def intensities(self) -> np.ndarray:
-        return self.rows.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,8 @@ class SolverReport:
     trace entries are (iteration, residual_norm, objective_value).
     linesearch_trials (poisson) and inner_cg_steps (cs-dct/cs-tv) count
     Armijo objective trials and inner-CG steps over the whole solve.
+    warning_count is, for poisson, the readings clamped to 0 and, for ap,
+    the all-zero patterns skipped, counted once per sweep; 0 otherwise.
     """
 
     image: Image
@@ -242,7 +244,7 @@ def corr_reconstruct(run, A, b):
 @_solver
 def dgi_reconstruct(run, A, b):
     """Differential correlation: x = {b_i a_i} - ({b_i}/{s_i}) {s_i a_i}."""
-    s = A.sum(axis=1)  # the pattern intensities, as PatternSet.intensities sums them
+    s = A.sum(axis=1)  # each pattern's total light, its row sum
     s_mean = s.mean()
     if s_mean == 0:
         raise InvalidArgumentError("all patterns are zero: mean intensity is 0")

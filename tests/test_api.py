@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spi_recon
@@ -142,6 +143,19 @@ def test_solvers_have_no_absolute_floor():
 def test_pattern_set_fields():
     assert [f.name for f in dataclasses.fields(model.PatternSet)] == ["rows", "seed"]
     assert not hasattr(model.PatternSet, "from_matrix")
+
+
+def test_only_dgi_sums_the_pattern_rows():
+    """Each pattern's total light is summed in dgi_reconstruct alone: a
+    PatternSet has no intensities, and no other sum in src/ takes an axis."""
+    assert not hasattr(model.PatternSet(np.ones((2, 3))), "intensities")
+    summing = [(path.stem, top.name)
+               for path in sorted(Path(spi_recon.__file__).parent.glob("*.py"))
+               for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sum"
+               and any(k.arg == "axis" for k in node.keywords)]
+    assert summing == [("solvers", "dgi_reconstruct")]
 
 
 SOLVER_PARAMS = ["patterns", "meas", "width", "height", "stop"]

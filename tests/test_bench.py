@@ -234,6 +234,20 @@ def test_a_pgm_scene_runs_once_per_cell_of_the_other_axes(tmp_path):
     assert all(r.status == "ok" for r in rows)
 
 
+def test_a_pgm_suffix_in_any_case_is_a_pgm_scene(tmp_path, monkeypatch):
+    """Scene.PGM was refused as an unknown builtin scene by SweepSpec and
+    run_cell, though read_image reads it.  The scene name seeds its cells, so
+    the seed is fixed here to compare the rows of the same bytes."""
+    upper, lower = tmp_path / "Scene.PGM", tmp_path / "scene.pgm"
+    write_image(builtin_scene("bars", 12, 10), upper)
+    lower.write_bytes(upper.read_bytes())
+    assert small_spec(scenes=[str(upper)]).scenes == (str(upper),)
+    monkeypatch.setattr(bench, "stable_seed", lambda *parts: 5)
+    rows = [run_cell(str(path), "dgi", 0.5, 8, 8, 0.0, 0) for path in (upper, lower)]
+    assert rows[0].status == "ok" and rows[0].size == "12x10"
+    assert len({replace(row, scene="", wall_time_s=0.0) for row in rows}) == 1
+
+
 def test_parse_sweep_config_refuses_a_repeated_key():
     """The second of two solvers lines silently won."""
     with pytest.raises(InvalidArgumentError,
@@ -343,6 +357,28 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys, line):
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+LISTS = {"scenes": "blocks, bars", "solvers": "dgi, cgd", "sampling_ratios": "0.2, 1",
+         "image_sizes": "8x8, 16", "noise_levels": "0, 1e-3"}
+BLANKS = {"trailing-comma": "{}, {},", "doubled-comma": "{},, {}", "blank-entry": "{}, , {}",
+          "empty-value": ""}
+
+
+@pytest.mark.parametrize("form", BLANKS.values(), ids=list(BLANKS))
+@pytest.mark.parametrize("key", list(LISTS))
+def test_every_config_list_drops_its_blank_entries(key, form):
+    """One list rule reads all five grid keys.  Before, a blank entry of a
+    ratio, size or level list was refused as a bad number ("could not
+    convert string to float: ''"), where a name list dropped it."""
+    def config(value):
+        return "".join(f"{k} = {value if k == key else v}\n" for k, v in LISTS.items())
+    if not form:
+        with pytest.raises(InvalidArgumentError, match=f"^a sweep must state {key}$"):
+            parse_sweep_config(config(""))
+    else:
+        assert parse_sweep_config(config(form.format(*LISTS[key].split(", ")))) == (
+            parse_sweep_config(config(LISTS[key])))
 
 
 def test_malformed_config_value_names_its_line():

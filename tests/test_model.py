@@ -58,7 +58,6 @@ def test_binary_patterns_equal_one_whole_draw(m, n):
         whole = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=(m, n))
         ps = generate_patterns(m, n, 1, "binary", seed=seed)
         assert np.array_equal(ps.rows, whole.astype(np.float64)), (m, n, seed)
-        assert np.array_equal(ps.intensities, whole.astype(np.float64).sum(axis=1))
 
 
 def test_binary_patterns_hold_one_copy_of_the_payload():
@@ -73,18 +72,11 @@ def test_binary_patterns_hold_one_copy_of_the_payload():
     assert peak <= 1.1 * payload
 
 
-def test_intensities_are_row_sums():
-    ps = generate_patterns(40, 5, 5, seed=3)
-    recomputed = ps.rows.sum(axis=1)
-    assert np.allclose(ps.intensities, recomputed, rtol=1e-12)
-
-
 def test_intensities_and_shape_are_derived_from_rows():
     A = np.random.default_rng(4).random((6, 5))
     ps = PatternSet(A, seed=3)
-    assert np.array_equal(ps.intensities, A.sum(axis=1))
     assert (ps.m, ps.n, ps.seed) == (6, 5, 3)
-    for name in ("m", "n", "intensities"):
+    for name in ("m", "n"):
         with pytest.raises(TypeError):
             PatternSet(A, **{name: np.ones(6)})
         with pytest.raises(AttributeError):

@@ -1376,3 +1376,36 @@ def test_images_do_not_depend_on_the_blas_thread_count_when_m_is_a_multiple_of_8
         assert out.returncode == 0, out.stderr
         outputs.append(out.stdout.splitlines())
     assert len(outputs[0]) == 3 and outputs[0] == outputs[1], outputs
+
+
+ROW_FREE_IMAGES = """
+import hashlib, sys
+from spi_recon.model import NoiseModel, add_noise, generate_patterns, synthesize
+from spi_recon.scenes import builtin_scene
+from spi_recon.solvers import StopCriteria, get_solver
+m, w, h, level = *map(int, sys.argv[1:4]), float(sys.argv[4])
+ps = generate_patterns(m, w, h, seed=3)
+meas = add_noise(synthesize(ps, builtin_scene("disk", w, h)), NoiseModel(level, w * h), seed=4)
+stops = {"ap": StopCriteria(residual_change_threshold=0.0, min_iterations=20,
+                            max_iterations_factor=0.0)}
+for name in ("corr", "dgi", "ap"):
+    rep = get_solver(name)(ps, meas, w, h, stop=stops.get(name))
+    print(name, rep.iterations, hashlib.sha256(rep.image.data.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("m, side, level", [(717, 32, 0.0), (1030, 32, 1e-4), (922, 96, 0.0)])
+def test_corr_dgi_and_ap_images_do_not_depend_on_the_blas_thread_count(run_python, m, side,
+                                                                       level):
+    """corr and dgi form their images from products v @ A, which give the
+    same bits at 1 and 2 BLAS threads, and ap works one row at a time, so
+    their images are bit-identical even where m is not a multiple of 8 and
+    the gd and cgd images, which take A @ p, differ (README, "Reproducibility")."""
+    outputs = []
+    for threads in (1, 2):
+        out = run_python(ROW_FREE_IMAGES, m, side, side, level, threads=threads)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout.splitlines())
+    assert [line.split()[:2] for line in outputs[0]] == [["corr", "0"], ["dgi", "0"],
+                                                          ["ap", "20"]], outputs
+    assert outputs[0] == outputs[1], outputs
