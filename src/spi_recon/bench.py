@@ -197,17 +197,13 @@ def _parse_size(text):
     return int(w), int(h if x else w)
 
 
-def _names(text):
-    return [s.strip() for s in text.split(",") if s.strip()]
-
-
 def _each(convert):
-    return lambda text: [convert(s) for s in _names(text)]
+    return lambda text: [convert(s.strip()) for s in text.split(",") if s.strip()]
 
 
 _CONFIG_KEYS = {
-    "scenes": _names,
-    "solvers": _names,
+    "scenes": _each(str),
+    "solvers": _each(str),
     "sampling_ratios": _each(float),
     "image_sizes": _each(_parse_size),
     "noise_levels": _each(float),
@@ -222,7 +218,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
     Keys mirror the SweepSpec fields, so the five grid keys must be set and
     non-empty, and SweepSpec refuses here any grid that cannot run.  All five
-    are read by one list rule, _names: split on commas, strip, drop empty
+    are read by one list rule, _each: split on commas, strip, drop empty
     entries ("0.2," is one ratio), sizes "WxH" (or one number for square).
     '#' starts a comment.  A key set twice is refused, naming both lines.
     """

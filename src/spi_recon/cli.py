@@ -135,7 +135,7 @@ def _run(args) -> int:
                                 report.trace)
     elif args.command == "benchmark":
         try:
-            with spio._input(args.config, "r", encoding="utf-8") as f:
+            with spio._input(args.config, "r", encoding="utf-8-sig") as f:
                 text = f.read()
         except UnicodeDecodeError as exc:
             raise InvalidArgumentError(f"config {args.config} is not UTF-8: {exc}") from None

@@ -336,7 +336,7 @@ def read_results_csv(path):
     """Parse a results CSV into a list of dicts (strings kept raw); a file that is not UTF-8,
     or a row with a cell too many or too few (DictReader's None key or value), is a FormatError."""
     try:
-        with _input(path, "r", newline="", encoding="utf-8") as f:
+        with _input(path, "r", newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames != CSV_COLUMNS:
                 raise FormatError(f"unexpected CSV header {reader.fieldnames}")

@@ -377,11 +377,39 @@ def test_traced_names_exist_on_cli(name):
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_imports_resolve(path):
-    """Each demo imports cleanly (main is not run), so pruning a public name
-    a demo still uses fails here."""
+def _load_demo(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_imports_resolve(path):
+    """Each demo imports cleanly (main is not run), so pruning a public name
+    a demo still uses fails here; a demo's SweepSpec grids are checked as it imports."""
+    assert callable(_load_demo(path).main)
+
+
+def test_every_demo_grid_runs(capsys):
+    """ratio_and_noise's tables, on its own grids cut to 8x8 and one repeat: a header and a
+    column line per grid, then one row per axis value with one cell per solver."""
+    demo = _load_demo(DEMOS[0].parent / "ratio_and_noise.py")
+    grids = [("RATIO_GRID", "ratio", "sampling_ratios", "5.1f"),
+             ("NOISE_GRID", "noise", "noise_levels", "5.0e")]
+    for name, *_ in grids:
+        setattr(demo, name, dataclasses.replace(getattr(demo, name), image_sizes=[(8, 8)],
+                                                repeats=1))
+    demo.main()
+    lines = capsys.readouterr().out.splitlines()
+    for name, label, axis, fmt in grids:
+        spec = getattr(demo, name)
+        header, columns, *lines = lines
+        assert header.startswith("scene=blocks size=8x8 ")
+        assert header.endswith(", mean rmse over 1 seeds")
+        assert columns.split() == [label, *spec.solvers]
+        values = getattr(spec, axis)
+        rows, lines = lines[:len(values)], lines[len(values):]
+        assert [row.split()[0] for row in rows] == [f"{v:{fmt}}".strip() for v in values]
+        assert all(len(row.split()) == 1 + len(spec.solvers) for row in rows)
+    assert not lines

@@ -615,6 +615,21 @@ def test_benchmark_subcommand(tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_a_config_with_a_byte_order_mark_gives_the_same_rows(tmp_path):
+    """A UTF-8 config saved with a byte-order mark, as Windows Notepad writes one, read its
+    first key as '\ufeffscenes' and exited 1 as an unknown key."""
+    text = ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.5\nimage_sizes = 8x8\n"
+            "noise_levels = 0\nrepeats = 2\n")
+    rows = []
+    for name, data in [("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())]:
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_bytes(data)
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        rows.append([{k: v for k, v in r.items() if k != "wall_time_s"}
+                     for r in read_results_csv(out)])
+    assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
 def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.5\nimage_sizes = 8x8\n"

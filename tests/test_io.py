@@ -463,6 +463,16 @@ def test_results_csv_with_another_header_is_refused(tmp_path):
         read_results_csv(path)
 
 
+def test_a_results_csv_with_a_byte_order_mark_reads_the_same_rows(tmp_path):
+    """A CSV saved with a byte-order mark, as Excel's "CSV UTF-8" writes one, was refused
+    for its header ['\ufeffscene', ...]."""
+    path = tmp_path / "res.csv"
+    write_results_csv(rows3(), path)
+    plain = read_results_csv(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_results_csv(path) == plain
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text.encode() + b"\xff\n", "is not UTF-8"),
     (lambda text: (text + "blocks,cgd\n").encode(), "row 4 does not have 11 cells"),
