@@ -1,32 +1,26 @@
 """Reconstruct one scene with every registered solver and compare quality.
 
-Runs at 32x32 with full sampling (ratio 1) on the "blocks" scene and
-prints a small leaderboard: normalized RMSE, iterations and wall time
-per solver.  The time column is the solver's own wall_time, which leaves out
-pattern generation and measurement synthesis.  Everything is clean (no noise)
-so differences come from the algorithms themselves.
+SOLVER_GRID is one run_sweep cell per solver (blocks, 32x32, ratio 1, clean, base seed 7), so a
+row is run_cell's.  It prints normalized RMSE, iterations and the solver's own wall_time (no
+pattern generation or synthesis), or the "failed:" status of a solver that fails.
 """
 
-from spi_recon.metrics import normalized_rmse
-from spi_recon.model import generate_patterns, synthesize
-from spi_recon.scenes import builtin_scene
+from spi_recon.bench import SweepSpec, run_sweep
 from spi_recon.solvers import solver_registry
 
-SIDE = 32
-SEED = 7
+SOLVER_GRID = SweepSpec(["blocks"], [name for name, _ in solver_registry()], [1.0], [(32, 32)],
+                        [0.0], repeats=1, base_seed=7)
 
 
 def main():
-    truth = builtin_scene("blocks", SIDE, SIDE)
-    patterns = generate_patterns(SIDE * SIDE, SIDE, SIDE, seed=SEED)
-    meas = synthesize(patterns, truth)
-
-    print(f"scene=blocks size={SIDE}x{SIDE} ratio=1.0 clean")
+    (width, height), = SOLVER_GRID.image_sizes
+    print(f"scene={SOLVER_GRID.scenes[0]} size={width}x{height} "
+          f"ratio={SOLVER_GRID.sampling_ratios[0]} clean")
     print(f"{'solver':8s} {'rmse':>10s} {'iters':>6s} {'time':>7s}")
-    for name, solver in solver_registry():
-        report = solver(patterns, meas, SIDE, SIDE)
-        rmse = normalized_rmse(truth, report.image)
-        print(f"{name:8s} {rmse:10.4f} {report.iterations:6d} {report.wall_time:6.2f}s")
+    for row in run_sweep(SOLVER_GRID):
+        result = (f"{row.rmse:10.4f} {row.iterations:6d} {row.wall_time_s:6.2f}s"
+                  if row.status == "ok" else row.status)
+        print(f"{row.solver:8s} {result}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import Error, InvalidArgumentError
-from .io import SweepRow, read_image
+from .io import SweepRow, _check_path, read_image
 from .metrics import normalized_rmse
 from .model import (_DISTRIBUTIONS, NoiseModel, _check_int, _check_name, _check_real,
                     _check_scaled, _hold, add_noise, generate_patterns, synthesize)
@@ -61,8 +61,8 @@ class SweepSpec:
             raise InvalidArgumentError(f"a sweep must state {', '.join(missing)}")
         for solver in self.solvers:
             get_solver(solver)  # UnknownSolverError lists the valid names
-        scenes = tuple(s if _is_pgm(s) else _check_name(s, BUILTIN_SCENES, "scene")
-                       for s in self.scenes)
+        scenes = tuple(_check_path(s, f"scene {s!r}") if _is_pgm(s)
+                       else _check_name(s, BUILTIN_SCENES, "scene") for s in self.scenes)
         _check_name(self.distribution, _DISTRIBUTIONS, "distribution")
         repeats = _check_int(self.repeats, "repeats", 1)
         base_seed = _check_int(self.base_seed, "base_seed")

@@ -31,7 +31,7 @@ import numpy as np
 from . import bench
 from . import io as spio
 from .errors import Error, InvalidArgumentError
-from .io import _read_pattern_blocks, _write_pattern_blocks
+from .io import _check_path, _read_pattern_blocks, _write_pattern_blocks
 from .metrics import normalized_rmse
 # gen-patterns does not call generate_patterns; the name stays here with the
 # other model and solver names that perfbench/layertrace.py wraps on cli
@@ -93,9 +93,7 @@ def _check_paths(args) -> None:
     paths = {flag: getattr(args, flag) for flag in
              ("patterns", "scene", "measurements", "config", "truth", "estimate", "out", "trace")
              if getattr(args, flag, None)}
-    if nul := [flag for flag, path in paths.items() if "\0" in path]:  # no OS path holds one
-        raise InvalidArgumentError(f"--{nul[0]} holds a NUL byte, which no path can")
-    paths = {flag: os.path.realpath(path) for flag, path in paths.items()}
+    paths = {flag: os.path.realpath(_check_path(path, f"--{flag}")) for flag, path in paths.items()}
     for out in ("out", "trace"):
         for flag, path in paths.items():
             if flag != out and paths.get(out) == path:

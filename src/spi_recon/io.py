@@ -1,11 +1,12 @@
 """Persistence: PGM images, binary pattern/measurement bundles, result CSVs.
 
-Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.  A
-P2 raster that declares more pixels than the rest of the file can hold is
-refused before anything is allocated, so reading a PGM allocates a fixed
-multiple of its file size at most.  Data past the declared raster is
-refused too, at the offset of its first byte (P5) or token (P2); only
-whitespace and comments may follow a P2 raster.
+Images are read from P2 (ASCII) or P5 (binary) PGM and written as P5.  Each
+number is 1 to 20 ASCII digits, refused at its own token, as are a width or
+height below 1, a maxval other than 255 and a P2 pixel above it.  A P2 raster
+that declares more pixels than the rest of the file can hold is refused before
+anything is allocated, so reading a PGM allocates a fixed multiple of its file
+size at most.  Data past the raster is refused at the offset of its first byte
+(P5) or token (P2); only whitespace and comments may follow a P2 raster.
 
 Every writer here (PGM, bundle, CSV) goes through ``_output``, the only
 code that removes a file: one that fails part way, or whose file cannot be
@@ -14,6 +15,7 @@ file the library reads (PGM, bundle, CSV, the CLI's benchmark config) is
 opened by ``_input``, which does not wait on a pipe's writer and refuses
 anything fstat does not show as a regular file (a pipe, a device such as
 /dev/zero) with a FormatError naming the path, before it reads a byte.
+Both first refuse a path that holds a NUL byte, by ``_check_path``.
 
 Bundle layout (little-endian): 8-byte magic "SPIBNDL1", kind byte, u32
 counts, u64 seed.  Patterns (kind 1): m, n and the seed, a 25-byte
@@ -74,12 +76,19 @@ __all__ = [
 MAGIC = b"SPIBNDL1"
 
 
+def _check_path(path, what=None):
+    """path, unless it holds a NUL byte, which no OS path can (named as what, else its repr)."""
+    if "\0" in (text := os.fsdecode(path)):
+        raise InvalidArgumentError(f"{what or repr(text)} holds a NUL byte, which no path can")
+    return path
+
+
 @contextmanager
 def _output(path, mode="wb", **kwargs):
     """open(path, mode) for a with block that writes it; if the block or the
     close raises, path is removed, if it is a regular file (never a device or
     a pipe), before the error propagates.  The only code that removes a file."""
-    f = open(path, mode, **kwargs)
+    f = open(_check_path(path), mode, **kwargs)
     try:
         with f:
             yield f
@@ -93,7 +102,7 @@ def _output(path, mode="wb", **kwargs):
 def _input(path, mode="rb", **kwargs):
     """open(path, mode) for a with block that reads it, if fstat shows a regular file, else a
     FormatError naming path; O_NONBLOCK keeps open() from waiting on a pipe's writer."""
-    with open(path, mode, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK),
+    with open(_check_path(path), mode, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK),
               **kwargs) as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             raise FormatError(f"{path} is not a regular file")
@@ -108,34 +117,31 @@ _PGM_TOKEN = re.compile(rb"#[^\n]*|([^#\s]\S*)")
 
 
 def read_image(path) -> Image:
-    """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255 into [0, 1]; numbers are digits."""
+    """Read a P2 or P5 PGM with maxval 255 into [0, 1]; a bad number is refused at its token."""
     with _input(path) as f:
         data = f.read()
     tokens = (t for t in _PGM_TOKEN.finditer(data) if t.lastindex)
 
-    def next_field(what, parse=int):
-        t = next(tokens, None)
-        if t is None:
+    def next_token(what):
+        if (t := next(tokens, None)) is None:
             raise FormatError(f"truncated header: missing {what}", offset=len(data))
-        try:
-            if parse is int and not t[0].isdigit():  # ASCII digits: int() takes b"+5", b"1_0"
-                raise ValueError
-            return parse(t[0]), t
-        except ValueError:
+        return t
+
+    def next_field(what, least=0):  # 1 to 20 ASCII digits: int() takes b"+5" and b"1_0",
+        t = next_token(what)            # and raises ValueError past 4300 digits
+        if not (t[0].isdigit() and len(t[0]) <= 20) or (value := int(t[0])) < least:
             raise FormatError(f"bad {what} {t[0]!r}", offset=t.start())
+        return value, t
 
-    magic, tok = next_field("magic", bytes)
-    if magic not in (b"P2", b"P5"):
-        raise FormatError(f"not a PGM file (magic {magic!r})", offset=tok.start())
-    (width, _), (height, _), (maxval, tok) = map(next_field, ("width", "height", "maxval"))
-    off, end = tok.span()
-    if width < 1 or height < 1:
-        raise FormatError("non-positive dimensions", offset=off)
+    if (magic := next_token("magic"))[0] not in (b"P2", b"P5"):
+        raise FormatError(f"not a PGM file (magic {magic[0]!r})", offset=magic.start())
+    (width, _), (height, _) = next_field("width", 1), next_field("height", 1)
+    maxval, tok = next_field("maxval")
     if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval} (must be 255)", offset=off)
-    count = width * height
+        raise FormatError(f"unsupported maxval {maxval} (must be 255)", offset=tok.start())
+    count, end = width * height, tok.end()
 
-    if magic == b"P5":
+    if magic[0] == b"P5":
         got = len(data) - end - 1  # after the single whitespace byte after maxval
         if got < count:
             raise FormatError(f"truncated payload: expected {count} bytes, got {max(got, 0)}",

@@ -225,6 +225,17 @@ def test_only_io_input_opens_a_file_for_reading():
     assert opening == {("io", "_input"), ("io", "_output")}
 
 
+def test_only_io_check_path_states_the_nul_rule():
+    """No path holds a NUL byte: the "\\0" literal is in io._check_path alone, which
+    _input, _output, cli._check_paths and SweepSpec's .pgm scenes call."""
+    nul = [(path.stem, getattr(top, "name", None))
+           for path in sorted(Path(spi_recon.__file__).parent.glob("*.py"))
+           for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+           if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+           and ("\0" if isinstance(node.value, str) else b"\0") in node.value]
+    assert nul == [("io", "_check_path")]
+
+
 def _says_unknown(message):
     """Whether message, a str or f-string node, starts with "unknown "."""
     if isinstance(message, ast.JoinedStr) and message.values:
@@ -413,3 +424,15 @@ def test_every_demo_grid_runs(capsys):
         assert [row.split()[0] for row in rows] == [f"{v:{fmt}}".strip() for v in values]
         assert all(len(row.split()) == 1 + len(spec.solvers) for row in rows)
     assert not lines
+
+
+def test_the_solver_leaderboard_grid_runs(capsys):
+    """compare_solvers on its grid cut to 8x8: a header, the column line and one row per
+    registry solver, in registry order; a solver's "failed:" status is its row."""
+    demo = _load_demo(DEMOS[0].parent / "compare_solvers.py")
+    demo.SOLVER_GRID = dataclasses.replace(demo.SOLVER_GRID, image_sizes=[(8, 8)])
+    demo.main()
+    header, columns, *rows = capsys.readouterr().out.splitlines()
+    assert header == "scene=blocks size=8x8 ratio=1.0 clean"
+    assert columns.split() == ["solver", "rmse", "iters", "time"]
+    assert [row.split()[0] for row in rows] == [name for name, _ in solvers.solver_registry()]

@@ -125,6 +125,16 @@ def test_unreadable_pgm_scene_gives_failed_rows(tmp_path):
     assert [r.status for r in rows[4:]] == ["ok", "ok"]
 
 
+def test_a_pgm_scene_that_holds_a_nul_byte_fails_its_cell_and_is_refused_by_a_spec():
+    """run_cell let open()'s bare ValueError ("embedded null byte") out instead of
+    recording the cell, and SweepSpec took the scene."""
+    row = run_cell("a\0b.pgm", "dgi", 0.5, 8, 8, 0.0, 0)
+    assert (row.status, row.rmse) == ("failed:InvalidArgumentError: 'a\\x00b.pgm' holds a NUL "
+                                      "byte, which no path can", None)
+    with pytest.raises(InvalidArgumentError, match=re.escape("scene 'a\\x00b.pgm' holds a NUL")):
+        small_spec(scenes=["blocks", "a\0b.pgm"])
+
+
 ALLOCATION = "Unable to allocate 24.4 GiB for an array with shape (128000, 25600)"
 
 

@@ -656,13 +656,19 @@ def test_benchmark_jobs_flag_is_usage_error(tmp_path, capsys):
     ("scenes = blocks\nsolvers = dgi\nsampling_ratios = 0.2\n"
      f"image_sizes = {'9' * 200}x{'9' * 200}\nnoise_levels = 0\n",
      "pixels overflows the measurement count"),
-], ids=["overflowing-ratio", "not-utf8", "too-many-repeats", "no-equals", "vast-image-size"])
+    # open() raised a bare ValueError ("embedded null byte") as the scene's cell ran
+    ("scenes = a\0b.pgm\nsolvers = dgi\nsampling_ratios = 1\nimage_sizes = 8x8\n"
+     "noise_levels = 0\n",
+     "usage error: scene 'a\\x00b.pgm' holds a NUL byte, which no path can\n"),
+], ids=["overflowing-ratio", "not-utf8", "too-many-repeats", "no-equals", "vast-image-size",
+        "nul-scene"])
 def test_bad_benchmark_config_is_usage_error(tmp_path, capsys, config, message):
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "results.csv"
     cfg.write_bytes(config.encode() if isinstance(config, str) else config)
     assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

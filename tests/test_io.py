@@ -95,8 +95,8 @@ def test_pgm_truncated_payload(tmp_path):
 
 
 @pytest.mark.parametrize("data, message, offset", [
-    (b"P5\n0 2\n255\n", "non-positive dimensions", 7),
-    (b"P2\n2 0\n255\n", "non-positive dimensions", 7),
+    (b"P5\n0 2\n255\n", "bad width b'0'", 3),
+    (b"P2\n2 0\n255\n", "bad height b'0'", 5),
     (b"P2\n2 1\n255\n0 256\n", "pixel value 256 out of range", 13),
 ])
 def test_pgm_header_and_pixel_values_are_refused_at_their_offset(tmp_path, data, message,
@@ -113,10 +113,15 @@ def test_pgm_header_and_pixel_values_are_refused_at_their_offset(tmp_path, data,
     (b"P2\n2 1\n255\n+5 0\n", "bad pixel 0 b'+5'", 11),
     (b"P2\n2 1\n255\n0 1_0\n", "bad pixel 1 b'1_0'", 13),
     (b"P5\n+2 1\n255\n\0\0", "bad width b'+2'", 3),
-], ids=["p2-width-underscore", "p2-pixel-plus", "p2-pixel-underscore", "p5-width-plus"])
+    (b"P5\n" + b"9" * 5000 + b" 1\n255\n", "bad width b'999", 3),
+    (b"P2\n1 1\n255\n" + b"9" * 5000, "bad pixel 0 b'999", 11),
+    (b"P2\n1 1\n255\n" + b"0" * 20 + b"1", "bad pixel 0 b'000", 11),
+], ids=["p2-width-underscore", "p2-pixel-plus", "p2-pixel-underscore", "p5-width-plus",
+        "p5-width-5000-digits", "p2-pixel-5000-digits", "p2-pixel-21-digits"])
 def test_a_pgm_number_is_ascii_decimal_digits_alone(tmp_path, data, message, offset):
     """int()'s grammar read the width 1_0 as 10, +2 as 2 and the pixels +5
-    and 1_0 as 5 and 10."""
+    and 1_0 as 5 and 10, and raised a bare ValueError past 4300 digits; a
+    number is at most 20 digits, leading zeros counted."""
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
     with pytest.raises(FormatError, match=re.escape(message)) as info:
@@ -487,6 +492,27 @@ def test_a_malformed_results_csv_is_a_format_error(tmp_path, edit, message):
     path.write_bytes(edit(path.read_bytes().decode()))
     with pytest.raises(FormatError, match=message):
         read_results_csv(path)
+
+
+@pytest.mark.parametrize("call", [
+    read_image,
+    lambda path: write_image(random_image(), path),
+    read_patterns,
+    lambda path: write_patterns(generate_patterns(2, 2, 2), path),
+    read_measurements,
+    lambda path: write_measurements(MeasurementSet(np.ones(2)), 2, 1, path),
+    read_results_csv,
+    lambda path: write_results_csv(rows3(), path),
+], ids=["read_image", "write_image", "read_patterns", "write_patterns", "read_measurements",
+        "write_measurements", "read_results_csv", "write_results_csv"])
+def test_a_path_that_holds_a_nul_byte_is_refused_by_every_reader_and_writer(tmp_path, call):
+    """Each raised open()'s bare ValueError ("embedded null byte"), which is not a library
+    Error, so run_cell let it out of a .pgm scene's cell."""
+    path = str(tmp_path / "a\0b")
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"{path!r} holds a NUL byte, which no path can")):
+        call(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_results_csv_empty_rejected(tmp_path):
