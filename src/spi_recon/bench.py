@@ -12,6 +12,7 @@ its cells.
 
 import hashlib
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -231,13 +232,14 @@ def parse_sweep_config(text: str) -> SweepSpec:
             raise InvalidArgumentError(f"config line {lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise InvalidArgumentError(f"config line {lineno}: unknown key {key!r}")
+            raise InvalidArgumentError(f"config line {lineno}: unknown key {reprlib.repr(key)}")
         if key in lines:
             raise InvalidArgumentError(
                 f"config line {lineno}: {key} is already set on line {lines[key]}")
         lines[key] = lineno
         try:
             kwargs[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"config line {lineno}: bad {key} value: {exc}") from None
+        except ValueError:
+            raise InvalidArgumentError(
+                f"config line {lineno}: bad {key} value {reprlib.repr(value)}") from None
     return SweepSpec(**kwargs)

@@ -51,6 +51,7 @@ and reconstruct's trace CSV have one writer, ``_write_csv``.
 import csv
 import os
 import re
+import reprlib
 import stat
 import struct
 from contextlib import contextmanager
@@ -130,11 +131,11 @@ def read_image(path) -> Image:
     def next_field(what, least=0):  # 1 to 20 ASCII digits: int() takes b"+5" and b"1_0",
         t = next_token(what)            # and raises ValueError past 4300 digits
         if not (t[0].isdigit() and len(t[0]) <= 20) or (value := int(t[0])) < least:
-            raise FormatError(f"bad {what} {t[0]!r}", offset=t.start())
+            raise FormatError(f"bad {what} {reprlib.repr(t[0])}", offset=t.start())
         return value, t
 
     if (magic := next_token("magic"))[0] not in (b"P2", b"P5"):
-        raise FormatError(f"not a PGM file (magic {magic[0]!r})", offset=magic.start())
+        raise FormatError(f"not a PGM file (magic {reprlib.repr(magic[0])})", offset=magic.start())
     (width, _), (height, _) = next_field("width", 1), next_field("height", 1)
     maxval, tok = next_field("maxval")
     if maxval != 255:
@@ -162,7 +163,7 @@ def read_image(path) -> Image:
             values[idx] = v
         extra = next(tokens, None)
         if extra is not None:
-            raise FormatError(f"data past the {count}-pixel raster: {extra[0]!r}",
+            raise FormatError(f"data past the {count}-pixel raster: {reprlib.repr(extra[0])}",
                               offset=extra.start())
     return Image(width=width, height=height, data=values / 255.0)
 
@@ -345,7 +346,7 @@ def read_results_csv(path):
         with _input(path, "r", newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames != CSV_COLUMNS:
-                raise FormatError(f"unexpected CSV header {reader.fieldnames}")
+                raise FormatError(f"unexpected CSV header {reprlib.repr(reader.fieldnames)}")
             rows = list(reader)
     except UnicodeDecodeError as exc:
         raise FormatError(f"results CSV {path} is not UTF-8 ({exc.reason})") from None

@@ -26,6 +26,7 @@ CLI give the same A and b, bit for bit, at any BLAS thread count.
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +241,7 @@ def _check_name(name, names, what: str, error=InvalidArgumentError) -> str:
     """``name`` if it is a str in ``names``, the one check of a solver, scene or
     distribution name; else error, listing ``names`` in table order."""
     if not isinstance(name, str) or name not in names:
-        raise error(f"unknown {what} {name!r}; valid names: {', '.join(names)}")
+        raise error(f"unknown {what} {reprlib.repr(name)}; valid names: {', '.join(names)}")
     return name
 
 

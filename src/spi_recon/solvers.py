@@ -75,7 +75,7 @@ __all__ = [
     "get_solver",
 ]
 
-EPS_DIV = 1e-12  # sign-preserving clamp for a_i.x denominators
+EPS_DIV = 1e-12  # a_i.x denominators: ap's sign-preserving clamp, poisson's floor
 ARMIJO_ALPHA = 0.1  # sufficient-decrease fraction of the Armijo test
 ARMIJO_BETA = 0.5  # step shrink factor of the backtracking search
 ALM_RHO = 1.05  # geometric growth of the ALM penalty weight, which starts at 1
@@ -135,14 +135,14 @@ def _check_counts(m: int, n: int, meas_m: int, width: int, height: int) -> None:
                                    f"{n} pattern pixels")
 
 
-def _check_point(patterns: PatternSet, x, meas: MeasurementSet) -> np.ndarray:
-    """x through _intake, for the public gradients and objective: refused unless
+def _at(patterns: PatternSet, x, meas: MeasurementSet):
+    """(A, A x, b) for x through _intake, the public point functions' one intake: refused unless
     _check_counts takes the problem (m readings for m >= 1 patterns) and x has shape (n,)."""
     x = _intake(x)
     _check_counts(patterns.m, patterns.n, meas.m, patterns.n, 1)
     if x.shape != (patterns.n,):
         raise InvalidArgumentError(f"x has shape {x.shape}, expected ({patterns.n},)")
-    return x
+    return patterns.rows, patterns.rows @ x, meas.values
 
 
 class _Run:
@@ -262,8 +262,7 @@ def _gd_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gd_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np.ndarray:
     """Gradient of ||Ax - b||^2: p = 2 A^T (Ax - b)."""
-    A = patterns.rows
-    return _gd_grad(A, A @ _check_point(patterns, x, meas), meas.values)
+    return _gd_grad(*_at(patterns, x, meas))
 
 
 def gd_optimal_step(Ap: np.ndarray, r: np.ndarray) -> Optional[float]:
@@ -395,28 +394,23 @@ def poisson_objective(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet)
     Requires a_i.x > 0 where b_i > 0 and a_i.x >= 0 where b_i = 0, whose
     entries contribute only the linear term; DomainError otherwise.
     """
-    x, b = _check_point(patterns, x, meas), meas.values
+    _, Ax, b = _at(patterns, x, meas)
     if np.any(b < 0):
         raise InvalidArgumentError("Poisson measurements must be >= 0")
-    return _objective(patterns.rows @ x, b)
-
-
-def _clamp_signed(v: np.ndarray) -> np.ndarray:
-    """Clamp magnitudes below EPS_DIV to EPS_DIV, keeping sign (0 treated as +)."""
-    sign = np.where(v < 0, -1.0, 1.0)
-    return sign * np.maximum(np.abs(v), EPS_DIV)
+    return _objective(Ax, b)
 
 
 def _poisson_grad(A: np.ndarray, Ax: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^T ((Ax - b) / Ax) from a given Ax, with the denominator clamped away
-    from 0: the arithmetic of poisson_gradient and poisson_solve."""
-    return A.T @ ((Ax - b) / _clamp_signed(Ax))
+    """A^T ((Ax - b) / Ax) from an Ax in the likelihood's domain, each denominator floored
+    at EPS_DIV (an a_i.x = 0 adds 0): the arithmetic of poisson_gradient and poisson_solve."""
+    return A.T @ ((Ax - b) / np.maximum(Ax, EPS_DIV))
 
 
 def poisson_gradient(patterns: PatternSet, x: np.ndarray, meas: MeasurementSet) -> np.ndarray:
-    """Gradient of the negative log-likelihood: A^T ((Ax - b) / Ax)."""
-    A = patterns.rows
-    return _poisson_grad(A, A @ _check_point(patterns, x, meas), meas.values)
+    """Gradient of the negative log-likelihood: A^T ((Ax - b) / Ax), where
+    poisson_objective takes x and b; elsewhere it raises poisson_objective's error."""
+    poisson_objective(patterns, x, meas)
+    return _poisson_grad(*_at(patterns, x, meas))
 
 
 def _armijo(trial: Callable[[float], float], f0: float, pp: float) -> tuple[float, int, float]:
@@ -441,8 +435,13 @@ def backtracking_search(
     """First step in {1, beta, beta^2, ...} passing the Armijo test.
 
     Accepts the first step with L(x + step*p) <= L(x) - alpha*step*p.p;
-    p must be a descent direction (pass the negated gradient).
+    p must be a descent direction (pass the negated gradient).  x and p are
+    taken by the intake rule and must be vectors of one shape, else
+    InvalidArgumentError.
     """
+    x, p = _intake(x), _intake(p)
+    if x.ndim != 1 or x.shape != p.shape:
+        raise InvalidArgumentError(f"x and p must be vectors of one shape: {x.shape}, {p.shape}")
     f0 = objective(x)
     return _armijo(lambda step: objective(x + step * p), f0, float(p @ p))[0]
 

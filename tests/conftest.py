@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -34,3 +35,20 @@ def run_python():
     """_run_python: a snippet in a fresh interpreter with a pinned BLAS
     thread count."""
     return _run_python
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """_traced_peak, for a test that is not a hypothesis test (those import
+    it: hypothesis refuses a function-scoped fixture)."""
+    return _traced_peak

@@ -236,6 +236,13 @@ def test_only_io_check_path_states_the_nul_rule():
     assert nul == [("io", "_check_path")]
 
 
+def test_the_solvers_take_points_through_one_intake():
+    """_at is the one intake of gd_gradient, poisson_objective and poisson_gradient;
+    backtracking_search takes its x and p by the same rule, and nothing else calls it."""
+    assert set(_owners(solvers.__file__, {"_intake"})) == {"_at", "backtracking_search"}
+    assert not hasattr(solvers, "_check_point") and not hasattr(solvers, "_clamp_signed")
+
+
 def _says_unknown(message):
     """Whether message, a str or f-string node, starts with "unknown "."""
     if isinstance(message, ast.JoinedStr) and message.values:
@@ -385,7 +392,8 @@ def test_traced_names_exist_on_cli(name):
     assert callable(getattr(cli, name))
 
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _load_demo(path):
@@ -436,3 +444,14 @@ def test_the_solver_leaderboard_grid_runs(capsys):
     assert header == "scene=blocks size=8x8 ratio=1.0 clean"
     assert columns.split() == ["solver", "rmse", "iters", "time"]
     assert [row.split()[0] for row in rows] == [name for name, _ in solvers.solver_registry()]
+
+
+def test_no_line_is_longer_than_100_characters():
+    """Every line of src/, demos/ and tests/ holds at most 100 characters, so a tally of
+    src/'s lines cannot shrink by joining them."""
+    long_lines = [f"{path.relative_to(ROOT)}:{number}"
+                  for folder in ("src", "demos", "tests")
+                  for path in sorted((ROOT / folder).rglob("*.py"))
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if len(line) > 100]
+    assert long_lines == []

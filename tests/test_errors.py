@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import spi_recon
 from spi_recon import bench, cli, errors
-from spi_recon.errors import Error, InvalidArgumentError, UnknownSolverError
-from spi_recon.io import MAGIC, write_image
+from spi_recon.errors import Error, FormatError, InvalidArgumentError, UnknownSolverError
+from spi_recon.io import MAGIC, read_image, read_results_csv, write_image
 from spi_recon.model import Image
 from spi_recon.scenes import builtin_scene
 from spi_recon.solvers import solver_registry
@@ -104,6 +104,44 @@ def _measurement_variants(good):
         "meas_4x8": head(width=4) + payload,  # 32 pixels for patterns of 64
         "meas_16x4": head(width=16, height=4) + payload,  # another shape of 64 pixels
     }
+
+
+TOKEN = 100_000  # bytes or characters of one outside token
+CONFIG = "scenes = blocks\nsolvers = dgi\nsampling_ratios = 1\nimage_sizes = 8\nnoise_levels = 0\n"
+
+
+def _reading(reader, data):
+    """A call that writes data to a file and refuses it through reader."""
+    def call(tmp_path):
+        (path := tmp_path / "input").write_bytes(data)
+        reader(path)
+    return call
+
+
+def _config(old, new):
+    return lambda tmp_path: bench.parse_sweep_config(CONFIG.replace(old, new))
+
+
+@pytest.mark.parametrize("call, error, offset", [
+    (_reading(read_image, b"Q" * TOKEN), FormatError, 0),
+    (_reading(read_image, b"P5\n" + b"9" * TOKEN + b" 2\n255\n"), FormatError, 3),
+    (_reading(read_image, b"P2\n1 1\n255\n0\n" + b"x" * TOKEN), FormatError, 13),
+    (_reading(read_results_csv, b"h" * TOKEN + b"\n"), FormatError, None),
+    (_config("scenes", "k" * TOKEN), InvalidArgumentError, None),
+    (_config("ratios = 1", "ratios = " + "r" * TOKEN), InvalidArgumentError, None),
+    (_config("blocks", "s" * TOKEN), InvalidArgumentError, None),
+    (_config("dgi", "v" * TOKEN), UnknownSolverError, None),
+], ids=["pgm-magic", "pgm-number", "pgm-data-past-raster", "csv-header", "config-key",
+        "config-value", "config-scene-name", "config-solver-name"])
+def test_a_refusal_quotes_outside_input_within_a_bounded_length(tmp_path, call, error, offset):
+    """A 100 kB token from a file or a config is quoted by reprlib.repr: the refusal keeps its
+    type and offset, and its message, which run_cell stores in a row, stays within 200
+    characters instead of quoting the whole token."""
+    with pytest.raises(Error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert getattr(info.value, "offset", None) == offset
+    assert len(str(info.value)) <= 200
 
 
 # finite readings whose squares overflow: 1e160 alternating in sign, and 1e300

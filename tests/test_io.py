@@ -1,7 +1,6 @@
 import hashlib
 import re
 import struct
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -310,17 +309,7 @@ def test_bundle_bytes_are_pinned(tmp_path):
         "117c42e0162b25107b6feb071e53cce85e767fb386c757bde06acc227665f1c6")
 
 
-def traced_peak(fn):
-    """Peak bytes allocated while fn runs, as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_bundle_declaring_a_huge_payload_allocates_nothing(tmp_path):
+def test_bundle_declaring_a_huge_payload_allocates_nothing(tmp_path, traced_peak):
     path = tmp_path / "huge.spib"
     path.write_bytes(MAGIC + struct.pack("<BIIQ", 1, 2**32 - 1, 2**32 - 1, 0) + bytes(64))
 
@@ -332,7 +321,7 @@ def test_bundle_declaring_a_huge_payload_allocates_nothing(tmp_path):
     assert traced_peak(read) < 2**20
 
 
-def test_p2_declaring_more_pixels_than_the_file_holds_allocates_nothing(tmp_path):
+def test_p2_declaring_more_pixels_than_the_file_holds_allocates_nothing(tmp_path, traced_peak):
     path = tmp_path / "huge.pgm"
     path.write_bytes(b"P2\n20000 20000\n255\n0 1\n")
 
@@ -385,7 +374,7 @@ def test_a_negative_or_nan_noise_sigma_is_refused_at_its_offset(sigma, tmp_path)
     assert info.value.offset == 29
 
 
-def test_pattern_io_and_validation_hold_one_copy_of_the_payload(tmp_path):
+def test_pattern_io_and_validation_hold_one_copy_of_the_payload(tmp_path, traced_peak):
     ps = generate_patterns(256, 64, 64)
     payload = ps.rows.nbytes  # 8 MiB
     path = tmp_path / "pat.spib"

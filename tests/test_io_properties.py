@@ -8,13 +8,13 @@ measurement bundle reads back exactly what was written.
 """
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from spi_recon.errors import FormatError
 from spi_recon.io import (MAGIC, read_image, read_measurements, read_patterns,
                           write_measurements)
@@ -30,15 +30,17 @@ def peak_bound(size):
 
 def traced(fn):
     """(result or FormatError, tracemalloc peak in bytes) of fn()."""
-    tracemalloc.start()
-    try:
+    out = None
+
+    def call():
+        nonlocal out
         try:
             out = fn()
         except FormatError as exc:
             out = exc
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = _traced_peak(call)
+    return out, peak
 
 
 # ------------------------------------------------------------------------ PGM

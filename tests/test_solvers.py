@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spi_recon import solvers
@@ -496,6 +496,19 @@ def test_backtracking_failure_reports_its_shrink_budget():
     assert len(calls) == 1 + 1075
 
 
+@pytest.mark.parametrize("x, p, match", [
+    (np.zeros(3), np.zeros(2), r"vectors of one shape: \(3,\), \(2,\)"),
+    (np.ones((2, 2)), np.ones((2, 2)), r"vectors of one shape: \(2, 2\), \(2, 2\)"),
+    ("abc", np.zeros(3), "data must be real numbers"),
+    (np.ones(2), [1j, 0.0], "data must be real numbers"),
+], ids=["shapes-differ", "matrices", "str-x", "complex-p"])
+def test_backtracking_search_takes_two_vectors_of_one_shape(x, p, match):
+    """x and p pass the intake rule and must be vectors of one shape; before,
+    numpy's bare broadcast ValueError or a TypeError came out of the search."""
+    with pytest.raises(InvalidArgumentError, match=match):
+        backtracking_search(lambda v: float(v @ v), x, p)
+
+
 def test_poisson_solve_identity_system():
     ps = PatternSet(np.eye(4))
     meas = MeasurementSet(values=np.array([1.0, 2.0, 3.0, 4.0]))
@@ -581,6 +594,40 @@ def test_poisson_objective_domain_is_a_i_x_positive_where_b_i_is():
     assert value == pytest.approx(2.0 - 3.0 * np.log(2.0), rel=1e-15)
     with pytest.raises(DomainError, match="row 1"):
         poisson_objective(ps, x, MeasurementSet(values=np.array([3.0, 1.0])))
+
+
+@st.composite
+def poisson_points(draw):
+    """(A, x, b) of at most 3 x 3 whose x entries take either sign and whose
+    readings go below 0, so that many points fall outside what
+    poisson_objective takes."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def entries(k, values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=k, max_size=k)))
+
+    return (entries(m * n, [0.0, 0.5, 1.0]).reshape(m, n),
+            entries(n, [-1.0, -0.0, 0.0, 0.5, 2.0]), entries(m, [-1e-3, 0.0, 1.0, 3.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(problem=poisson_points())
+@example(problem=(np.eye(2), np.array([-1.0, 1.0]), np.ones(2)))  # a_0.x < 0
+@example(problem=(np.eye(2), np.ones(2), np.array([-1e-3, 1.0])))  # b_0 < 0
+def test_poisson_gradient_refuses_exactly_where_poisson_objective_does(problem):
+    """Poisson's public pair has one refusal rule: the gradient raises the
+    objective's error, type and message, at every point the objective
+    refuses, and returns a number everywhere else."""
+    A, x, b = problem
+    ps, meas = PatternSet(A), MeasurementSet(values=b)
+    outcomes = []
+    for fn in (poisson_objective, poisson_gradient):
+        try:
+            fn(ps, x, meas)
+            outcomes.append(None)
+        except (DomainError, InvalidArgumentError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_poisson_solve_evaluates_the_likelihood_once_per_trial(monkeypatch):

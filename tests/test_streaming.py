@@ -8,7 +8,6 @@ many blocks.
 """
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,15 +35,6 @@ HEADER = 25  # bytes before a patterns bundle's payload
 def small_blocks(monkeypatch):
     """Blocks of about 1 KiB: 8 rows of 15 pixels."""
     monkeypatch.setattr(model, "_BLOCK_BYTES", 1024)
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def gen(path, m, w, h, dist="uniform01", seed=12345):
@@ -253,7 +243,8 @@ def test_gen_patterns_failing_midway_leaves_no_file(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_a_row_count_the_header_cannot_hold_is_refused_before_drawing(tmp_path, capsys):
+def test_a_row_count_the_header_cannot_hold_is_refused_before_drawing(tmp_path, capsys,
+                                                                       traced_peak):
     out = tmp_path / "pat.spib"
     codes = []
     peak = traced_peak(lambda: codes.append(gen(out, 2**32, 1, 1)))
@@ -266,7 +257,7 @@ def test_a_row_count_the_header_cannot_hold_is_refused_before_drawing(tmp_path, 
 # ------------------------------------------------------------------- memory
 
 
-def test_gen_patterns_and_simulate_hold_one_block(tmp_path):
+def test_gen_patterns_and_simulate_hold_one_block(tmp_path, traced_peak):
     """At 64 x 64 and m = 2048, A is 64 MiB and a block 256 KiB."""
     pat, scene, out = tmp_path / "pat.spib", tmp_path / "scene.pgm", tmp_path / "meas.spib"
     write_image(builtin_scene("blocks", 64, 64), scene)
